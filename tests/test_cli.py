@@ -6,11 +6,17 @@ from fractions import Fraction
 import pytest
 
 from hypermult import (
+    ProjPoint,
+    StratumLabel,
+    bound_check,
     classify_at_origin,
+    default_frames,
     l_squared,
     parse_form,
     separation_threshold,
     torus_index,
+    verify_theorem_main,
+    worst_frame_search,
 )
 from hypermult import serialize
 from hypermult.cli import run
@@ -58,7 +64,8 @@ def test_index_reports_certificate(capsys, square_file):
     assert code == 0
     assert payload["delta_sq"] == "2"
     assert payload["lambda"] == [-1, 1]
-    assert serialize.cert_decode(payload) == torus_index(parse_form(SQUARE_TEXT))
+    cert = torus_index(parse_form(SQUARE_TEXT))
+    assert payload == {"r": 1, "d": 2, **serialize.cert_encode(cert)}
 
 
 def test_index_semistable_has_null_lambda(capsys, tmp_path):
@@ -69,7 +76,9 @@ def test_index_semistable_has_null_lambda(capsys, tmp_path):
     assert code == 0
     assert payload["delta_sq"] == "0"
     assert payload["lambda"] is None
-    assert serialize.cert_decode(payload).semistable_for_torus
+    cert = torus_index(parse_form("r=1 d=2\n1 1 1\n"))
+    assert cert.semistable_for_torus
+    assert payload == {"r": 1, "d": 2, **serialize.cert_encode(cert)}
 
 
 def test_destab_round_trips_through_the_parser(capsys, cubic_file):
@@ -140,8 +149,8 @@ def test_classify_agrees_and_round_trips(capsys, cubic_file):
     payload = json.loads(out)
     assert code == 0
     assert payload["m_band"] == 2 and payload["agreed"] is True
-    decoded = serialize.report_decode(payload)
-    assert decoded == classify_at_origin(parse_form(CUBIC_TEXT), "auto")
+    report = classify_at_origin(parse_form(CUBIC_TEXT), "auto")
+    assert payload == serialize.report_encode(report)
 
 
 def test_classify_default_point_is_the_origin(capsys, cubic_file):
@@ -157,9 +166,10 @@ def test_verify_small_run(capsys):
     )
     payload = json.loads(out)
     assert code == 0
-    summary = serialize.summary_decode(payload)
-    assert summary.total == 3 * 4
-    assert summary.ok and payload["failures"] == []
+    assert payload["total"] == 3 * 4
+    assert payload["failed"] == 0 and payload["failures"] == []
+    summary = verify_theorem_main(1, 2, "auto", count=4, seed=11)
+    assert payload == serialize.summary_encode(summary)
 
 
 def test_gen_is_deterministic_and_parseable(capsys):
@@ -184,7 +194,13 @@ def test_bound_pins_a_coordinate_power(capsys, square_file):
     assert payload["lower"] == payload["upper"] == "2"
     assert payload["max_mult"] == 2 and payload["within"] is True
     assert payload["label"]["lambda_rep"] == [1, -1]
-    assert serialize.bound_decode(payload).within
+    form = parse_form(SQUARE_TEXT)
+    points = [ProjPoint.parse("1,0")]
+    _, cert = worst_frame_search(form, default_frames(1, points[0], 1))
+    label = StratumLabel.from_certificate(cert)
+    assert payload["label"] == serialize.label_encode(label)
+    result = serialize.bound_encode(bound_check(form, label, points))
+    assert {key: payload[key] for key in result} == result
 
 
 def test_bound_fails_without_a_maximal_candidate(capsys, square_file):
@@ -250,15 +266,27 @@ def test_module_entry_point():
 # ------------------------------------------------------- serialization
 
 def test_report_encoding_survives_json(capsys):
+    # rationals travel as "p/q" strings that Fraction reads back exactly
     form = parse_form(CUBIC_TEXT)
     report = classify_at_origin(form, "auto")
-    wire = json.loads(json.dumps(serialize.report_encode(report)))
-    assert serialize.report_decode(wire) == report
+    encoded = serialize.report_encode(report)
+    wire = json.loads(json.dumps(encoded))
+    assert wire == encoded
+    cert = wire["cert"]
+    assert tuple(Fraction(x) for x in cert["q"]) == report.cert.q
+    assert tuple(Fraction(x) for x in cert["w"]) == report.cert.w
+    assert Fraction(cert["delta_sq"]) == report.cert.delta_sq
+    assert [
+        (tuple(item["point"]), Fraction(item["weight"])) for item in cert["hull_weights"]
+    ] == list(report.cert.hull_weights)
 
 
 def test_summary_encoding_survives_json():
-    from hypermult import verify_theorem_main
-
     summary = verify_theorem_main(1, 2, 3, count=2, seed=0)
-    wire = json.loads(json.dumps(serialize.summary_encode(summary)))
-    assert serialize.summary_decode(wire) == summary
+    encoded = serialize.summary_encode(summary)
+    assert json.loads(json.dumps(encoded)) == encoded
+    assert (encoded["total"], encoded["passed"], encoded["failed"]) == (
+        summary.total,
+        summary.passed,
+        summary.failed,
+    )
