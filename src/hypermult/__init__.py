@@ -14,7 +14,6 @@ from .forms import (
     destabilize,
     destabilizing_factor,
     frame_moving_to_origin,
-    hilbert_poly_value,
     multiplicity_at,
     multiplicity_at_origin,
     parse_form,
@@ -24,7 +23,6 @@ from .statepoly import (
     InstabilityCertificate,
     OneParamSubgroup,
     ProjectionResult,
-    StatePolytope,
     barycenter,
     class_rep,
     mu_weight,
@@ -37,10 +35,8 @@ from .hesselink import (
     band_contains,
     default_frames,
     l_squared,
-    label_band_contains,
     pair_minima,
     pair_separation_min_N,
-    q_contains,
     separation_gap,
     separation_threshold,
     worst_frame_search,
@@ -59,52 +55,3 @@ from .classifier import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ExponentVector",
-    "FormParseError",
-    "Frame",
-    "HomogeneousForm",
-    "ProjPoint",
-    "act",
-    "destabilize",
-    "destabilizing_factor",
-    "frame_moving_to_origin",
-    "hilbert_poly_value",
-    "multiplicity_at",
-    "multiplicity_at_origin",
-    "parse_form",
-    "point_image",
-    "InstabilityCertificate",
-    "OneParamSubgroup",
-    "ProjectionResult",
-    "StatePolytope",
-    "barycenter",
-    "class_rep",
-    "mu_weight",
-    "nearest_point",
-    "torus_index",
-    "BandParams",
-    "StratumLabel",
-    "band_contains",
-    "default_frames",
-    "l_squared",
-    "label_band_contains",
-    "pair_minima",
-    "pair_separation_min_N",
-    "q_contains",
-    "separation_gap",
-    "separation_threshold",
-    "worst_frame_search",
-    "BandDiagnostic",
-    "BoundCheckResult",
-    "ClassificationReport",
-    "FailureRecord",
-    "VerifySummary",
-    "bound_check",
-    "classify_at",
-    "classify_at_origin",
-    "gen_corpus",
-    "verify_theorem_main",
-    "__version__",
-]

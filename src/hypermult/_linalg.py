@@ -34,10 +34,6 @@ def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def scale(u: Sequence[Fraction], c: Fraction) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")

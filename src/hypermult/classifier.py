@@ -14,6 +14,7 @@ against ground truth.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -259,8 +260,11 @@ def verify_theorem_main(
     for m in range(d + 1):
         for index, form in enumerate(gen_corpus(r, d, m, count, seed)):
             cases.append((m, index, form, big_n))
-    if jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers up front, so never ask for more than
+    # there are cores or cases
+    workers = min(jobs, os.cpu_count() or 1, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_case, cases, chunksize=8))
     else:
         results = [_verify_case(case) for case in cases]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import serialize
 from .classifier import (
@@ -298,8 +298,26 @@ _HANDLERS = {
 }
 
 
+def _attach_point_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite each `--point <v>` as `--point=<v>`.
+
+    argparse takes a separate value starting with '-' (as in `-1,2,3`) for
+    an unknown option; attached with '=' it is always read as the value.
+    """
+    out: List[str] = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--point":
+            value = next(args, None)
+            if value is not None:
+                arg = f"--point={value}"
+        out.append(arg)
+    return out
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = _attach_point_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

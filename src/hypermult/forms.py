@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import Matrix, Vector
@@ -78,23 +78,8 @@ class HomogeneousForm:
             canonical[_validate_exponent(e, self.r, self.d)] = coeff
         object.__setattr__(self, "terms", canonical)
 
-    @classmethod
-    def from_terms(
-        cls, r: int, d: int, pairs: Iterable[Tuple[Sequence[int], Fraction]]
-    ) -> "HomogeneousForm":
-        """Build a form from (exponent, coefficient) pairs, summing duplicates."""
-        acc: Dict[ExponentVector, Fraction] = {}
-        for e, c in pairs:
-            key = tuple(int(x) for x in e)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(c)
-        acc = {e: c for e, c in acc.items() if c != 0}
-        return cls(r, d, acc)
-
     def support(self) -> Tuple[ExponentVector, ...]:
         return tuple(sorted(self.terms))
-
-    def coefficient(self, e: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(int(x) for x in e), Fraction(0))
 
     def to_text(self) -> str:
         """Render in the form file format (header line plus one row per term)."""
@@ -121,15 +106,31 @@ class HomogeneousForm:
 
 
 _HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Read an optional sign, then p or p/q; no other number syntax.
+
+    Fraction alone also takes exponents, decimals and underscores, and
+    expanding a short exponent like 1e10000000 takes seconds.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a rational p or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{text!r} has a zero denominator") from exc
 
 
 def parse_form(text: str) -> HomogeneousForm:
     """Parse the plain text form format.
 
     First payload line is ``r=<int> d=<int>``; every following line is a
-    coefficient (``p`` or ``p/q``) followed by r+1 exponents.  ``#`` starts
-    a comment.  Duplicate exponent rows are summed; a row set whose net
-    coefficient vanishes is rejected rather than silently dropped.
+    coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
+    exponents.  ``#`` starts a comment.  Duplicate exponent rows are summed;
+    a row set whose net coefficient vanishes is rejected rather than
+    silently dropped.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -141,7 +142,10 @@ def parse_form(text: str) -> HomogeneousForm:
     header = _HEADER.match(payload[0])
     if not header:
         raise FormParseError(f"bad header {payload[0]!r}: expected 'r=<int> d=<int>'")
-    r, d = int(header.group(1)), int(header.group(2))
+    try:
+        r, d = int(header.group(1)), int(header.group(2))
+    except ValueError as exc:  # more digits than int() converts
+        raise FormParseError(f"bad header: {exc}") from exc
     if r < 1 or d < 1:
         raise FormParseError(f"need r >= 1 and d >= 1, got r={r} d={d}")
     if len(payload) == 1:
@@ -154,9 +158,9 @@ def parse_form(text: str) -> HomogeneousForm:
                 f"row {line!r} needs a coefficient and {r + 1} exponents"
             )
         try:
-            coeff = Fraction(fields[0])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormParseError(f"bad coefficient {fields[0]!r}") from exc
+            coeff = _parse_rational(fields[0])
+        except ValueError as exc:
+            raise FormParseError(f"bad coefficient: {exc}") from exc
         try:
             expo = [int(x) for x in fields[1:]]
         except ValueError as exc:
@@ -202,12 +206,6 @@ class Frame:
     def det(self) -> Fraction:
         return _linalg.det(self.rows)
 
-    def inverse(self) -> "Frame":
-        return Frame(_linalg.inverse(self.rows))
-
-    def transpose(self) -> "Frame":
-        return Frame(_linalg.transpose(self.rows))
-
     def compose(self, other: "Frame") -> "Frame":
         """Matrix product self * other; act(self.compose(g), f) applies g first."""
         if self.size != other.size:
@@ -239,9 +237,9 @@ class ProjPoint:
     @classmethod
     def parse(cls, text: str) -> "ProjPoint":
         try:
-            return cls(tuple(Fraction(chunk.strip()) for chunk in text.split(",")))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad point {text!r}: expected comma separated rationals") from exc
+            return cls(tuple(_parse_rational(chunk.strip()) for chunk in text.split(",")))
+        except ValueError as exc:
+            raise ValueError(f"bad point {text!r}: {exc}") from exc
 
     def primitive(self) -> Tuple[int, ...]:
         """Canonical integer representative: gcd 1, first nonzero entry positive."""
@@ -417,18 +415,3 @@ def destabilizing_factor(r: int, n: int) -> HomogeneousForm:
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
     return HomogeneousForm(r, r * n, {(0,) + (n,) * r: Fraction(1)})
-
-
-def _comb(n: int, k: int) -> int:
-    return math.comb(n, k) if n >= 0 else 0
-
-
-def hilbert_poly_value(r: int, d: int, t: int) -> int:
-    """Value of the degree-d hypersurface Hilbert polynomial in P^r at t.
-
-    Equals C(r+t, r) - C(r+t-d, r) with the convention that binomials with
-    a negative top argument vanish.
-    """
-    if r < 1 or d < 1:
-        raise ValueError("need r >= 1 and d >= 1")
-    return _comb(r + t, r) - _comb(r + t - d, r)

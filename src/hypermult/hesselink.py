@@ -68,19 +68,6 @@ class BandParams:
             raise ValueError("need 0 <= m <= d")
 
 
-def q_contains(y: Sequence, r: int, d: int, big_n: int) -> bool:
-    """Membership of y in Q: sum d + r*N, y_0 >= 0, remaining entries >= N."""
-    BandParams(r, d, big_n, 0)
-    point = _linalg.vec(y)
-    if len(point) != r + 1:
-        raise ValueError("point dimension must be r+1")
-    if sum(point, Fraction(0)) != d + r * big_n:
-        return False
-    if point[0] < 0:
-        return False
-    return all(x >= big_n for x in point[1:])
-
-
 def _slice_vertex(r: int, d: int, big_n: int, m: int) -> Vector:
     return _linalg.vec((d - m, m + big_n) + (big_n,) * (r - 1))
 
@@ -185,35 +172,6 @@ class StratumLabel:
             delta_sq=cert.delta_sq,
             scale=scale,
         )
-
-
-def label_band_contains(
-    label: StratumLabel, r: int, d: int, big_n: int, m: int
-) -> bool:
-    """Band membership of a label, tested over every placement of coordinate 0.
-
-    A label forgets which coordinate carried which weight, so the induced
-    point xi + lambda/scale is only defined up to permutation.  The band is
-    symmetric in coordinates 1..r, which leaves one choice: the weight
-    sitting at coordinate 0.  The label lands in the band when some
-    placement does.
-    """
-    BandParams(r, d, big_n, m)
-    weights = label.lambda_rep.weights
-    if len(weights) != r + 1:
-        raise ValueError("label dimension must be r+1")
-    xi = barycenter(r, d + r * big_n)
-    seen = set()
-    for i, head in enumerate(weights):
-        if head in seen:
-            continue
-        seen.add(head)
-        rest = weights[:i] + weights[i + 1 :]
-        offset = (Fraction(head, 1),) + tuple(Fraction(x) for x in rest)
-        point = tuple(c + o / label.scale for c, o in zip(xi, offset))
-        if band_contains(point, r, d, big_n, m):
-            return True
-    return False
 
 
 def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:

@@ -3,23 +3,22 @@
 Machine output never contains floating point.  Integers that are genuinely
 integers (multiplicities, weights, exponents) stay JSON numbers; every
 rational quantity becomes a string that Fraction parses back verbatim, so
-each encoder here has a decoder and round trips are exact.
+no precision is lost on the way out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from .classifier import (
     BandDiagnostic,
     BoundCheckResult,
     ClassificationReport,
-    FailureRecord,
     VerifySummary,
 )
 from .hesselink import BandParams, StratumLabel
-from .statepoly import InstabilityCertificate, OneParamSubgroup
+from .statepoly import InstabilityCertificate
 
 
 def frac_str(x: Fraction) -> str:
@@ -27,16 +26,8 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def vec_encode(v: Sequence[Fraction]) -> List[str]:
     return [frac_str(x) for x in v]
-
-
-def vec_decode(items: Sequence[str]) -> tuple:
-    return tuple(Fraction(x) for x in items)
 
 
 def cert_encode(cert: InstabilityCertificate) -> Dict[str, Any]:
@@ -51,26 +42,8 @@ def cert_encode(cert: InstabilityCertificate) -> Dict[str, Any]:
     }
 
 
-def cert_decode(data: Dict[str, Any]) -> InstabilityCertificate:
-    lam = data["lambda"]
-    return InstabilityCertificate(
-        q=vec_decode(data["q"]),
-        w=vec_decode(data["w"]),
-        delta_sq=parse_frac(data["delta_sq"]),
-        lam=OneParamSubgroup(tuple(lam)) if lam is not None else None,
-        hull_weights=tuple(
-            (tuple(item["point"]), parse_frac(item["weight"]))
-            for item in data["hull_weights"]
-        ),
-    )
-
-
 def band_params_encode(band: BandParams) -> Dict[str, Any]:
     return {"r": band.r, "d": band.d, "N": band.N, "m": band.m}
-
-
-def band_params_decode(data: Dict[str, Any]) -> BandParams:
-    return BandParams(r=data["r"], d=data["d"], N=data["N"], m=data["m"])
 
 
 def _diagnostic_encode(diag: BandDiagnostic) -> Dict[str, Any]:
@@ -82,17 +55,6 @@ def _diagnostic_encode(diag: BandDiagnostic) -> Dict[str, Any]:
         "radius_ok": diag.radius_ok,
         "cap_ok": diag.cap_ok,
     }
-
-
-def _diagnostic_decode(data: Dict[str, Any]) -> BandDiagnostic:
-    return BandDiagnostic(
-        m=data["m"],
-        l_sq=parse_frac(data["l_sq"]),
-        dist_sq=parse_frac(data["dist_sq"]),
-        y0_cap=data["y0_cap"],
-        radius_ok=data["radius_ok"],
-        cap_ok=data["cap_ok"],
-    )
 
 
 def report_encode(report: ClassificationReport) -> Dict[str, Any]:
@@ -116,41 +78,12 @@ def report_encode(report: ClassificationReport) -> Dict[str, Any]:
     }
 
 
-def report_decode(data: Dict[str, Any]) -> ClassificationReport:
-    return ClassificationReport(
-        r=data["r"],
-        d=data["d"],
-        N=data["N"],
-        threshold_used=data["threshold"],
-        m_band=data["m_band"],
-        m_direct=data["m_direct"],
-        cert=cert_decode(data["cert"]),
-        band_params=band_params_decode(data["band"])
-        if data["band"] is not None
-        else None,
-        agreed=data["agreed"],
-        diagnostics=tuple(
-            _diagnostic_decode(item) for item in data["diagnostics"]
-        )
-        if data["diagnostics"] is not None
-        else None,
-    )
-
-
 def label_encode(label: StratumLabel) -> Dict[str, Any]:
     return {
         "lambda_rep": list(label.lambda_rep.weights),
         "delta_sq": frac_str(label.delta_sq),
         "scale": frac_str(label.scale),
     }
-
-
-def label_decode(data: Dict[str, Any]) -> StratumLabel:
-    return StratumLabel(
-        lambda_rep=OneParamSubgroup(tuple(data["lambda_rep"])),
-        delta_sq=parse_frac(data["delta_sq"]),
-        scale=parse_frac(data["scale"]),
-    )
 
 
 def bound_encode(result: BoundCheckResult) -> Dict[str, Any]:
@@ -160,15 +93,6 @@ def bound_encode(result: BoundCheckResult) -> Dict[str, Any]:
         "max_mult": result.max_mult,
         "within": result.within,
     }
-
-
-def bound_decode(data: Dict[str, Any]) -> BoundCheckResult:
-    return BoundCheckResult(
-        lower=parse_frac(data["lower"]),
-        upper=parse_frac(data["upper"]),
-        max_mult=data["max_mult"],
-        within=data["within"],
-    )
 
 
 def summary_encode(summary: VerifySummary) -> Dict[str, Any]:
@@ -192,26 +116,3 @@ def summary_encode(summary: VerifySummary) -> Dict[str, Any]:
             for rec in summary.failures
         ],
     }
-
-
-def summary_decode(data: Dict[str, Any]) -> VerifySummary:
-    return VerifySummary(
-        r=data["r"],
-        d=data["d"],
-        N=data["N"],
-        threshold=data["threshold"],
-        count=data["count"],
-        seed=data["seed"],
-        total=data["total"],
-        passed=data["passed"],
-        failed=data["failed"],
-        failures=tuple(
-            FailureRecord(
-                m=item["m"],
-                index=item["index"],
-                m_band=item["m_band"],
-                m_direct=item["m_direct"],
-            )
-            for item in data["failures"]
-        ),
-    )

@@ -17,8 +17,10 @@ so mu(f, lambda) / ||lambda|| equals the distance itself.
 
 Projection runs an active-set search over affinely independent subsets of
 the support (corral refinement) in exact rational arithmetic.  Every result
-is checked against the optimality inequality <t - q, v - q> <= 0 for all
-support points v before it is returned, so certificates are binary: there
+is checked before it is returned: the convex-combination witness must
+rebuild the nearest point with positive weights summing to one, and the
+optimality inequality <t - q, v - q> <= 0 must hold for all support points
+v.  That check is the only one a certificate gets, and it is binary: there
 is no tolerance anywhere.
 """
 
@@ -27,46 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
 from ._linalg import Vector, dot, norm_sq, sub, add
 from .forms import ExponentVector, HomogeneousForm
 
 HullWeights = Tuple[Tuple[Vector, Fraction], ...]
-
-
-@dataclass(frozen=True)
-class StatePolytope:
-    """Support of a form: finitely many lattice points with equal coordinate sum."""
-
-    points: Tuple[ExponentVector, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(sorted(tuple(int(x) for x in p) for p in self.points))
-        if not pts:
-            raise ValueError("a state polytope needs at least one point")
-        width = len(pts[0])
-        if width < 2 or any(len(p) != width for p in pts):
-            raise ValueError("all points must share a dimension >= 2")
-        total = sum(pts[0])
-        if any(sum(p) != total for p in pts):
-            raise ValueError("all points must share the same coordinate sum")
-        if any(x < 0 for p in pts for x in p):
-            raise ValueError("points must have nonnegative entries")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def from_form(cls, f: HomogeneousForm) -> "StatePolytope":
-        return cls(f.support())
-
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
-
-    @property
-    def degree(self) -> int:
-        return sum(self.points[0])
 
 
 @dataclass(frozen=True)
@@ -167,21 +136,15 @@ def _min_norm_point(vecs: Sequence[Vector]) -> Tuple[Vector, List[int], List[Fra
     raise RuntimeError("projection did not terminate; this should be impossible")
 
 
-def nearest_point(
-    points: Union[StatePolytope, Iterable[Sequence]], t: Sequence
-) -> ProjectionResult:
+def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
     """Exact nearest point of the convex hull of points to the target t.
 
-    The returned witness satisfies q = sum(weight * point) with nonnegative
+    The returned witness satisfies q = sum(weight * point) with positive
     weights summing to one, and the optimality inequality
-    <t - q, v - q> <= 0 holds for every input point v; both are verified
-    before returning.
+    <t - q, v - q> <= 0 holds for every input point v; all of this is
+    verified before returning, and nowhere else.
     """
-    if isinstance(points, StatePolytope):
-        raw: Iterable[Sequence] = points.points
-    else:
-        raw = points
-    pts = sorted({_linalg.vec(p) for p in raw})
+    pts = sorted({_linalg.vec(p) for p in points})
     if not pts:
         raise ValueError("cannot project onto an empty point set")
     target = _linalg.vec(t)
@@ -197,6 +160,8 @@ def nearest_point(
     witness = tuple(
         (pts[j], w) for j, w in sorted(zip(corral, weights))
     )
+    if any(w <= 0 for _, w in witness):
+        raise AssertionError("hull weights must be positive")
     total = sum((w for _, w in witness), Fraction(0))
     recon = [Fraction(0)] * len(target)
     for p, w in witness:
@@ -218,13 +183,14 @@ def _primitive_direction(w: Vector) -> Tuple[Tuple[int, ...], Fraction]:
 
 @dataclass(frozen=True)
 class InstabilityCertificate:
-    """Torus instability data of a form, exact and self-checking.
+    """Torus instability data of a form, as built by torus_index.
 
     q is the hull point nearest the barycenter, w = q - xi the offset,
     delta_sq = |w|^2 the squared distance, lam the primitive integer
     one-parameter subgroup positively proportional to w (absent when the
     barycenter lies in the hull), and hull_weights the convex-combination
-    witness for q over the support.
+    witness for q over the support.  nearest_point has verified the
+    witness; the remaining identities hold by construction.
     """
 
     q: Vector
@@ -232,44 +198,6 @@ class InstabilityCertificate:
     delta_sq: Fraction
     lam: Optional[OneParamSubgroup]
     hull_weights: Tuple[Tuple[ExponentVector, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        q = _linalg.vec(self.q)
-        w = _linalg.vec(self.w)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "delta_sq", Fraction(self.delta_sq))
-        weights = tuple(
-            (tuple(int(x) for x in e), Fraction(c)) for e, c in self.hull_weights
-        )
-        object.__setattr__(self, "hull_weights", weights)
-        if len(q) != len(w):
-            raise ValueError("q and w dimension mismatch")
-        if sum(w, Fraction(0)) != 0:
-            raise ValueError("w must sum to zero")
-        if norm_sq(w) != self.delta_sq:
-            raise ValueError("delta_sq must equal |w|^2")
-        if (self.lam is None) != (self.delta_sq == 0):
-            raise ValueError("lam must be present exactly when delta_sq > 0")
-        if any(c < 0 for _, c in weights):
-            raise ValueError("hull weights must be nonnegative")
-        if sum((c for _, c in weights), Fraction(0)) != 1:
-            raise ValueError("hull weights must sum to one")
-        recon = [Fraction(0)] * len(q)
-        for e, c in weights:
-            for i, x in enumerate(e):
-                recon[i] += c * x
-        if tuple(recon) != q:
-            raise ValueError("hull weights must reconstruct q")
-        if self.lam is not None:
-            lam = self.lam.weights
-            if len(lam) != len(w):
-                raise ValueError("lam dimension mismatch")
-            scale = self.scale
-            if scale is None or scale <= 0 or any(
-                Fraction(a) != scale * b for a, b in zip(lam, w)
-            ):
-                raise ValueError("lam must be positively proportional to w")
 
     @property
     def scale(self) -> Optional[Fraction]:
@@ -288,9 +216,8 @@ class InstabilityCertificate:
 
 def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
     """Instability certificate of f for the diagonal torus in fixed coordinates."""
-    poly = StatePolytope.from_form(f)
     xi = barycenter(f.r, f.d)
-    projection = nearest_point(poly, xi)
+    projection = nearest_point(f.support(), xi)
     w = sub(projection.q, xi)
     if projection.dist_sq == 0:
         lam = None

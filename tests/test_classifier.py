@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
+from hypermult import classifier
 from oracle import random_form, random_point, random_unimodular_frame
 
 NODAL_CUBIC = HomogeneousForm(2, 3, {(1, 1, 1): Fraction(1), (0, 3, 0): Fraction(1)})
@@ -137,6 +139,37 @@ def test_verify_auto_and_jobs_determinism():
     parallel = verify_theorem_main(1, 3, "auto", count=6, seed=3, jobs=2)
     assert serial == parallel
     assert serial.N == separation_threshold(1, 3)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "cores, count, expected",
+    [(4, 1, [3]), (2, 1, [2]), (4, 5, [4]), (None, 5, []), (1, 5, [])],
+)
+def test_verify_pool_never_exceeds_cores_or_cases(monkeypatch, cores, count, expected):
+    monkeypatch.setattr(classifier, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    RecordingPool.sizes = []
+    summary = verify_theorem_main(1, 2, "auto", count=count, seed=0, jobs=100000)
+    assert RecordingPool.sizes == expected
+    assert summary == verify_theorem_main(1, 2, "auto", count=count, seed=0, jobs=1)
 
 
 # ---------------------------------------------------------------- bounds

@@ -218,6 +218,21 @@ def test_bound_rejects_semistable_forms(capsys, tmp_path):
     assert "delta_sq = 0" in err
 
 
+@pytest.mark.parametrize(
+    "command, points",
+    [("mult", ["-1,0,0"]), ("classify", ["-1,0,0"]), ("bound", ["1,0", "-1,2"])],
+)
+def test_point_with_a_negative_leading_coordinate(
+    capsys, cubic_file, square_file, command, points
+):
+    base = [command, "--input", square_file if command == "bound" else cubic_file]
+    spaced = base + [arg for p in points for arg in ("--point", p)]
+    attached = base + [f"--point={p}" for p in points]
+    code, out, err = invoke(capsys, *spaced)
+    assert code == 0, err
+    assert invoke(capsys, *attached)[:2] == (code, out)
+
+
 # ---------------------------------------------------------------- errors
 
 def test_parse_errors_exit_2(capsys, tmp_path):
@@ -226,6 +241,18 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "mult", "--input", str(path), "--point", "1,0,0")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "1_0", "1.5"])
+def test_numbers_outside_the_grammar_exit_2(capsys, tmp_path, square_file, coeff):
+    path = tmp_path / "bad.form"
+    path.write_text(f"r=1 d=2\n{coeff} 0 2\n")
+    code, out, err = invoke(capsys, "index", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad coefficient") and coeff in err
+    code, out, err = invoke(capsys, "mult", "--input", square_file, "--point", f"{coeff},1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad point") and coeff in err
 
 
 def test_missing_file_exits_2(capsys):

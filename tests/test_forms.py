@@ -13,7 +13,6 @@ from hypermult import (
     destabilize,
     destabilizing_factor,
     frame_moving_to_origin,
-    hilbert_poly_value,
     multiplicity_at,
     multiplicity_at_origin,
     parse_form,
@@ -60,6 +59,8 @@ def test_parse_rejects_bad_header():
         parse_form("r=x d=2\n1 2 0\n")
     with pytest.raises(FormParseError):
         parse_form("")
+    with pytest.raises(FormParseError):
+        parse_form("r=" + "1" * 5000 + " d=2\n1 2 0\n")
 
 
 def test_parse_rejects_empty_term_list():
@@ -78,6 +79,44 @@ def test_parse_rejects_malformed_rows():
         parse_form("r=1 d=2\n1 3 -1\n")
     with pytest.raises(FormParseError):
         parse_form("r=1 d=2\n1 2\n")  # missing an exponent column
+
+
+NOT_RATIONALS = ["1e10000000", "1_0", "1.5", "1/-2", "--1", "0x10", "inf", "nan", "\u0661", "1/0"]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONALS)
+def test_numbers_outside_the_grammar_are_rejected(bad):
+    with pytest.raises(FormParseError):
+        parse_form(f"r=1 d=2\n{bad} 2 0\n")
+    with pytest.raises(ValueError):
+        ProjPoint.parse(f"{bad},1")
+
+
+def test_signed_rationals_are_accepted():
+    f = parse_form("r=1 d=2\n-3/2 2 0\n+2 0 2\n")
+    assert f.terms == {(2, 0): Fraction(-3, 2), (0, 2): Fraction(2)}
+    assert ProjPoint.parse("-3/2, +2").coords == (Fraction(-3, 2), Fraction(2))
+
+
+NUMBERISH = st.text(alphabet="0123456789+-/._e ,#\n\u0661", max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=60), NUMBERISH.map(lambda body: "r=1 d=2\n" + body)))
+def test_parse_form_raises_only_parse_errors(text):
+    try:
+        parse_form(text)
+    except FormParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40), NUMBERISH))
+def test_point_parse_raises_only_value_errors(text):
+    try:
+        ProjPoint.parse(text)
+    except ValueError:
+        pass
 
 
 def test_to_text_round_trips():
@@ -257,20 +296,6 @@ def test_destabilizing_factor_shape():
     assert f.terms == {(0, 3, 3): Fraction(1)}
     with pytest.raises(ValueError):
         destabilizing_factor(1, 0)
-
-
-# ---------------------------------------------------------------- hilbert
-
-def test_hilbert_poly_examples():
-    assert [hilbert_poly_value(1, 2, t) for t in (1, 2, 5)] == [2, 2, 2]
-    assert hilbert_poly_value(2, 3, 3) == 9
-
-
-def test_hilbert_poly_conventions():
-    assert hilbert_poly_value(3, 2, 0) == 1
-    assert hilbert_poly_value(2, 4, -5) == 0
-    with pytest.raises(ValueError):
-        hilbert_poly_value(0, 2, 1)
 
 
 # ---------------------------------------------------------------- points

@@ -16,12 +16,10 @@ from hypermult import (
     destabilize,
     frame_moving_to_origin,
     l_squared,
-    label_band_contains,
     multiplicity_at_origin,
     pair_minima,
     pair_separation_min_N,
     point_image,
-    q_contains,
     separation_gap,
     separation_threshold,
     torus_index,
@@ -37,24 +35,6 @@ def scan_pair_min_N(r, d, m, mp, limit=60):
         if separation_gap(r, d, m, mp, n) > 0:
             return n
     raise AssertionError("no separating N found below the limit")
-
-
-# ---------------------------------------------------------------- region Q
-
-def test_q_contains_destabilized_support():
-    f = HomogeneousForm(2, 3, {(1, 1, 1): Fraction(1), (0, 3, 0): Fraction(1)})
-    big = destabilize(f, 4)
-    for e in big.support():
-        assert q_contains(e, 2, 3, 4)
-
-
-def test_q_contains_rejections():
-    assert not q_contains((3, 2, 4), 2, 3, 4)  # wrong total
-    assert not q_contains((7, 3, 1), 2, 3, 4)  # coordinate below N
-    assert not q_contains((-1, 6, 6), 2, 3, 4)
-    assert q_contains((3, 4, 4), 2, 3, 4)
-    with pytest.raises(ValueError):
-        q_contains((1, 1), 2, 3, 4)
 
 
 # ---------------------------------------------------------------- radii
@@ -289,19 +269,6 @@ def test_stratum_label_validation():
         StratumLabel(OneParamSubgroup((1, -1)), Fraction(2), Fraction(2))  # norm mismatch
     label = StratumLabel(OneParamSubgroup((1, -1)), Fraction(2), Fraction(1))
     assert label.delta_sq == 2
-
-
-def test_label_band_membership_tracks_classification():
-    rng = random.Random(61)
-    for _ in range(15):
-        r = rng.choice([1, 2])
-        d = rng.randint(1, 3)
-        f = random_form(rng, r, d)
-        m = multiplicity_at_origin(f)
-        n = separation_threshold(r, d)
-        cert = torus_index(destabilize(f, n))
-        label = StratumLabel.from_certificate(cert)
-        assert label_band_contains(label, r, d, n, m)
 
 
 def test_band_params_validation():

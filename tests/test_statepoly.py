@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from hypermult import (
     HomogeneousForm,
     OneParamSubgroup,
-    StatePolytope,
     barycenter,
     class_rep,
     mu_weight,
     nearest_point,
     torus_index,
 )
+from hypermult import statepoly
 from hypermult._linalg import dot, norm_sq, sub, vec
 from oracle import enum_nearest, random_convex_combination, random_exponent, random_form
 
@@ -65,10 +65,11 @@ def test_nearest_point_input_validation():
         nearest_point([(1, 0)], (Fraction(1), Fraction(0), Fraction(0)))
 
 
-def test_nearest_point_accepts_state_polytope():
-    poly = StatePolytope(((0, 2), (2, 0)))
-    res = nearest_point(poly, (Fraction(0), Fraction(0)))
+def test_nearest_point_accepts_any_iterable():
+    points = (p for p in [(0, 2), (2, 0), (0, 2)])
+    res = nearest_point(points, (Fraction(0), Fraction(0)))
     assert res.dist_sq == 2
+    assert res.q == (Fraction(1), Fraction(1))
 
 
 def certificate_holds(points, t, res):
@@ -178,6 +179,70 @@ def test_certificate_weights_reconstruct_q():
     assert sum(c for _, c in cert.hull_weights) == 1
 
 
+# ------------------------------------------------------ witness checking
+
+# x_0^3 + x_1^3 + x_2^3 + x_0 x_1 x_2: the barycenter (1, 1, 1) is a support
+# point, so the solver's witness is that single point and the three
+# coordinate vertices are free to corrupt it with.
+WITNESS_FORM = HomogeneousForm(
+    2,
+    3,
+    {
+        (3, 0, 0): Fraction(1),
+        (0, 3, 0): Fraction(1),
+        (0, 0, 3): Fraction(1),
+        (1, 1, 1): Fraction(1),
+    },
+)
+
+
+def _zero_weight(vecs, x, corral, weights):
+    extra = next(j for j in range(len(vecs)) if j not in corral)
+    return x, corral + [extra], weights + [Fraction(0)]
+
+
+def _negative_weight(vecs, x, corral, weights):
+    # 2 * (1,1,1) - 1/3 * (3,0,0) - 1/3 * (0,3,0) - 1/3 * (0,0,3) is (1,1,1)
+    others = [j for j in range(len(vecs)) if j not in corral]
+    return x, corral + others, [Fraction(2)] + [Fraction(-1, 3)] * 3
+
+
+def _weights_off_by_a_factor(vecs, x, corral, weights):
+    return x, corral, [2 * w for w in weights]
+
+
+def _point_not_rebuilt(vecs, x, corral, weights):
+    extra = next(j for j in range(len(vecs)) if j not in corral)
+    return x, [extra], [Fraction(1)]
+
+
+def _not_the_nearest_point(vecs, x, corral, weights):
+    extra = next(j for j in range(len(vecs)) if j not in corral)
+    return vecs[extra], [extra], [Fraction(1)]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_zero_weight, "positive"),
+        (_negative_weight, "positive"),
+        (_weights_off_by_a_factor, "reconstruct"),
+        (_point_not_rebuilt, "reconstruct"),
+        (_not_the_nearest_point, "certificate failed"),
+    ],
+)
+def test_torus_index_rejects_a_corrupted_witness(monkeypatch, corrupt, message):
+    solve = statepoly._min_norm_point
+
+    def corrupted(vecs):
+        return corrupt(vecs, *solve(vecs))
+
+    assert torus_index(WITNESS_FORM).delta_sq == 0
+    monkeypatch.setattr(statepoly, "_min_norm_point", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        torus_index(WITNESS_FORM)
+
+
 # ---------------------------------------------------------------- mu weight
 
 def test_mu_weight_example():
@@ -219,11 +284,3 @@ def test_one_param_subgroup_validation():
         OneParamSubgroup((1, 1))
     assert OneParamSubgroup((1, -1)).norm_sq == 2
 
-
-def test_state_polytope_validation():
-    with pytest.raises(ValueError):
-        StatePolytope(((1, 0), (1, 1)))  # mixed coordinate sums
-    with pytest.raises(ValueError):
-        StatePolytope(())
-    poly = StatePolytope(((1, 1), (2, 0)))
-    assert poly.degree == 2 and poly.dim == 2
