@@ -14,9 +14,9 @@ against ground truth.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -264,7 +264,8 @@ def verify_theorem_main(
     # there are cores or cases
     workers = min(jobs, os.cpu_count() or 1, len(cases))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the first use of this class is what imports multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_case, cases, chunksize=8))
     else:
         results = [_verify_case(case) for case in cases]

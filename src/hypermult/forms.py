@@ -105,8 +105,14 @@ class HomogeneousForm:
         return " + ".join(chunks)
 
 
-_HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$")
+_HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$", re.ASCII)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_EXPONENT = re.compile(r"[0-9]+")
+
+
+def _quote(text: str, limit: int = 40) -> str:
+    """repr of at most the first `limit` characters of text."""
+    return repr(text[:limit]) + ("..." if len(text) > limit else "")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -116,11 +122,13 @@ def _parse_rational(text: str) -> Fraction:
     expanding a short exponent like 1e10000000 takes seconds.
     """
     if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"{text!r} is not a rational p or p/q")
+        raise ValueError(f"{_quote(text)} is not a rational p or p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ValueError(f"{text!r} has a zero denominator") from exc
+        raise ValueError(f"{_quote(text)} has a zero denominator") from exc
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"{_quote(text)} has too many digits") from exc
 
 
 def parse_form(text: str) -> HomogeneousForm:
@@ -128,9 +136,10 @@ def parse_form(text: str) -> HomogeneousForm:
 
     First payload line is ``r=<int> d=<int>``; every following line is a
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
-    exponents.  ``#`` starts a comment.  Duplicate exponent rows are summed;
-    a row set whose net coefficient vanishes is rejected rather than
-    silently dropped.
+    exponents.  Header numbers and exponents are ASCII digits 0-9 only.
+    ``#`` starts a comment.  Duplicate exponent rows are summed; a row set
+    whose net coefficient vanishes is rejected rather than silently
+    dropped.  Messages quote at most a short prefix of the offending line.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -141,13 +150,13 @@ def parse_form(text: str) -> HomogeneousForm:
         raise FormParseError("empty input: expected an 'r=<int> d=<int>' header")
     header = _HEADER.match(payload[0])
     if not header:
-        raise FormParseError(f"bad header {payload[0]!r}: expected 'r=<int> d=<int>'")
+        raise FormParseError(f"bad header {_quote(payload[0])}: expected 'r=<int> d=<int>'")
     try:
         r, d = int(header.group(1)), int(header.group(2))
     except ValueError as exc:  # more digits than int() converts
-        raise FormParseError(f"bad header: {exc}") from exc
+        raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
     if r < 1 or d < 1:
-        raise FormParseError(f"need r >= 1 and d >= 1, got r={r} d={d}")
+        raise FormParseError(f"need r >= 1 and d >= 1, got {_quote(payload[0])}")
     if len(payload) == 1:
         raise FormParseError("no terms: a form must have at least one term row")
     acc: Dict[ExponentVector, Fraction] = {}
@@ -155,26 +164,26 @@ def parse_form(text: str) -> HomogeneousForm:
         fields = line.split()
         if len(fields) != r + 2:
             raise FormParseError(
-                f"row {line!r} needs a coefficient and {r + 1} exponents"
+                f"row {_quote(line)} needs a coefficient and {r + 1} exponents"
             )
         try:
             coeff = _parse_rational(fields[0])
         except ValueError as exc:
             raise FormParseError(f"bad coefficient: {exc}") from exc
+        if not all(_EXPONENT.fullmatch(x) for x in fields[1:]):
+            raise FormParseError(f"bad exponent in row {_quote(line)}: digits 0-9 only")
         try:
             expo = [int(x) for x in fields[1:]]
-        except ValueError as exc:
-            raise FormParseError(f"bad exponent in row {line!r}") from exc
-        if any(x < 0 for x in expo):
-            raise FormParseError(f"negative exponent in row {line!r}")
+        except ValueError as exc:  # more digits than int() converts
+            raise FormParseError(f"too many digits in row {_quote(line)}") from exc
         if sum(expo) != d:
-            raise FormParseError(f"exponents in row {line!r} do not sum to d={d}")
+            raise FormParseError(f"exponents in row {_quote(line)} do not sum to d={d}")
         key = tuple(expo)
         acc[key] = acc.get(key, Fraction(0)) + coeff
     dead = [e for e, c in acc.items() if c == 0]
     if dead:
         raise FormParseError(
-            f"rows for exponent {dead[0]} sum to zero; drop them from the input"
+            f"rows for {_quote(str(dead[0]))} sum to zero; drop them from the input"
         )
     return HomogeneousForm(r, d, acc)
 
@@ -239,7 +248,7 @@ class ProjPoint:
         try:
             return cls(tuple(_parse_rational(chunk.strip()) for chunk in text.split(",")))
         except ValueError as exc:
-            raise ValueError(f"bad point {text!r}: {exc}") from exc
+            raise ValueError(f"bad point {_quote(text)}: {exc}") from exc
 
     def primitive(self) -> Tuple[int, ...]:
         """Canonical integer representative: gcd 1, first nonzero entry positive."""

@@ -1,33 +1,24 @@
 """Band geometry for destabilized forms and the worst-frame search.
 
-Multiplying a degree-d form by (x_1 ... x_r)^N pushes its support into the
-region
+Multiplying a degree-d form by (x_1 ... x_r)^N pushes its support into
+{ y >= 0 : sum(y) = D, y_i >= N for i >= 1 } with D = d + r*N.  On the slice
+y_0 = d-m, the vertex v_m = (d-m, m+N, N, ..., N) is the point farthest from
+the barycenter xi of the degree-D simplex and z_m = (d-m, N + m/r, ...,
+N + m/r) the nearest.  The band of m and the gap of a pair m < m' are
 
-    Q = { y >= 0 : sum(y) = d + r*N, y_i >= N for i >= 1 }
+    B_m = { y >= 0 : sum(y) = D, |xi - y|^2 <= l_squared, y_0 <= d-m }
+    l_squared = |xi - v_m|^2,    gap = |xi - z_m'|^2 - l_squared(m).
 
-inside the hyperplane of degree d + r*N.  For a multiplicity value m the
-reference point (d-m, m+N, N, ..., N) is a vertex of the slice of Q at
-y_0 = d-m, and its squared distance to the barycenter xi of the big
-simplex,
+On the hyperplane |y - xi|^2 = |y|^2 - D^2/(r+1), so all of it is closed
+form, with no barycenter:
 
-    l_squared(r, d, N, m) = |xi - (d-m, m+N, N, ..., N)|^2,
+    l_squared = (d-m)^2 + (m+N)^2 + (r-1)*N^2 - D^2/(r+1)
+    y in B_m needs |y|^2 <= (d-m)^2 + (m+N)^2 + (r-1)*N^2
+    gap = (d-m')^2 - (d-m)^2 + m'^2/r - m^2 + 2*(m'-m)*N
 
-is the largest squared distance xi attains on that slice.  The band for m
-collects the plausible nearest points:
-
-    B_m = { y >= 0 : sum(y) = d + r*N, |xi - y|^2 <= l_squared, y_0 <= d-m }.
-
-Bands for different m become pairwise disjoint once N is large enough.
-The separating quantity for a pair m < m' is
-
-    gap(N) = |z_N - xi|^2 - l_squared(r, d, N, m),
-    z_N = (d-m', N + m'/r, ..., N + m'/r),
-
-where z_N minimizes the distance from xi over the slice y_0 = d-m'.  The
-gap is linear in N with slope exactly 2(m' - m) > 0, so each pair has a
-least N making it positive, and it stays positive afterwards.  The
-threshold reported for (r, d) also insists on N > d, which the capture
-argument for destabilized forms needs.
+The gap is linear in N with slope 2(m' - m) > 0, so each pair has a least
+separating N and stays separated above it.  The threshold for (r, d) also
+insists on N > d, which the capture argument for destabilized forms needs.
 """
 
 from __future__ import annotations
@@ -35,19 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import Vector, norm_sq, sub
+from ._linalg import norm_sq
 from .forms import Frame, HomogeneousForm, ProjPoint, act, frame_moving_to_origin
-from .statepoly import (
-    InstabilityCertificate,
-    OneParamSubgroup,
-    barycenter,
-    class_rep,
-    torus_index,
-)
+from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
+
+MAX_FRAMES = 4096  # largest family default_frames builds
 
 
 @dataclass(frozen=True)
@@ -68,15 +55,16 @@ class BandParams:
             raise ValueError("need 0 <= m <= d")
 
 
-def _slice_vertex(r: int, d: int, big_n: int, m: int) -> Vector:
-    return _linalg.vec((d - m, m + big_n) + (big_n,) * (r - 1))
+def _vertex_norm_sq(r: int, d: int, big_n: int, m: int) -> int:
+    """|v_m|^2 for the slice vertex v_m = (d-m, m+N, N, ..., N)."""
+    return (d - m) ** 2 + (m + big_n) ** 2 + (r - 1) * big_n**2
 
 
 def l_squared(r: int, d: int, big_n: int, m: int) -> Fraction:
     """Squared band radius: |xi - (d-m, m+N, N, ..., N)|^2, exactly."""
     BandParams(r, d, big_n, m)
-    xi = barycenter(r, d + r * big_n)
-    return norm_sq(sub(xi, _slice_vertex(r, d, big_n, m)))
+    degree = d + r * big_n
+    return _vertex_norm_sq(r, d, big_n, m) - Fraction(degree * degree, r + 1)
 
 
 def band_contains(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
@@ -91,14 +79,8 @@ def band_contains(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
         return False
     if point[0] > d - m:
         return False
-    xi = barycenter(r, d + r * big_n)
-    return norm_sq(sub(xi, point)) <= l_squared(r, d, big_n, m)
-
-
-def _z_point(r: int, d: int, big_n: int, m_prime: int) -> Vector:
-    """Distance minimizer from xi over the slice y_0 = d - m' of the simplex."""
-    rest = Fraction(big_n) + Fraction(m_prime, r)
-    return (Fraction(d - m_prime),) + (rest,) * r
+    # both sides of |xi - y|^2 <= l_squared carry the same -D^2/(r+1)
+    return norm_sq(point) <= _vertex_norm_sq(r, d, big_n, m)
 
 
 def separation_gap(r: int, d: int, m: int, m_prime: int, big_n: int) -> Fraction:
@@ -106,8 +88,8 @@ def separation_gap(r: int, d: int, m: int, m_prime: int, big_n: int) -> Fraction
     if not 0 <= m < m_prime <= d:
         raise ValueError("need 0 <= m < m' <= d")
     BandParams(r, d, big_n, m)
-    xi = barycenter(r, d + r * big_n)
-    return norm_sq(sub(_z_point(r, d, big_n, m_prime), xi)) - l_squared(r, d, big_n, m)
+    gap0 = (d - m_prime) ** 2 - (d - m) ** 2 + Fraction(m_prime**2, r) - m * m
+    return gap0 + 2 * (m_prime - m) * big_n
 
 
 def pair_separation_min_N(r: int, d: int, m: int, m_prime: int) -> int:
@@ -116,14 +98,9 @@ def pair_separation_min_N(r: int, d: int, m: int, m_prime: int) -> int:
     The gap is linear in N with slope 2(m' - m) > 0, so the least solution
     comes from one exact division and separation persists for larger N.
     """
+    # least integer N >= 0 with gap(0) + 2(m' - m) * N > 0
     gap0 = separation_gap(r, d, m, m_prime, 0)
-    slope = separation_gap(r, d, m, m_prime, 1) - gap0
-    if slope != 2 * (m_prime - m):
-        raise AssertionError("separation gap lost its linear structure")
-    if gap0 > 0:
-        return 0
-    # least integer N with gap0 + slope * N > 0
-    return math.floor(-gap0 / slope) + 1
+    return max(0, math.floor(-gap0 / (2 * (m_prime - m))) + 1)
 
 
 def pair_minima(r: int, d: int) -> List[Tuple[int, int, int]]:
@@ -137,8 +114,22 @@ def pair_minima(r: int, d: int) -> List[Tuple[int, int, int]]:
 
 
 def separation_threshold(r: int, d: int) -> int:
-    """Least N with N > d that separates every pair of bands at once."""
-    return max([d + 1] + [n for _, _, n in pair_minima(r, d)])
+    """Least N with N > d that separates every pair of bands at once.
+
+    Only the pairs (0, 1) and (d-1, d) need checking.  Adjacent pairs
+    suffice, because telescoping gives
+
+        gap(m, m') = sum_{m <= k < m'} gap(k, k+1)
+                     + sum_{m < k < m'} (l_squared(k) - |z_k - xi|^2)
+
+    and on each slice v_k maximizes the distance from xi while z_k
+    minimizes it, so the second sum is >= 0.  The least N for (m, m+1) is
+    max(0, floor(h(m)) + 1) with h(m) = m^2/2 - (m+1)^2/(2r) - m + d - 1/2,
+    convex in m for r >= 2 and decreasing for r = 1, so its maximum over
+    0 <= m <= d-1 is at m = 0 or m = d-1.
+    """
+    BandParams(r, d, 0, 0)
+    return max(d + 1, *(pair_separation_min_N(r, d, m, m + 1) for m in (0, d - 1)))
 
 
 @dataclass(frozen=True)
@@ -175,13 +166,14 @@ class StratumLabel:
 
 
 def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
-    """Deduplicated search family around the frame moving p to the origin.
+    """Search family around the frame moving p to the origin.
 
-    Every member first applies the mover, then a frame fixing [1:0:...:0]:
-    a lower-triangular unipotent with strictly-lower entries drawn from
-    -budget..budget followed by a permutation of the coordinates 1..r.
-    The mover itself is always present (unipotent = identity, trivial
-    permutation).
+    Every member first applies the mover, then a lower-triangular
+    unipotent with strictly-lower entries drawn from -budget..budget, which
+    fixes [1:0:...:0]; all entries 0 give the mover itself.  Permuting
+    coordinates 1..r on top would only permute the support, changing
+    neither delta_sq nor the sorted label, so the family has none.  A
+    family larger than MAX_FRAMES raises ValueError before any is built.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -189,25 +181,20 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
         raise ValueError("budget must be nonnegative")
     if len(p.coords) != r + 1:
         raise ValueError("point dimension must be r+1")
-    mover = frame_moving_to_origin(p)
+    slots = r * (r + 1) // 2
+    # a base >= 3 exceeds MAX_FRAMES by its bit length, so cap the power there
+    if budget and (2 * budget + 1) ** min(slots, MAX_FRAMES.bit_length()) > MAX_FRAMES:
+        raise ValueError(f"budget {budget} at r={r} gives more than {MAX_FRAMES} frames")
     n = r + 1
     lower_slots = [(i, j) for i in range(1, n) for j in range(i)]
-    entries = range(-budget, budget + 1)
-    frames = {}
-    for perm in permutations(range(1, n)):
-        perm_rows = [[0] * n for _ in range(n)]
-        perm_rows[0][0] = 1
-        for col, row in zip(range(1, n), perm):
-            perm_rows[row][col] = 1
-        perm_frame = Frame(_linalg.mat(perm_rows))
-        for fill in product(entries, repeat=len(lower_slots)):
-            rows = [[int(i == j) for j in range(n)] for i in range(n)]
-            for (i, j), value in zip(lower_slots, fill):
-                rows[i][j] = value
-            unipotent = Frame(_linalg.mat(rows))
-            total = perm_frame.compose(unipotent).compose(mover)
-            frames[total.rows] = total
-    return list(frames.values())
+    mover = frame_moving_to_origin(p)
+    frames = []
+    for fill in product(range(-budget, budget + 1), repeat=slots):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), value in zip(lower_slots, fill):
+            rows[i][j] = value
+        frames.append(Frame(_linalg.mat(rows)).compose(mover))
+    return frames
 
 
 def worst_frame_search(

@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths they check: multiplicity comes from
-an affine dehomogenization instead of frames, and projections come from
+an affine dehomogenization instead of frames, projections come from
 either subset enumeration or random convex combinations instead of the
-active-set search.
+active-set search, band geometry comes from vector distances to the
+barycenter instead of the closed forms, and the frame family keeps the
+permutations of coordinates 1..r that the library drops.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from hypermult import Frame, HomogeneousForm, ProjPoint
-from hypermult._linalg import dot, norm_sq, sub, vec
+from hypermult import Frame, HomogeneousForm, ProjPoint, barycenter, frame_moving_to_origin
+from hypermult._linalg import dot, mat, mat_mul, norm_sq, sub, vec
 from hypermult.statepoly import _affine_minimizer
 
 
@@ -139,3 +141,53 @@ def random_unimodular_frame(rng: random.Random, n: int, ops: int = 5) -> Frame:
         else:
             rows[i] = [-x for x in rows[i]]
     return Frame(tuple(tuple(row) for row in rows))
+
+
+def _slice_vertex(r: int, d: int, big_n: int, m: int) -> Tuple[Fraction, ...]:
+    return vec((d - m, m + big_n) + (big_n,) * (r - 1))
+
+
+def l_squared_oracle(r: int, d: int, big_n: int, m: int) -> Fraction:
+    """|xi - (d-m, m+N, N, ..., N)|^2 as a vector distance."""
+    xi = barycenter(r, d + r * big_n)
+    return norm_sq(sub(xi, _slice_vertex(r, d, big_n, m)))
+
+
+def separation_gap_oracle(r: int, d: int, m: int, m_prime: int, big_n: int) -> Fraction:
+    """|z_N - xi|^2 - l_squared with z_N = (d-m', N + m'/r, ..., N + m'/r)."""
+    xi = barycenter(r, d + r * big_n)
+    z = (Fraction(d - m_prime),) + (Fraction(big_n) + Fraction(m_prime, r),) * r
+    return norm_sq(sub(z, xi)) - l_squared_oracle(r, d, big_n, m)
+
+
+def band_contains_oracle(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
+    """Band membership with the distance to the barycenter computed directly."""
+    point = vec(y)
+    if any(x < 0 for x in point) or sum(point) != d + r * big_n or point[0] > d - m:
+        return False
+    xi = barycenter(r, d + r * big_n)
+    return norm_sq(sub(xi, point)) <= l_squared_oracle(r, d, big_n, m)
+
+
+def permuted_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
+    """Every lower unipotent after the mover, then each permutation of 1..r.
+
+    Deduplicated by matrix, in the order of first appearance; the identity
+    permutation comes first.
+    """
+    mover = frame_moving_to_origin(p)
+    n = r + 1
+    lower_slots = [(i, j) for i in range(1, n) for j in range(i)]
+    frames: Dict[Tuple, Frame] = {}
+    for perm in itertools.permutations(range(1, n)):
+        perm_rows = [[0] * n for _ in range(n)]
+        perm_rows[0][0] = 1
+        for col, row in zip(range(1, n), perm):
+            perm_rows[row][col] = 1
+        for fill in itertools.product(range(-budget, budget + 1), repeat=len(lower_slots)):
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for (i, j), value in zip(lower_slots, fill):
+                rows[i][j] = value
+            total = Frame(mat_mul(mat_mul(mat(perm_rows), mat(rows)), mover.rows))
+            frames.setdefault(total.rows, total)
+    return list(frames.values())

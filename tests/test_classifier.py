@@ -1,5 +1,8 @@
+import concurrent.futures
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,6 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import classifier
 from oracle import random_form, random_point, random_unimodular_frame
 
 NODAL_CUBIC = HomogeneousForm(2, 3, {(1, 1, 1): Fraction(1), (0, 3, 0): Fraction(1)})
@@ -164,12 +166,20 @@ class RecordingPool:
     [(4, 1, [3]), (2, 1, [2]), (4, 5, [4]), (None, 5, []), (1, 5, [])],
 )
 def test_verify_pool_never_exceeds_cores_or_cases(monkeypatch, cores, count, expected):
-    monkeypatch.setattr(classifier, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     RecordingPool.sizes = []
     summary = verify_theorem_main(1, 2, "auto", count=count, seed=0, jobs=100000)
     assert RecordingPool.sizes == expected
     assert summary == verify_theorem_main(1, 2, "auto", count=count, seed=0, jobs=1)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a verify run with more than one worker needs the process pool
+    probe = "import sys, hypermult.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- bounds

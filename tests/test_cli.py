@@ -19,6 +19,7 @@ from hypermult import (
     worst_frame_search,
 )
 from hypermult import serialize
+from hypermult.hesselink import MAX_FRAMES
 from hypermult.cli import run
 
 CUBIC_TEXT = "r=2 d=3\n1 1 1 1\n1 0 3 0\n"
@@ -253,6 +254,33 @@ def test_numbers_outside_the_grammar_exit_2(capsys, tmp_path, square_file, coeff
     code, out, err = invoke(capsys, "mult", "--input", square_file, "--point", f"{coeff},1")
     assert code == 2 and out == ""
     assert err.startswith("error: bad point") and coeff in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "r=1 d=10\n1 1_0 0\n",
+        "r=1 d=2\n1 +2 0\n",
+        "r=1 d=2\n1 \u0662 0\n",
+        "r=\u0661 d=2\n1 2 0\n",
+    ],
+    ids=["underscore", "plus-sign", "arabic-indic-row", "arabic-indic-header"],
+)
+def test_exponents_and_header_outside_the_grammar_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.form"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, "index", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad")
+
+
+def test_bound_refuses_an_oversized_frame_family(capsys, tmp_path):
+    # r=4 at budget 1 would search 3^10 = 59049 frames
+    path = tmp_path / "quadric.form"
+    path.write_text("r=4 d=2\n1 0 2 0 0 0\n")
+    code, out, err = invoke(capsys, "bound", "--input", str(path), "--point", "1,0,0,0,0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(MAX_FRAMES) in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,15 +100,44 @@ def test_signed_rationals_are_accepted():
 
 
 NUMBERISH = st.text(alphabet="0123456789+-/._e ,#\n\u0661", max_size=40)
+EXPONENTISH = st.text(alphabet="0123456789+-_ \u0661\u0662", min_size=1, max_size=6)
+HEADER_AND_ROW = st.tuples(EXPONENTISH, EXPONENTISH, EXPONENTISH).map(
+    lambda t: "r={} d=2\n1 {} {}\n".format(*t)
+)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.text(max_size=60), NUMBERISH.map(lambda body: "r=1 d=2\n" + body)))
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=60), NUMBERISH.map(lambda body: "r=1 d=2\n" + body), HEADER_AND_ROW
+    )
+)
 def test_parse_form_raises_only_parse_errors(text):
     try:
         parse_form(text)
     except FormParseError:
-        pass
+        return
+    # whatever parses has ASCII digits in the header and in every exponent
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    header, *rows = [line for line in lines if line]
+    assert re.fullmatch(r"r=[0-9]+\s+d=[0-9]+", header, re.ASCII)
+    assert all(re.fullmatch("[0-9]+", x) for row in rows for x in row.split()[1:])
+
+
+def test_parse_errors_quote_a_short_prefix():
+    long_row = " ".join(["1"] * 500_000)  # a 1 MB row with the wrong field count
+    cases = [
+        "r=1 d=2\n" + long_row + "\n",
+        "r=1 d=2\n" + "x" * 1_000_000 + " 2 0\n",
+        "r=1 d=2\n1 2 " + "0" * 1_000_000 + "\n",
+        "r=1 d=2\n" + "1" * 1_000_000 + " 2 0\n",
+        "r=" + "1" * 1_000_000 + " d=2\n1 2 0\n",
+        "r=1 d=2 " + "x" * 1_000_000 + "\n1 2 0\n",
+    ]
+    for text in cases:
+        with pytest.raises(FormParseError) as err:
+            parse_form(text)
+        assert len(str(err.value)) < 200
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermult import (
     BandParams,
@@ -25,8 +26,16 @@ from hypermult import (
     torus_index,
     worst_frame_search,
 )
+from hypermult import hesselink
 from hypermult._linalg import norm_sq, sub, vec
-from oracle import random_form
+from oracle import (
+    band_contains_oracle,
+    l_squared_oracle,
+    permuted_frames,
+    random_form,
+    random_unimodular_frame,
+    separation_gap_oracle,
+)
 
 
 def scan_pair_min_N(r, d, m, mp, limit=60):
@@ -155,6 +164,48 @@ def test_threshold_exceeds_degree_and_separates_all_pairs():
             assert separation_gap(r, d, m, mp, threshold + 3) > 0
 
 
+def test_threshold_equals_the_all_pairs_maximum():
+    # the threshold checks only the pairs (0, 1) and (d-1, d)
+    for r in range(1, 9):
+        for d in range(1, 61):
+            all_pairs = max([d + 1] + [least for _, _, least in pair_minima(r, d)])
+            assert separation_threshold(r, d) == all_pairs, (r, d)
+
+
+# ---------------------------------------------------------------- closed forms
+
+@st.composite
+def band_points(draw, r, d, big_n):
+    """A point with y_0 in 0..d on the degree d + r*N hyperplane, sometimes
+    nudged off it."""
+    y0 = draw(st.integers(0, d))
+    weights = draw(st.lists(st.integers(0, 9), min_size=r, max_size=r))
+    if not any(weights):
+        weights[0] = 1
+    rest = d + r * big_n - y0
+    point = [Fraction(y0)] + [Fraction(rest * w, sum(weights)) for w in weights]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, r))
+        point[k] += Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    return point
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 20), st.data())
+def test_closed_forms_match_the_vector_route(r, d, big_n, data):
+    points = [data.draw(band_points(r, d, big_n)) for _ in range(3)]
+    for m in range(d + 1):
+        assert l_squared(r, d, big_n, m) == l_squared_oracle(r, d, big_n, m)
+        for mp in range(m + 1, d + 1):
+            assert separation_gap(r, d, m, mp, big_n) == separation_gap_oracle(
+                r, d, m, mp, big_n
+            )
+        for y in points:
+            assert band_contains(y, r, d, big_n, m) == band_contains_oracle(
+                y, r, d, big_n, m
+            )
+
+
 # ---------------------------------------------------------------- capture
 
 def block_frame(rng, r):
@@ -206,7 +257,7 @@ def test_default_frames_smallest_families():
     family = default_frames(1, p, 0)
     assert family == [frame_moving_to_origin(p)]
     family2 = default_frames(2, ProjPoint.parse("1,0,0"), 0)
-    assert len(family2) == 2  # identity and the swap of coordinates 1, 2
+    assert family2 == [Frame.identity(3)]  # no permutations of coordinates 1, 2
 
 
 def test_default_frames_fix_the_moved_point():
@@ -218,8 +269,43 @@ def test_default_frames_fix_the_moved_point():
     origin = ProjPoint.origin(2)
     for frame in family:
         assert point_image(frame, p) == origin
-    # budget 1, r = 2: 3 strictly lower entries, 2 permutations, all distinct
-    assert len(family) == 2 * 27
+    # budget 1, r = 2: 3 strictly lower entries, all distinct
+    assert len(family) == 27
+    assert len(set(frame.rows for frame in family)) == 27
+
+
+def test_default_frames_refuse_large_families_before_building(monkeypatch):
+    def no_build(p):
+        raise AssertionError("the family was started")
+
+    monkeypatch.setattr(hesselink, "frame_moving_to_origin", no_build)
+    for r, budget in [(4, 1), (3, 2), (1, hesselink.MAX_FRAMES), (2, 10**50), (60, 1)]:
+        with pytest.raises(ValueError, match="frames"):
+            default_frames(r, ProjPoint.origin(r), budget)
+    # budget 0 is always the mover alone, whatever r
+    with pytest.raises(AssertionError):
+        default_frames(60, ProjPoint.origin(60), 0)
+
+
+@pytest.mark.parametrize("r, terms", [
+    # cuspidal plane cubic x0*x1^2 + x2^3
+    (2, {(1, 2, 0): 1, (0, 0, 3): 1}),
+    # quadric cone x1*x2 + x3^2, a double point at [1:0:0:0]
+    (3, {(0, 1, 1, 0): 1, (0, 0, 0, 2): 1}),
+])
+def test_worst_frame_search_ignores_the_permutations(r, terms):
+    # the permutations only permute the support, so the search over the
+    # family without them returns the same frame and certificate
+    rng = random.Random(61 + r)
+    g = random_unimodular_frame(rng, r + 1)
+    f = act(g, HomogeneousForm(r, sum(next(iter(terms))), terms))
+    p = point_image(g, ProjPoint.origin(r))
+    ours = default_frames(r, p, 1)
+    theirs = permuted_frames(r, p, 1)
+    assert theirs[: len(ours)] == ours
+    best = worst_frame_search(f, ours)
+    assert best[1].delta_sq > 0
+    assert best == worst_frame_search(f, theirs)
 
 
 def test_worst_frame_search_beats_identity_on_hidden_instability():
