@@ -1,14 +1,18 @@
-"""Small exact linear algebra over Fraction tuples.
+"""Small exact linear algebra.
 
-Everything here works on tuples of Fractions so results are hashable and
-safe to reuse as dict keys.  Sizes stay tiny (a handful of rows), so plain
-Gaussian elimination is fine.
+Vectors and matrices of frames and points are tuples of Fractions, so
+results are hashable and safe to reuse as dict keys; `det` and `inverse`
+eliminate over them.  `dot` and `norm_sq` also take integer vectors and
+then return integers.  The projection core works in integers only:
+`solve_consistent` solves its Gram (KKT) systems by Bareiss fraction-free
+elimination and returns integer numerators over one shared denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]
@@ -22,12 +26,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vec(row) for row in rows)
 
 
-def add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
@@ -37,7 +35,7 @@ def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(map(mul, u, v))
 
 
 def norm_sq(u: Sequence[Fraction]) -> Fraction:
@@ -103,37 +101,39 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def solve_consistent(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One solution of a*x = b with free variables set to 0, or None.
+def solve_consistent(a: Sequence[Sequence[int]], b: Sequence[int]) -> Tuple[List[int], int]:
+    """Solution of the nonsingular integer system a*x = b, fraction-free.
 
-    The caller only ever passes consistent systems (KKT conditions of an
-    attained minimum); None signals genuine inconsistency.
+    Bareiss elimination: every entry stays an integer and every division is
+    exact, so the result is (numerators, denominator) with
+    x[i] = numerators[i] / denominator and denominator = |det(a)| > 0.  The
+    one caller passes the KKT system of an affinely independent corral,
+    which is nonsingular; a column with no nonzero pivot breaks that
+    invariant and raises AssertionError.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug: List[List[Fraction]] = [list(row) + [Fraction(bi)] for row, bi in zip(a, b)]
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, nrows) if aug[i][col] != 0), None)
+    n = len(a)
+    rows: List[List[int]] = [list(row) + [bi] for row, bi in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
         if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(nrows):
-            if i == row or aug[i][col] == 0:
-                continue
-            factor = aug[i][col]
-            aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for i in range(row, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for prow, pcol in pivots:
-        solution[pcol] = aug[prow][ncols]
-    return solution
+            raise AssertionError("singular system: the corral is affinely dependent")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        head = top[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            lead = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * head - lead * top[j]) // prev
+        prev = head
+    # prev is +-det(a); each echelon row holds for x, so back-substitution
+    # in the numerators det * x[i] divides exactly
+    numerators = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        acc = prev * row[n] - sum(row[j] * numerators[j] for j in range(i + 1, n))
+        numerators[i] = acc // row[i]
+    if prev < 0:
+        return [-x for x in numerators], -prev
+    return numerators, prev

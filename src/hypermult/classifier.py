@@ -14,7 +14,6 @@ against ground truth.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import random
 from dataclasses import dataclass
@@ -264,7 +263,10 @@ def verify_theorem_main(
     # there are cores or cases
     workers = min(jobs, os.cpu_count() or 1, len(cases))
     if workers > 1:
-        # the first use of this class is what imports multiprocessing
+        # imported here, and multiprocessing with the pool's first use, so
+        # that importing the CLI loads neither
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_case, cases, chunksize=8))
     else:

@@ -15,13 +15,22 @@ pairing identities
 
 so mu(f, lambda) / ||lambda|| equals the distance itself.
 
-Projection runs an active-set search over affinely independent subsets of
-the support (corral refinement) in exact rational arithmetic.  Every result
-is checked before it is returned: the convex-combination witness must
-rebuild the nearest point with positive weights summing to one, and the
-optimality inequality <t - q, v - q> <= 0 must hold for all support points
-v.  That check is the only one a certificate gets, and it is binary: there
-is no tolerance anywhere.
+Projection is Wolfe's minimum-norm-point algorithm over affinely
+independent subsets of the support (corrals), run in integers.
+nearest_point scales once: with s the lcm of every denominator in the
+points and the target, V_j = s*p_j - s*t are integer vectors (for
+torus_index s divides r+1).  The iterate is X/D, an integer vector over one
+positive denominator that the corral weights share, and each Gram (KKT)
+system is solved by Bareiss fraction-free elimination.  Scaling by a
+positive number preserves every comparison and tie-break, so the corrals
+and weights are exactly those of the same search over Fractions.
+
+Every result is checked before it is returned, in integers: the weights
+are positive, sum to D and rebuild X, and (X.V_j)*D >= |X|^2 holds for every
+j, which is the optimality inequality <t - q, v - q> <= 0 for all support
+points v.  Only then are q = t + X/(D*s), delta_sq = |X|^2/(D*s)^2 and the
+weights made Fractions.  That check is the only one a certificate gets, and
+it is binary: there is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
-from ._linalg import Vector, dot, norm_sq, sub, add
+from ._linalg import Vector, dot, norm_sq, sub
 from .forms import ExponentVector, HomogeneousForm
 
 HullWeights = Tuple[Tuple[Vector, Fraction], ...]
@@ -77,63 +86,79 @@ class ProjectionResult:
     hull_weights: HullWeights
 
 
-def _affine_minimizer(vecs: Sequence[Vector]) -> List[Fraction]:
-    """Coefficients of the norm minimizer over the affine hull of vecs."""
+def _affine_minimizer(vecs: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
+    """Coefficients of the norm minimizer over the affine hull of integer vecs.
+
+    Returned as numerators over one positive denominator, in lowest terms.
+    """
     k = len(vecs)
-    gram = [[dot(vecs[i], vecs[j]) for j in range(k)] for i in range(k)]
-    rows = [tuple(gram[i]) + (Fraction(1),) for i in range(k)]
-    rows.append(tuple(Fraction(1) for _ in range(k)) + (Fraction(0),))
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    solution = _linalg.solve_consistent(tuple(rows), rhs)
-    if solution is None:
-        raise AssertionError("affine minimizer system cannot be inconsistent")
-    return solution[:k]
+    rows = [[dot(u, v) for v in vecs] + [1] for u in vecs]
+    rows.append([1] * k + [0])
+    numerators, den = _linalg.solve_consistent(rows, [0] * k + [1])
+    alpha = numerators[:k]
+    g = math.gcd(den, *alpha)
+    return [a // g for a in alpha], den // g
 
 
-def _min_norm_point(vecs: Sequence[Vector]) -> Tuple[Vector, List[int], List[Fraction]]:
-    """Minimum-norm point of the convex hull of vecs, exactly.
+def _min_norm_point(
+    vecs: Sequence[Tuple[int, ...]]
+) -> Tuple[Tuple[int, ...], List[int], List[int], int]:
+    """Minimum-norm point of the convex hull of integer vectors, exactly.
 
-    Returns the point together with the indices and weights of the corral
-    (an affinely independent subset) expressing it.  The major loop adds the
-    most violating point; the minor loop restores feasibility by a line
-    search that drops zero-weight points, so the corral stays affinely
-    independent and the norm strictly decreases.  Over exact rationals the
-    search terminates without any tolerance.
+    Wolfe's algorithm.  Returns (X, corral, weights, D): the point is X/D,
+    and the corral (an affinely independent subset) expresses it with the
+    weights weights[i]/D, all over the one positive denominator D.  The
+    major loop adds the most violating point; the minor loop restores
+    feasibility by a line search that drops zero-weight points, so the
+    corral stays affinely independent and the norm strictly decreases.
+    Every comparison is one of the rational algorithm scaled by a positive
+    integer, so the corrals and weights are exactly those of the Fraction
+    version, and the search terminates without any tolerance.
     """
     n = len(vecs)
     start = min(range(n), key=lambda j: (norm_sq(vecs[j]), j))
     corral: List[int] = [start]
-    weights: List[Fraction] = [Fraction(1)]
+    weights: List[int] = [1]
+    den = 1
     x = vecs[start]
     for _ in range(100000):
         xx = norm_sq(x)
-        best = min(range(n), key=lambda j: (dot(x, vecs[j]), j))
-        if dot(x, vecs[best]) >= xx:
-            return x, corral, weights
+        value, best = min((dot(x, v), j) for j, v in enumerate(vecs))
+        if value * den >= xx:
+            return x, corral, weights, den
         corral.append(best)
-        weights.append(Fraction(0))
+        weights.append(0)
         while True:
-            alpha = _affine_minimizer([vecs[j] for j in corral])
+            alpha, alpha_den = _affine_minimizer([vecs[j] for j in corral])
             if all(a >= 0 for a in alpha):
                 kept = [(j, a) for j, a in zip(corral, alpha) if a > 0]
                 corral = [j for j, _ in kept]
                 weights = [a for _, a in kept]
+                den = alpha_den
                 break
+            # w / (w - a) for w = W/den and a = A/alpha_den
             theta = min(
-                w / (w - a) for w, a in zip(weights, alpha) if a < 0
+                Fraction(w * alpha_den, w * alpha_den - a * den)
+                for w, a in zip(weights, alpha)
+                if a < 0
             )
+            p, q = theta.numerator, theta.denominator
             weights = [
-                (1 - theta) * w + theta * a for w, a in zip(weights, alpha)
+                (q - p) * w * alpha_den + p * a * den for w, a in zip(weights, alpha)
             ]
+            den *= q * alpha_den
+            g = math.gcd(den, *weights)
             kept_idx = [i for i, w in enumerate(weights) if w > 0]
             corral = [corral[i] for i in kept_idx]
-            weights = [weights[i] for i in kept_idx]
-        combo = [Fraction(0)] * len(vecs[0])
-        for j, w in zip(corral, weights):
-            for i, v in enumerate(vecs[j]):
-                combo[i] += w * v
-        x = tuple(combo)
+            weights = [weights[i] // g for i in kept_idx]
+            den //= g
+        x = tuple(dot(weights, column) for column in zip(*(vecs[j] for j in corral)))
     raise RuntimeError("projection did not terminate; this should be impossible")
+
+
+def _exact(p: Sequence) -> Tuple:
+    """The point with every non-int coordinate made a Fraction."""
+    return tuple(x if isinstance(x, int) else Fraction(x) for x in p)
 
 
 def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
@@ -144,32 +169,32 @@ def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
     <t - q, v - q> <= 0 holds for every input point v; all of this is
     verified before returning, and nowhere else.
     """
-    pts = sorted({_linalg.vec(p) for p in points})
+    pts = sorted({_exact(p) for p in points})
     if not pts:
         raise ValueError("cannot project onto an empty point set")
     target = _linalg.vec(t)
     if any(len(p) != len(target) for p in pts):
         raise ValueError("point dimension does not match the target")
-    shifted = [sub(p, target) for p in pts]
-    x, corral, weights = _min_norm_point(shifted)
-    dist_sq = norm_sq(x)
-    for s in shifted:
-        if dot(x, s) < dist_sq:
-            raise AssertionError("projection certificate failed")
-    q = add(target, x)
-    witness = tuple(
-        (pts[j], w) for j, w in sorted(zip(corral, weights))
-    )
-    if any(w <= 0 for _, w in witness):
+    s = math.lcm(*(c.denominator for c in target), *(c.denominator for p in pts for c in p))
+    st = [int(c * s) for c in target]
+    vecs = [tuple(int(c * s) - b for c, b in zip(p, st)) for p in pts]
+    x, corral, weights, den = _min_norm_point(vecs)
+    if any(w <= 0 for w in weights):
         raise AssertionError("hull weights must be positive")
-    total = sum((w for _, w in witness), Fraction(0))
-    recon = [Fraction(0)] * len(target)
-    for p, w in witness:
-        for i, v in enumerate(p):
-            recon[i] += w * v
-    if total != 1 or tuple(recon) != q:
+    recon = tuple(
+        sum(w * vecs[j][i] for j, w in zip(corral, weights)) for i in range(len(st))
+    )
+    if sum(weights) != den or recon != x:
         raise AssertionError("hull weights do not reconstruct the projection")
-    return ProjectionResult(q=q, dist_sq=dist_sq, hull_weights=witness)
+    xx = norm_sq(x)
+    if any(dot(x, v) * den < xx for v in vecs):
+        raise AssertionError("projection certificate failed")
+    scale = den * s
+    q = tuple(Fraction(b * den + c, scale) for b, c in zip(st, x))
+    witness = tuple(
+        (_linalg.vec(pts[j]), Fraction(w, den)) for j, w in sorted(zip(corral, weights))
+    )
+    return ProjectionResult(q=q, dist_sq=Fraction(xx, scale * scale), hull_weights=witness)
 
 
 def _primitive_direction(w: Vector) -> Tuple[Tuple[int, ...], Fraction]:

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: multiplicity comes from
 an affine dehomogenization instead of frames, projections come from
 either subset enumeration or random convex combinations instead of the
-active-set search, band geometry comes from vector distances to the
+active-set search, or from the same Wolfe search run in Fraction arithmetic
+with Gauss-Jordan solves instead of the library's integer core, band geometry comes from vector distances to the
 barycenter instead of the closed forms, and the frame family keeps the
 permutations of coordinates 1..r that the library drops.
 """
@@ -16,9 +17,15 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from hypermult import Frame, HomogeneousForm, ProjPoint, barycenter, frame_moving_to_origin
-from hypermult._linalg import dot, mat, mat_mul, norm_sq, sub, vec
-from hypermult.statepoly import _affine_minimizer
+from hypermult import (
+    Frame,
+    HomogeneousForm,
+    ProjPoint,
+    ProjectionResult,
+    barycenter,
+    frame_moving_to_origin,
+)
+from hypermult._linalg import Matrix, Vector, dot, mat, mat_mul, norm_sq, sub, vec
 
 
 def mult_oracle(f: HomogeneousForm, p: ProjPoint) -> int:
@@ -58,6 +65,98 @@ def mult_oracle(f: HomogeneousForm, p: ProjPoint) -> int:
     return min(degrees)
 
 
+def solve_consistent(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    """One solution of a*x = b with free variables set to 0, or None.
+
+    Gauss-Jordan elimination over Fractions; None signals inconsistency.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    aug: List[List[Fraction]] = [list(row) + [Fraction(bi)] for row, bi in zip(a, b)]
+    pivots: List[Tuple[int, int]] = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, nrows) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = Fraction(1) / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(nrows):
+            if i == row or aug[i][col] == 0:
+                continue
+            factor = aug[i][col]
+            aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == nrows:
+            break
+    for i in range(row, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    solution = [Fraction(0)] * ncols
+    for prow, pcol in pivots:
+        solution[pcol] = aug[prow][ncols]
+    return solution
+
+
+def affine_minimizer(vecs: Sequence[Vector]) -> List[Fraction]:
+    """Coefficients of the norm minimizer over the affine hull of vecs."""
+    k = len(vecs)
+    gram = [[dot(vecs[i], vecs[j]) for j in range(k)] for i in range(k)]
+    rows = [tuple(gram[i]) + (Fraction(1),) for i in range(k)]
+    rows.append(tuple(Fraction(1) for _ in range(k)) + (Fraction(0),))
+    rhs = [Fraction(0)] * k + [Fraction(1)]
+    solution = solve_consistent(tuple(rows), rhs)
+    if solution is None:
+        raise AssertionError("affine minimizer system cannot be inconsistent")
+    return solution[:k]
+
+
+def min_norm_point(vecs: Sequence[Vector]) -> Tuple[Vector, List[int], List[Fraction]]:
+    """Wolfe's minimum-norm point in Fraction arithmetic: (x, corral, weights)."""
+    n = len(vecs)
+    start = min(range(n), key=lambda j: (norm_sq(vecs[j]), j))
+    corral: List[int] = [start]
+    weights: List[Fraction] = [Fraction(1)]
+    x = vecs[start]
+    for _ in range(100000):
+        xx = norm_sq(x)
+        best = min(range(n), key=lambda j: (dot(x, vecs[j]), j))
+        if dot(x, vecs[best]) >= xx:
+            return x, corral, weights
+        corral.append(best)
+        weights.append(Fraction(0))
+        while True:
+            alpha = affine_minimizer([vecs[j] for j in corral])
+            if all(a >= 0 for a in alpha):
+                kept = [(j, a) for j, a in zip(corral, alpha) if a > 0]
+                corral = [j for j, _ in kept]
+                weights = [a for _, a in kept]
+                break
+            theta = min(w / (w - a) for w, a in zip(weights, alpha) if a < 0)
+            weights = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]
+            kept_idx = [i for i, w in enumerate(weights) if w > 0]
+            corral = [corral[i] for i in kept_idx]
+            weights = [weights[i] for i in kept_idx]
+        combo = [Fraction(0)] * len(vecs[0])
+        for j, w in zip(corral, weights):
+            for i, v in enumerate(vecs[j]):
+                combo[i] += w * v
+        x = tuple(combo)
+    raise RuntimeError("projection did not terminate")
+
+
+def nearest_point_oracle(points: Sequence[Sequence], t: Sequence) -> ProjectionResult:
+    """nearest_point computed over Fractions with the Fraction Wolfe search."""
+    pts = sorted({vec(p) for p in points})
+    target = vec(t)
+    x, corral, weights = min_norm_point([sub(p, target) for p in pts])
+    q = tuple(a + b for a, b in zip(target, x))
+    witness = tuple((pts[j], w) for j, w in sorted(zip(corral, weights)))
+    return ProjectionResult(q=q, dist_sq=norm_sq(x), hull_weights=witness)
+
+
 def enum_nearest(points: Sequence[Sequence], t: Sequence) -> Fraction:
     """Exact nearest squared distance by enumerating affine subsets.
 
@@ -74,7 +173,7 @@ def enum_nearest(points: Sequence[Sequence], t: Sequence) -> Fraction:
     for size in range(1, min(len(pts), dim + 1) + 1):
         for subset in itertools.combinations(range(len(pts)), size):
             chosen = [shifted[j] for j in subset]
-            alpha = _affine_minimizer(chosen)
+            alpha = affine_minimizer(chosen)
             if any(a < 0 for a in alpha):
                 continue
             combo = [Fraction(0)] * dim

@@ -176,10 +176,14 @@ def test_verify_pool_never_exceeds_cores_or_cases(monkeypatch, cores, count, exp
 
 def test_cli_import_leaves_multiprocessing_out():
     # only a verify run with more than one worker needs the process pool
-    probe = "import sys, hypermult.cli; print('multiprocessing' in sys.modules)"
+    probe = (
+        "import sys, hypermult.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging') "
+        "if m in sys.modules])"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- bounds

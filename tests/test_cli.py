@@ -1,9 +1,14 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermult import (
     ProjPoint,
@@ -281,6 +286,68 @@ def test_bound_refuses_an_oversized_frame_family(capsys, tmp_path):
     code, out, err = invoke(capsys, "bound", "--input", str(path), "--point", "1,0,0,0,0")
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(MAX_FRAMES) in err
+
+
+# Form text mostly in the grammar, with a quarter of each part drawn from
+# outside it: headers, coefficients (a sign then p or p/q), exponents and
+# --point values.
+RATIONAL_TEXT = st.builds(
+    lambda sign, p, q: f"{sign}{p}" if q is None else f"{sign}{p}/{q}",
+    st.sampled_from(["", "-", "+"]),
+    st.integers(1, 30),
+    st.one_of(st.none(), st.integers(1, 7)),
+)
+BAD_NUMBERS = ["0", "-0/3", "3/0", "1.5", "1e3", "1_0", "x", "/2", "3/", "--1", "\u0661", ""]
+BAD_EXPONENTS = ["-1", "+2", "1_0", "\u0662", "x", "2.0", "9"]
+BAD_HEADERS = ["", "r=1", "d=2 r=1", "r=-1 d=2", "r=0 d=2", "r=1 d=0", "r=1 d=2 x", "r=1 d=x"]
+THREE_IN_FOUR = st.sampled_from((True, True, True, False))
+
+
+@st.composite
+def form_files(draw):
+    """(text, point): a form file and a --point value."""
+
+    def mostly(good, bad):
+        return draw(good if draw(THREE_IN_FOUR) else st.sampled_from(bad))
+
+    r, d = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    lines = [mostly(st.just(f"r={r} d={d}"), BAD_HEADERS)]
+    for _ in range(draw(st.sampled_from(range(5)))):
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=r, max_size=r)))
+        exponents = [str(b - a) for a, b in zip([0] + cuts, cuts + [d])]
+        if not draw(THREE_IN_FOUR):
+            exponents[draw(st.integers(0, r))] = draw(st.sampled_from(BAD_EXPONENTS))
+        if not draw(THREE_IN_FOUR):
+            exponents = exponents[1:] if draw(st.booleans()) else exponents + ["0"]
+        lines.append(" ".join([mostly(RATIONAL_TEXT, BAD_NUMBERS)] + exponents))
+    if draw(st.booleans()):
+        lines.append("# a comment")
+    size = r + 1 if draw(THREE_IN_FOUR) else draw(st.integers(1, 5))
+    point = ",".join(mostly(RATIONAL_TEXT, BAD_NUMBERS) for _ in range(size))
+    return "\n".join(lines) + "\n", point
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_files())
+def test_cli_on_arbitrary_form_text_exits_0_1_or_2(case):
+    text, point = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.form")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for argv in (
+            ["index", "--input", path],
+            ["classify", "--input", path],
+            ["mult", "--input", path, "--point", point],
+            ["bound", "--input", path, "--point", point, "--budget", "0"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), (argv, text)
+            if code == 2:
+                assert err.getvalue().startswith("error:"), (argv, text)
+                assert err.getvalue().count("\n") == 1, (argv, text, err.getvalue())
 
 
 def test_missing_file_exits_2(capsys):

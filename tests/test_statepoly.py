@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,13 +11,22 @@ from hypermult import (
     OneParamSubgroup,
     barycenter,
     class_rep,
+    gen_corpus,
     mu_weight,
     nearest_point,
     torus_index,
 )
-from hypermult import statepoly
+from hypermult import _linalg, statepoly
 from hypermult._linalg import dot, norm_sq, sub, vec
-from oracle import enum_nearest, random_convex_combination, random_exponent, random_form
+from oracle import (
+    enum_nearest,
+    min_norm_point,
+    nearest_point_oracle,
+    random_convex_combination,
+    random_exponent,
+    random_form,
+    solve_consistent,
+)
 
 
 def random_support(rng, r, d, max_points=8):
@@ -105,6 +115,109 @@ def test_nearest_point_never_beaten_by_random_combinations(seed):
     for _ in range(20):
         combo = random_convex_combination(points, rng)
         assert norm_sq(sub(combo, vec(t))) >= res.dist_sq
+
+
+# ------------------------------------------- integer core against the oracle
+
+INTEGER = st.integers(-6, 6)
+RATIONAL = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+# mixed denominators, one of them far beyond a machine word
+TARGET_COORD = st.one_of(
+    INTEGER,
+    RATIONAL,
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([7, 3**20, 2**64])),
+)
+
+
+@st.composite
+def projection_inputs(draw):
+    """(points, target): up to 40 points in dimension 1..6, integer or rational.
+
+    The point sets are free, drawn from a small pool (duplicates), or lattice
+    points on a line or a plane (collinear, coplanar).
+    """
+    dim = draw(st.integers(1, 6))
+    coord = draw(st.sampled_from([INTEGER, RATIONAL]))
+    point = st.tuples(*[coord] * dim)
+    kind = draw(st.sampled_from(["free", "duplicates", "collinear", "coplanar"]))
+    n = draw(st.integers(1, 40))
+    if kind == "free":
+        points = draw(st.lists(point, min_size=n, max_size=n))
+    elif kind == "duplicates":
+        pool = draw(st.lists(point, min_size=1, max_size=4))
+        points = draw(st.lists(st.sampled_from(pool), min_size=n + 1, max_size=n + 1))
+    else:
+        base = draw(point)
+        dirs = draw(st.lists(point, min_size=1 if kind == "collinear" else 2,
+                             max_size=1 if kind == "collinear" else 2))
+        steps = st.tuples(*[st.integers(-3, 3)] * len(dirs))
+        points = [
+            tuple(b + sum(k * v[i] for k, v in zip(step, dirs)) for i, b in enumerate(base))
+            for step in draw(st.lists(steps, min_size=n, max_size=n))
+        ]
+    target = draw(st.tuples(*[TARGET_COORD] * dim))
+    return points, target
+
+
+@st.composite
+def corpus_inputs(draw):
+    """(support, barycenter) of a gen_corpus form, as torus_index projects it."""
+    r = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(0, d))
+    form = gen_corpus(r, d, m, 1, draw(st.integers(0, 10**6)))[0]
+    return form.support(), barycenter(r, d)
+
+
+def _typed(res):
+    """Every number of a ProjectionResult paired with its type."""
+    return (
+        [(type(c), c) for c in res.q],
+        (type(res.dist_sq), res.dist_sq),
+        [([(type(c), c) for c in p], (type(w), w)) for p, w in res.hull_weights],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(projection_inputs(), corpus_inputs()))
+def test_nearest_point_equals_the_fraction_route(case):
+    points, t = case
+    assert _typed(nearest_point(points, t)) == _typed(nearest_point_oracle(points, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(projection_inputs(), corpus_inputs()))
+def test_integer_core_takes_the_oracle_corral(case):
+    points, t = case
+    pts = sorted({vec(p) for p in points})
+    target = vec(t)
+    s = math.lcm(*(x.denominator for p in pts + [target] for x in p))
+    scaled = [tuple(int((x - c) * s) for x, c in zip(p, target)) for p in pts]
+    x_num, corral, weights, den = statepoly._min_norm_point(scaled)
+    x, corral_o, weights_o = min_norm_point([sub(p, target) for p in pts])
+    assert corral == corral_o
+    assert [Fraction(w, den) for w in weights] == weights_o
+    assert tuple(Fraction(c, den * s) for c in x_num) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        )
+    )
+)
+def test_bareiss_solve_matches_gauss_jordan(system):
+    a, b = system
+    if _linalg.det(_linalg.mat(a)) == 0:
+        with pytest.raises(AssertionError, match="singular"):
+            _linalg.solve_consistent(a, b)
+        return
+    numerators, den = _linalg.solve_consistent(a, b)
+    assert den > 0
+    assert [Fraction(x, den) for x in numerators] == solve_consistent(_linalg.mat(a), b)
 
 
 # ---------------------------------------------------------------- torus index
@@ -196,29 +309,33 @@ WITNESS_FORM = HomogeneousForm(
 )
 
 
-def _zero_weight(vecs, x, corral, weights):
+# The integer core returns (X, corral, weights, D): the point X/D and the
+# weights weights[i]/D.  Here the target (1, 1, 1) is integral, so the
+# vectors are the points minus (1, 1, 1) and the solver returns X = 0, D = 1.
+
+def _zero_weight(vecs, x, corral, weights, den):
     extra = next(j for j in range(len(vecs)) if j not in corral)
-    return x, corral + [extra], weights + [Fraction(0)]
+    return x, corral + [extra], weights + [0], den
 
 
-def _negative_weight(vecs, x, corral, weights):
+def _negative_weight(vecs, x, corral, weights, den):
     # 2 * (1,1,1) - 1/3 * (3,0,0) - 1/3 * (0,3,0) - 1/3 * (0,0,3) is (1,1,1)
     others = [j for j in range(len(vecs)) if j not in corral]
-    return x, corral + others, [Fraction(2)] + [Fraction(-1, 3)] * 3
+    return x, corral + others, [6 * den] + [-den] * 3, 3 * den
 
 
-def _weights_off_by_a_factor(vecs, x, corral, weights):
-    return x, corral, [2 * w for w in weights]
+def _weights_off_by_a_factor(vecs, x, corral, weights, den):
+    return x, corral, [2 * w for w in weights], den
 
 
-def _point_not_rebuilt(vecs, x, corral, weights):
+def _point_not_rebuilt(vecs, x, corral, weights, den):
     extra = next(j for j in range(len(vecs)) if j not in corral)
-    return x, [extra], [Fraction(1)]
+    return x, [extra], [den], den
 
 
-def _not_the_nearest_point(vecs, x, corral, weights):
+def _not_the_nearest_point(vecs, x, corral, weights, den):
     extra = next(j for j in range(len(vecs)) if j not in corral)
-    return vecs[extra], [extra], [Fraction(1)]
+    return vecs[extra], [extra], [1], 1
 
 
 @pytest.mark.parametrize(
