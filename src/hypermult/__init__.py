@@ -1,7 +1,9 @@
 """Exact instability certificates and multiplicity classification for hypersurfaces.
 
-Everything runs over fractions.Fraction, so distances, certificates, and
-band memberships are exact and every check in the package is binary.
+Coefficients, distances, certificates and band memberships are exact
+fractions.Fraction values, frames are integer matrices, and the hot loops
+run on integers scaled once from them, so every check in the package is
+binary.
 """
 
 from .forms import (

@@ -97,16 +97,17 @@ def classify_at_origin(
     else:
         m_band = None
         band_params = None
+        radii = ((m, l_squared(f.r, f.d, big_n, m)) for m in range(f.d + 1))
         diagnostics = tuple(
             BandDiagnostic(
                 m=m,
-                l_sq=l_squared(f.r, f.d, big_n, m),
+                l_sq=l_sq,
                 dist_sq=cert.delta_sq,
                 y0_cap=f.d - m,
-                radius_ok=cert.delta_sq <= l_squared(f.r, f.d, big_n, m),
+                radius_ok=cert.delta_sq <= l_sq,
                 cap_ok=cert.q[0] <= f.d - m,
             )
-            for m in range(f.d + 1)
+            for m, l_sq in radii
         )
     agreed = m_band is not None and m_band == m_direct
     return ClassificationReport(

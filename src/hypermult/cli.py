@@ -40,7 +40,7 @@ from .hesselink import (
     worst_frame_search,
 )
 from .statepoly import barycenter, torus_index
-from ._linalg import norm_sq, sub, vec
+from ._linalg import norm_sq, sub
 
 
 def _read_form(path: str) -> HomogeneousForm:
@@ -200,7 +200,7 @@ def _cmd_bands(args: argparse.Namespace) -> int:
     n = _parse_n(str(args.N))
     if n == "auto":
         n = separation_threshold(args.r, args.d)
-    point = vec(ProjPoint.parse(args.point).coords)
+    point = ProjPoint.parse(args.point).coords
     xi = barycenter(args.r, args.d + args.r * int(n))
     values = [args.m] if args.m is not None else list(range(args.d + 1))
     memberships = [

@@ -3,12 +3,13 @@
 A form of degree d in the r+1 variables x_0 .. x_r is stored sparsely as a
 map from exponent vectors (tuples of nonnegative ints summing to d) to
 nonzero Fraction coefficients.  A frame g, an invertible (r+1) x (r+1)
-rational matrix, acts by substitution
+integer matrix, acts by substitution
 
     g.x_i = sum_j g[j][i] * x_j
 
 so that (g.f)(x) = f(g^T x).  Points of projective space move by the
-inverse transpose, which keeps zero sets and local structure aligned:
+inverse transpose (up to a nonzero scalar, which projective equality
+ignores), which keeps zero sets and local structure aligned:
 
     multiplicity_at(act(g, f), point_image(g, p)) == multiplicity_at(f, p)
 
@@ -28,7 +29,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
@@ -179,7 +179,7 @@ def parse_form(text: str) -> HomogeneousForm:
         if sum(expo) != d:
             raise FormParseError(f"exponents in row {_quote(line)} do not sum to d={d}")
         key = tuple(expo)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc[key] + coeff if key in acc else coeff
     dead = [e for e, c in acc.items() if c == 0]
     if dead:
         raise FormParseError(
@@ -188,14 +188,24 @@ def parse_form(text: str) -> HomogeneousForm:
     return HomogeneousForm(r, d, acc)
 
 
+def _int_entry(x: object) -> int:
+    """x as an int; ValueError unless it is an integer, such as Fraction(2)."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    if q.denominator != 1:
+        raise ValueError(f"frame entry {x} is not an integer")
+    return q.numerator
+
+
 @dataclass(frozen=True)
 class Frame:
-    """Invertible square rational matrix acting on coordinates."""
+    """Invertible square integer matrix acting on coordinates."""
 
     rows: Matrix
 
     def __post_init__(self) -> None:
-        rows = _linalg.mat(self.rows)
+        rows = tuple(tuple(_int_entry(x) for x in row) for row in self.rows)
         n = len(rows)
         if n < 2 or any(len(row) != n for row in rows):
             raise ValueError("frame must be a square matrix of size >= 2")
@@ -205,24 +215,17 @@ class Frame:
 
     @classmethod
     def identity(cls, n: int) -> "Frame":
-        return cls(_linalg.identity(n))
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def det(self) -> Fraction:
-        return _linalg.det(self.rows)
 
     def compose(self, other: "Frame") -> "Frame":
         """Matrix product self * other; act(self.compose(g), f) applies g first."""
         if self.size != other.size:
             raise ValueError("frame size mismatch")
         return Frame(_linalg.mat_mul(self.rows, other.rows))
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,21 +284,29 @@ def _unit_exp(n: int, j: int) -> ExponentVector:
     return tuple(int(i == j) for i in range(n))
 
 
-def _poly_mul(p: Dict[ExponentVector, Fraction], q: Dict[ExponentVector, Fraction]) -> Dict[ExponentVector, Fraction]:
-    out: Dict[ExponentVector, Fraction] = {}
+IntPoly = Dict[ExponentVector, int]
+
+
+def _poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
+    out: IntPoly = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+            out[key] = out.get(key, 0) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
 
 
 def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
-    """Substitute x_i -> sum_j g[j][i] x_j into f."""
+    """Substitute x_i -> sum_j g[j][i] x_j into f.
+
+    The frame is integral, so the substitution runs on the coefficients
+    scaled once to integers by their lcm denominator; Fractions are built
+    only for the result.
+    """
     n = f.r + 1
     if g.size != n:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
-    images: List[Dict[ExponentVector, Fraction]] = []
+    images: List[IntPoly] = []
     for i in range(n):
         lin = {
             _unit_exp(n, j): g.rows[j][i]
@@ -303,9 +314,9 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
             if g.rows[j][i] != 0
         }
         images.append(lin)
-    powers: Dict[Tuple[int, int], Dict[ExponentVector, Fraction]] = {}
+    powers: Dict[Tuple[int, int], IntPoly] = {}
 
-    def image_power(i: int, k: int) -> Dict[ExponentVector, Fraction]:
+    def image_power(i: int, k: int) -> IntPoly:
         if (i, k) not in powers:
             if k == 1:
                 powers[i, k] = images[i]
@@ -313,24 +324,27 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
                 powers[i, k] = _poly_mul(image_power(i, k - 1), images[i])
         return powers[i, k]
 
-    acc: Dict[ExponentVector, Fraction] = {}
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    acc: IntPoly = {}
     for e, coeff in f.terms.items():
-        poly = {(0,) * n: coeff}
+        poly = {(0,) * n: coeff.numerator * (den // coeff.denominator)}
         for i, ei in enumerate(e):
             if ei:
                 poly = _poly_mul(poly, image_power(i, ei))
         for key, value in poly.items():
-            acc[key] = acc.get(key, Fraction(0)) + value
-    acc = {e: c for e, c in acc.items() if c != 0}
-    return HomogeneousForm(f.r, f.d, acc)
+            acc[key] = acc.get(key, 0) + value
+    return HomogeneousForm(f.r, f.d, {e: Fraction(c, den) for e, c in acc.items() if c != 0})
 
 
 def point_image(g: Frame, p: ProjPoint) -> ProjPoint:
-    """Image of p under g on points: p -> (g^T)^{-1} p."""
+    """Image of p under g on points: p -> (g^T)^{-1} p, up to a nonzero scalar.
+
+    The fraction-free solve returns |det g| * (g^T)^{-1} p' for the
+    primitive representative p' of p, which is the same projective point.
+    """
     if g.size != len(p.coords):
         raise ValueError("frame size does not match point dimension")
-    matrix = _linalg.inverse(_linalg.transpose(g.rows))
-    return ProjPoint(_linalg.mat_vec(matrix, p.coords))
+    return ProjPoint(_linalg.solve_consistent(_linalg.transpose(g.rows), p.primitive())[0])
 
 
 def _unimodular_completion(v: Sequence[int]) -> List[List[int]]:
@@ -375,7 +389,7 @@ def _unimodular_completion(v: Sequence[int]) -> List[List[int]]:
                 addmul(i, pivot, -(work[i] // work[pivot]))
     if work[0] != 1:
         raise ValueError(f"vector {list(v)!r} is not primitive")
-    if _linalg.det(_linalg.mat(acc)) == -1:
+    if _linalg.det(acc) == -1:
         acc[-1] = [-x for x in acc[-1]]
     return acc
 
@@ -388,8 +402,8 @@ def frame_moving_to_origin(p: ProjPoint) -> Frame:
     """
     prim = p.primitive()
     rows = _unimodular_completion(prim)
-    frame = Frame(_linalg.mat(rows))
-    if tuple(int(x) for x in frame.rows[0]) != prim:
+    frame = Frame(rows)
+    if frame.rows[0] != prim:
         raise AssertionError("completion lost the primitive vector")
     return frame
 

@@ -35,6 +35,7 @@ from .forms import Frame, HomogeneousForm, ProjPoint, act, frame_moving_to_origi
 from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
 
 MAX_FRAMES = 4096  # largest family default_frames builds
+MAX_PAIRS = 2**16  # most band pairs pair_minima lists
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,13 @@ def pair_separation_min_N(r: int, d: int, m: int, m_prime: int) -> int:
 
 
 def pair_minima(r: int, d: int) -> List[Tuple[int, int, int]]:
-    """All (m, m', least separating N) with 0 <= m < m' <= d."""
+    """All (m, m', least separating N) with 0 <= m < m' <= d.
+
+    More than MAX_PAIRS pairs raise ValueError before any is computed.
+    """
     BandParams(r, d, 0, 0)
+    if d * (d + 1) // 2 > MAX_PAIRS:
+        raise ValueError(f"d={d} gives more than {MAX_PAIRS} band pairs to list")
     return [
         (m, mp, pair_separation_min_N(r, d, m, mp))
         for m in range(d + 1)
@@ -193,7 +199,7 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         for (i, j), value in zip(lower_slots, fill):
             rows[i][j] = value
-        frames.append(Frame(_linalg.mat(rows)).compose(mover))
+        frames.append(Frame(_linalg.mat_mul(rows, mover.rows)))
     return frames
 
 

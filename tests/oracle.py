@@ -6,7 +6,10 @@ either subset enumeration or random convex combinations instead of the
 active-set search, or from the same Wolfe search run in Fraction arithmetic
 with Gauss-Jordan solves instead of the library's integer core, band geometry comes from vector distances to the
 barycenter instead of the closed forms, and the frame family keeps the
-permutations of coordinates 1..r that the library drops.
+permutations of coordinates 1..r that the library drops.  Determinants,
+point images and the substitution action are computed over Fractions, by
+Gaussian elimination and the exact inverse, where the library runs
+fraction-free on integer frames.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from hypermult import (
     barycenter,
     frame_moving_to_origin,
 )
-from hypermult._linalg import Matrix, Vector, dot, mat, mat_mul, norm_sq, sub, vec
+from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
+
+Matrix = Sequence[Sequence[Fraction]]
 
 
 def mult_oracle(f: HomogeneousForm, p: ProjPoint) -> int:
@@ -63,6 +68,83 @@ def mult_oracle(f: HomogeneousForm, p: ProjPoint) -> int:
     if not degrees:
         raise AssertionError("a nonzero form cannot expand to zero")
     return min(degrees)
+
+
+def det(a: Matrix) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    n = len(a)
+    rows: List[List[Fraction]] = [[Fraction(x) for x in row] for row in a]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            result = -result
+        result *= rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        for i in range(col + 1, n):
+            factor = rows[i][col] * inv
+            if factor == 0:
+                continue
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    return result
+
+
+def inverse(a: Matrix) -> Tuple[Vector, ...]:
+    """Exact inverse by Gauss-Jordan elimination over Fractions."""
+    n = len(a)
+    aug: List[List[Fraction]] = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i == col or aug[i][col] == 0:
+                continue
+            factor = aug[i][col]
+            aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def point_image_oracle(g: Frame, p: ProjPoint) -> ProjPoint:
+    """p -> (g^T)^{-1} p with the exact Fraction inverse."""
+    matrix = inverse(tuple(zip(*g.rows)))
+    return ProjPoint(tuple(dot(row, p.coords) for row in matrix))
+
+
+def act_oracle(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
+    """Substitute x_i -> sum_j g[j][i] x_j with Fraction coefficients throughout."""
+    n = f.r + 1
+
+    def mul(p: Dict[Tuple[int, ...], Fraction], q: Dict[Tuple[int, ...], Fraction]):
+        out: Dict[Tuple[int, ...], Fraction] = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return out
+
+    images = [
+        {tuple(int(k == j) for k in range(n)): Fraction(g.rows[j][i]) for j in range(n)}
+        for i in range(n)
+    ]
+    acc: Dict[Tuple[int, ...], Fraction] = {}
+    for e, coeff in f.terms.items():
+        poly = {(0,) * n: coeff}
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                poly = mul(poly, images[i])
+        for key, value in poly.items():
+            acc[key] = acc.get(key, Fraction(0)) + value
+    return HomogeneousForm(f.r, f.d, {e: c for e, c in acc.items() if c != 0})
 
 
 def solve_consistent(a: Matrix, b: Sequence[Fraction]) -> Optional[List[Fraction]]:
@@ -228,7 +310,7 @@ def random_point(rng: random.Random, r: int) -> ProjPoint:
 
 
 def random_unimodular_frame(rng: random.Random, n: int, ops: int = 5) -> Frame:
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(ops):
         kind = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
@@ -287,6 +369,6 @@ def permuted_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
             rows = [[int(i == j) for j in range(n)] for i in range(n)]
             for (i, j), value in zip(lower_slots, fill):
                 rows[i][j] = value
-            total = Frame(mat_mul(mat_mul(mat(perm_rows), mat(rows)), mover.rows))
+            total = Frame(mat_mul(mat_mul(perm_rows, rows), mover.rows))
             frames.setdefault(total.rows, total)
     return list(frames.values())

@@ -23,7 +23,7 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import serialize
+from hypermult import hesselink, serialize
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.cli import run
 
@@ -118,6 +118,23 @@ def test_threshold_json(capsys):
     assert code == 0
     assert payload["threshold"] == separation_threshold(2, 3)
     assert all(set(p) == {"m", "m_prime", "min_N"} for p in payload["pairs"])
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_threshold_refuses_too_many_pairs_at_once(capsys, monkeypatch, extra):
+    least_n = hesselink.pair_separation_min_N
+    calls = []
+
+    def few_pairs(*args):
+        # the threshold itself takes two pairs; listing would take 5 * 10**17
+        calls.append(args)
+        assert len(calls) <= 2, "the pair list was started"
+        return least_n(*args)
+
+    monkeypatch.setattr(hesselink, "pair_separation_min_N", few_pairs)
+    code, out, err = invoke(capsys, "threshold", "-r", "1", "-d", "1000000000", *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: d=1000000000 gives more than {hesselink.MAX_PAIRS} band pairs to list\n"
 
 
 def test_bands_membership_is_unique_at_threshold(capsys):

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypermult import (
     FormParseError,
@@ -19,7 +19,16 @@ from hypermult import (
     parse_form,
     point_image,
 )
-from oracle import mult_oracle, random_form, random_point, random_unimodular_frame
+from hypermult import _linalg
+from oracle import (
+    act_oracle,
+    mult_oracle,
+    point_image_oracle,
+    random_exponent,
+    random_form,
+    random_point,
+    random_unimodular_frame,
+)
 
 
 @st.composite
@@ -209,6 +218,71 @@ def test_frame_rejects_singular():
         Frame([[1, 1], [1, 1]])
 
 
+def test_frame_holds_ints_and_rejects_fractional_entries():
+    with pytest.raises(ValueError, match="not an integer"):
+        Frame([[1, 0], [Fraction(1, 2), 1]])
+    g = Frame([[Fraction(2), 0], [0, 1]])
+    assert g.rows == ((2, 0), (0, 1))
+    assert all(type(x) is int for row in g.rows for x in row)
+
+
+@st.composite
+def int_frames(draw, n):
+    """Random invertible integer n x n frames, unimodular or not."""
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        ).filter(lambda a: _linalg.det(a) != 0)
+    )
+    return Frame(rows)
+
+
+@st.composite
+def forms_with_frames(draw):
+    """A form with integer or rational coefficients and a frame to act by."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    dens = [1] if draw(st.booleans()) else [1, 2, 3, 7, 2**40]
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        num = draw(st.integers(-50, 50).filter(bool))
+        terms[random_exponent(rng, r, d)] = Fraction(num, draw(st.sampled_from(dens)))
+    return HomogeneousForm(r, d, terms), draw(int_frames(r + 1))
+
+
+RATIONAL_CUBIC = HomogeneousForm(1, 3, {(2, 1): Fraction(1, 3), (0, 3): Fraction(-2, 5)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms_with_frames())
+@example((RATIONAL_CUBIC, Frame([[2, 0], [0, 2]])))
+@example((RATIONAL_CUBIC, Frame([[-3, 0], [0, 5]])))
+@example((RATIONAL_CUBIC, Frame([[2, 1], [0, 2]])))
+def test_act_matches_the_fraction_substitution(case):
+    f, g = case
+    ours = act(g, f)
+    theirs = act_oracle(g, f)
+    assert ours.terms == theirs.terms
+    assert all(type(c) is Fraction for c in ours.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            int_frames(n),
+            st.lists(st.fractions(-10, 10, max_denominator=50), min_size=n, max_size=n)
+            .filter(any),
+        )
+    )
+)
+def test_point_image_matches_the_inverse_route(case):
+    g, coords = case
+    p = ProjPoint(tuple(coords))
+    assert point_image(g, p).primitive() == point_image_oracle(g, p).primitive()
+
+
 def test_point_image_swap_example():
     g = Frame([[0, 1], [1, 0]])
     assert point_image(g, ProjPoint.parse("1,0")) == ProjPoint.parse("0,1")
@@ -236,17 +310,17 @@ def test_mover_is_unimodular_and_moves_the_point():
         r = rng.choice([1, 2, 3])
         p = random_point(rng, r)
         g = frame_moving_to_origin(p)
-        assert g.is_integral()
-        assert g.det == 1
+        assert all(type(x) is int for row in g.rows for x in row)
+        assert _linalg.det(g.rows) == 1
         assert point_image(g, p) == ProjPoint.origin(r)
-        assert tuple(int(x) for x in g.rows[0]) == p.primitive()
+        assert g.rows[0] == p.primitive()
 
 
 def test_mover_handles_rational_coordinates():
     p = ProjPoint.parse("1/2,1/3,0")
     g = frame_moving_to_origin(p)
     assert point_image(g, p) == ProjPoint.origin(2)
-    assert g.det == 1
+    assert _linalg.det(g.rows) == 1
 
 
 # ---------------------------------------------------------------- multiplicity

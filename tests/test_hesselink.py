@@ -26,7 +26,7 @@ from hypermult import (
     torus_index,
     worst_frame_search,
 )
-from hypermult import hesselink
+from hypermult import _linalg, hesselink
 from hypermult._linalg import norm_sq, sub, vec
 from oracle import (
     band_contains_oracle,
@@ -164,6 +164,20 @@ def test_threshold_exceeds_degree_and_separates_all_pairs():
             assert separation_gap(r, d, m, mp, threshold + 3) > 0
 
 
+def test_pair_minima_refuses_more_than_max_pairs_before_computing(monkeypatch):
+    assert len(pair_minima(1, 4)) == 10
+    monkeypatch.setattr(hesselink, "MAX_PAIRS", 10)
+    assert len(pair_minima(1, 4)) == 10  # d(d+1)/2 = 10 pairs, at the limit
+
+    def no_pair(*args):
+        raise AssertionError("a pair was computed")
+
+    monkeypatch.setattr(hesselink, "pair_separation_min_N", no_pair)
+    for r, d in [(1, 5), (3, 6), (1, 10**9)]:
+        with pytest.raises(ValueError, match="more than 10 band pairs"):
+            pair_minima(r, d)
+
+
 def test_threshold_equals_the_all_pairs_maximum():
     # the threshold checks only the pairs (0, 1) and (d-1, d)
     for r in range(1, 9):
@@ -272,6 +286,25 @@ def test_default_frames_fix_the_moved_point():
     # budget 1, r = 2: 3 strictly lower entries, all distinct
     assert len(family) == 27
     assert len(set(frame.rows for frame in family)) == 27
+
+
+@pytest.mark.parametrize("r, point, budget", [
+    (1, "0,1", 2), (2, "1,2,1", 1), (2, "1,0,0", 1), (3, "2,-1,3,5", 1), (3, "1/2,1/3,0,1", 0),
+])
+def test_default_frames_take_one_det_per_member(monkeypatch, r, point, budget):
+    # each member is one Frame (one det); the one mover costs two more, the
+    # completion's sign check and its own Frame
+    calls = []
+    det = _linalg.det
+
+    def counted(a):
+        calls.append(a)
+        return det(a)
+
+    monkeypatch.setattr(_linalg, "det", counted)
+    family = default_frames(r, ProjPoint.parse(point), budget)
+    assert len(family) == (2 * budget + 1) ** (r * (r + 1) // 2)
+    assert len(calls) == len(family) + 2
 
 
 def test_default_frames_refuse_large_families_before_building(monkeypatch):

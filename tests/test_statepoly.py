@@ -19,6 +19,7 @@ from hypermult import (
 from hypermult import _linalg, statepoly
 from hypermult._linalg import dot, norm_sq, sub, vec
 from oracle import (
+    det as oracle_det,
     enum_nearest,
     min_norm_point,
     nearest_point_oracle,
@@ -211,13 +212,52 @@ def test_integer_core_takes_the_oracle_corral(case):
 )
 def test_bareiss_solve_matches_gauss_jordan(system):
     a, b = system
-    if _linalg.det(_linalg.mat(a)) == 0:
+    if _linalg.det(a) == 0:
         with pytest.raises(AssertionError, match="singular"):
             _linalg.solve_consistent(a, b)
         return
     numerators, den = _linalg.solve_consistent(a, b)
     assert den > 0
-    assert [Fraction(x, den) for x in numerators] == solve_consistent(_linalg.mat(a), b)
+    assert [Fraction(x, den) for x in numerators] == solve_consistent(a, b)
+
+
+@st.composite
+def det_cases(draw):
+    """Integer matrices of size 1-6 with entries up to 10**12 in size.
+
+    Some are singular by construction: a repeated row, a zero column, or a
+    row that is a combination of two others.
+    """
+    n = draw(st.integers(1, 6))
+    big = st.integers(-(10**12), 10**12)
+    entry = st.one_of(big, st.integers(-3, 3))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["any", "any", "repeat", "zero_col", "combo"]))
+    if n >= 2 and kind == "repeat":
+        a[-1] = list(a[0])
+    elif kind == "zero_col":
+        for row in a:
+            row[-1] = 0
+    elif n >= 3 and kind == "combo":
+        k = draw(st.integers(-5, 5))
+        a[-1] = [x + k * y for x, y in zip(a[0], a[1])]
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_cases())
+def test_bareiss_det_matches_fraction_elimination(a):
+    value = _linalg.det(a)
+    assert type(value) is int
+    assert value == oracle_det(a)
+
+
+def test_bareiss_det_signs_and_singular_examples():
+    assert _linalg.det([[0, 1], [1, 0]]) == -1
+    assert _linalg.det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _linalg.det([[2, 4], [1, 2]]) == 0
+    assert _linalg.det([[-7]]) == -7
+    assert _linalg.det([[10**12, 1], [1, -(10**12)]]) == -(10**24) - 1
 
 
 # ---------------------------------------------------------------- torus index
