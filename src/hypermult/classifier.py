@@ -7,9 +7,10 @@ the nearest point q.  Because the support of the product keeps its largest
 x_0 exponent at d - m (m the multiplicity at the origin) and q cannot be
 farther from the barycenter than the slice vertex of the same m, the point
 lands in the band of m; disjointness at threshold makes that band unique.
-The direct reading of the multiplicity from the support is computed
-alongside, so every classification is a concrete check of the band route
-against ground truth.
+The bands holding q form one interval of m, so two band tests read it,
+whatever the degree (hesselink.unique_band).  The direct reading of the
+multiplicity from the support is computed alongside, so every
+classification is a concrete check of the band route against ground truth.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .forms import (
 from .hesselink import (
     BandParams,
     StratumLabel,
-    band_contains,
     l_squared,
     separation_threshold,
+    unique_band,
 )
 from .statepoly import InstabilityCertificate, torus_index
 
@@ -86,17 +87,11 @@ def classify_at_origin(
     """Classify the multiplicity of f at [1:0:...:0] through the bands."""
     big_n, threshold = _resolve_n(f.r, f.d, n)
     cert = torus_index(destabilize(f, big_n))
-    matches = [
-        m for m in range(f.d + 1) if band_contains(cert.q, f.r, f.d, big_n, m)
-    ]
+    m_band = unique_band(cert.q, f.r, f.d, big_n)
     m_direct = multiplicity_at_origin(f)
-    if len(matches) == 1:
-        m_band: Optional[int] = matches[0]
-        band_params: Optional[BandParams] = BandParams(f.r, f.d, big_n, matches[0])
-        diagnostics = None
-    else:
-        m_band = None
-        band_params = None
+    band_params = None if m_band is None else BandParams(f.r, f.d, big_n, m_band)
+    diagnostics = None
+    if m_band is None:
         radii = ((m, l_squared(f.r, f.d, big_n, m)) for m in range(f.d + 1))
         diagnostics = tuple(
             BandDiagnostic(

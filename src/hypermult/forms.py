@@ -41,17 +41,22 @@ class FormParseError(ValueError):
     """Raised when a form file does not follow the input format."""
 
 
+def _quote(text: str, limit: int = 40) -> str:
+    """repr of at most the first `limit` characters of text."""
+    return repr(text[:limit]) + ("..." if len(text) > limit else "")
+
+
 def _validate_exponent(e: Sequence[int], r: int, d: int) -> ExponentVector:
     if len(e) != r + 1:
-        raise ValueError(f"exponent vector {e!r} needs {r + 1} entries")
+        raise ValueError(f"exponent vector {_quote(str(e))} needs {r + 1} entries")
     out = []
     for x in e:
         xi = int(x)
         if xi != x or xi < 0:
-            raise ValueError(f"exponent vector {e!r} must have nonnegative integers")
+            raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
         out.append(xi)
     if sum(out) != d:
-        raise ValueError(f"exponent vector {e!r} must sum to degree {d}")
+        raise ValueError(f"exponent vector {_quote(str(e))} must sum to degree {d}")
     return tuple(out)
 
 
@@ -74,7 +79,7 @@ class HomogeneousForm:
         for e, c in self.terms.items():
             coeff = Fraction(c)
             if coeff == 0:
-                raise ValueError(f"zero coefficient for exponent {e!r}")
+                raise ValueError(f"zero coefficient for exponent {_quote(str(e))}")
             canonical[_validate_exponent(e, self.r, self.d)] = coeff
         object.__setattr__(self, "terms", canonical)
 
@@ -106,25 +111,23 @@ class HomogeneousForm:
 
 
 _HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$", re.ASCII)
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _EXPONENT = re.compile(r"[0-9]+")
-
-
-def _quote(text: str, limit: int = 40) -> str:
-    """repr of at most the first `limit` characters of text."""
-    return repr(text[:limit]) + ("..." if len(text) > limit else "")
 
 
 def _parse_rational(text: str) -> Fraction:
     """Read an optional sign, then p or p/q; no other number syntax.
 
-    Fraction alone also takes exponents, decimals and underscores, and
-    expanding a short exponent like 1e10000000 takes seconds.
+    Fraction(text) would also take exponents, decimals and underscores
+    (expanding a short exponent like 1e10000000 takes seconds) and would
+    parse the text a second time, so the Fraction is built from the match.
     """
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise ValueError(f"{_quote(text)} is not a rational p or p/q")
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError as exc:
         raise ValueError(f"{_quote(text)} has a zero denominator") from exc
     except ValueError as exc:  # more digits than int() converts
@@ -137,9 +140,11 @@ def parse_form(text: str) -> HomogeneousForm:
     First payload line is ``r=<int> d=<int>``; every following line is a
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
     exponents.  Header numbers and exponents are ASCII digits 0-9 only.
-    ``#`` starts a comment.  Duplicate exponent rows are summed; a row set
-    whose net coefficient vanishes is rejected rather than silently
-    dropped.  Messages quote at most a short prefix of the offending line.
+    ``#`` starts a comment.  Duplicate exponent rows are summed.  Only this
+    grammar is checked here; the invariants of a form (r, d >= 1, a term,
+    exponents summing to d, no rows that cancel) are checked by the
+    HomogeneousForm constructor, whose ValueError is raised again as a
+    FormParseError.  Messages quote at most a short prefix of the input.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -155,10 +160,6 @@ def parse_form(text: str) -> HomogeneousForm:
         r, d = int(header.group(1)), int(header.group(2))
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
-    if r < 1 or d < 1:
-        raise FormParseError(f"need r >= 1 and d >= 1, got {_quote(payload[0])}")
-    if len(payload) == 1:
-        raise FormParseError("no terms: a form must have at least one term row")
     acc: Dict[ExponentVector, Fraction] = {}
     for line in payload[1:]:
         fields = line.split()
@@ -176,16 +177,12 @@ def parse_form(text: str) -> HomogeneousForm:
             expo = [int(x) for x in fields[1:]]
         except ValueError as exc:  # more digits than int() converts
             raise FormParseError(f"too many digits in row {_quote(line)}") from exc
-        if sum(expo) != d:
-            raise FormParseError(f"exponents in row {_quote(line)} do not sum to d={d}")
         key = tuple(expo)
         acc[key] = acc[key] + coeff if key in acc else coeff
-    dead = [e for e, c in acc.items() if c == 0]
-    if dead:
-        raise FormParseError(
-            f"rows for {_quote(str(dead[0]))} sum to zero; drop them from the input"
-        )
-    return HomogeneousForm(r, d, acc)
+    try:
+        return HomogeneousForm(r, d, acc)
+    except ValueError as exc:
+        raise FormParseError(str(exc)) from exc
 
 
 def _int_entry(x: object) -> int:
@@ -264,10 +261,6 @@ class ProjPoint:
             ints = [-x for x in ints]
         return tuple(ints)
 
-    @property
-    def r(self) -> int:
-        return len(self.coords) - 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -306,31 +299,26 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     n = f.r + 1
     if g.size != n:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
-    images: List[IntPoly] = []
+    # powers[i][k] = (image of x_i)^k for each exponent k of x_i in f, built
+    # by one multiplication per power up to the largest
+    powers: List[Dict[int, IntPoly]] = []
     for i in range(n):
-        lin = {
-            _unit_exp(n, j): g.rows[j][i]
-            for j in range(n)
-            if g.rows[j][i] != 0
-        }
-        images.append(lin)
-    powers: Dict[Tuple[int, int], IntPoly] = {}
-
-    def image_power(i: int, k: int) -> IntPoly:
-        if (i, k) not in powers:
-            if k == 1:
-                powers[i, k] = images[i]
-            else:
-                powers[i, k] = _poly_mul(image_power(i, k - 1), images[i])
-        return powers[i, k]
-
+        image = {_unit_exp(n, j): g.rows[j][i] for j in range(n) if g.rows[j][i] != 0}
+        wanted = {e[i] for e in f.terms}
+        power: IntPoly = {(0,) * n: 1}
+        table = {}
+        for k in range(1, max(wanted) + 1):
+            power = _poly_mul(power, image)
+            if k in wanted:
+                table[k] = power
+        powers.append(table)
     den = math.lcm(*(c.denominator for c in f.terms.values()))
     acc: IntPoly = {}
     for e, coeff in f.terms.items():
         poly = {(0,) * n: coeff.numerator * (den // coeff.denominator)}
         for i, ei in enumerate(e):
             if ei:
-                poly = _poly_mul(poly, image_power(i, ei))
+                poly = _poly_mul(poly, powers[i][ei])
         for key, value in poly.items():
             acc[key] = acc.get(key, 0) + value
     return HomogeneousForm(f.r, f.d, {e: Fraction(c, den) for e, c in acc.items() if c != 0})

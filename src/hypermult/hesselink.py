@@ -19,6 +19,8 @@ form, with no barycenter:
 The gap is linear in N with slope 2(m' - m) > 0, so each pair has a least
 separating N and stays separated above it.  The threshold for (r, d) also
 insists on N > d, which the capture argument for destabilized forms needs.
+For N > d the bands holding a point form one interval of m, so
+unique_band finds the band of a point with at most two band tests.
 """
 
 from __future__ import annotations
@@ -82,6 +84,29 @@ def band_contains(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
         return False
     # both sides of |xi - y|^2 <= l_squared carry the same -D^2/(r+1)
     return norm_sq(point) <= _vertex_norm_sq(r, d, big_n, m)
+
+
+def unique_band(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:
+    """The one m whose band B_m holds y, or None if no band or several do.
+
+    For N > d the slice vertex grows with m: |v_{m+1}|^2 - |v_m|^2 =
+    2(N - d + 2m + 1) > 0, so the radius test |y|^2 <= |v_m|^2, once it
+    holds, holds for every larger m.  The cap y_0 <= d - m holds exactly
+    for m <= floor(d - y_0), and the simplex tests do not depend on m.  So
+    the bands holding y are the integers of one interval ending at
+    top = min(d, floor(d - y_0)), and y has exactly one band when
+    band_contains holds at top and, unless top = 0, fails at top - 1.
+    """
+    if big_n <= d:
+        raise ValueError(f"need N > d for the band interval, got N={big_n}, d={d}")
+    point = _linalg.vec(y)
+    # a y_0 above d fails the cap at m = 0 too
+    top = max(0, min(d, d - math.ceil(point[0])))
+    if not band_contains(point, r, d, big_n, top):
+        return None
+    if top > 0 and band_contains(point, r, d, big_n, top - 1):
+        return None
+    return top
 
 
 def separation_gap(r: int, d: int, m: int, m_prime: int, big_n: int) -> Fraction:
@@ -162,12 +187,10 @@ class StratumLabel:
     def from_certificate(cls, cert: InstabilityCertificate) -> "StratumLabel":
         if cert.lam is None:
             raise ValueError("cannot label a torus-semistable certificate")
-        scale = cert.scale
-        assert scale is not None
         return cls(
             lambda_rep=class_rep(cert.lam),
             delta_sq=cert.delta_sq,
-            scale=scale,
+            scale=cert.scale,
         )
 
 

@@ -22,8 +22,7 @@ from .statepoly import InstabilityCertificate
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def vec_encode(v: Sequence[Fraction]) -> List[str]:

@@ -213,26 +213,18 @@ class InstabilityCertificate:
     q is the hull point nearest the barycenter, w = q - xi the offset,
     delta_sq = |w|^2 the squared distance, lam the primitive integer
     one-parameter subgroup positively proportional to w (absent when the
-    barycenter lies in the hull), and hull_weights the convex-combination
-    witness for q over the support.  nearest_point has verified the
-    witness; the remaining identities hold by construction.
+    barycenter lies in the hull), scale the factor c > 0 with lam = c * w,
+    so that delta/||lam|| = 1/c (absent with lam), and hull_weights the
+    convex-combination witness for q over the support.  nearest_point has
+    verified the witness; the remaining identities hold by construction.
     """
 
     q: Vector
     w: Vector
     delta_sq: Fraction
     lam: Optional[OneParamSubgroup]
+    scale: Optional[Fraction]
     hull_weights: Tuple[Tuple[ExponentVector, Fraction], ...]
-
-    @property
-    def scale(self) -> Optional[Fraction]:
-        """Factor c with lam = c * w; delta/||lam|| equals 1/c."""
-        if self.lam is None:
-            return None
-        for a, b in zip(self.lam.weights, self.w):
-            if b != 0:
-                return Fraction(a) / b
-        return None
 
     @property
     def semistable_for_torus(self) -> bool:
@@ -244,10 +236,9 @@ def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
     xi = barycenter(f.r, f.d)
     projection = nearest_point(f.support(), xi)
     w = sub(projection.q, xi)
-    if projection.dist_sq == 0:
-        lam = None
-    else:
-        direction, _ = _primitive_direction(w)
+    lam, scale = None, None
+    if projection.dist_sq != 0:
+        direction, scale = _primitive_direction(w)
         lam = OneParamSubgroup(direction)
     witness = tuple(
         (tuple(int(x) for x in p), c) for p, c in projection.hull_weights
@@ -257,6 +248,7 @@ def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
         w=w,
         delta_sq=projection.dist_sq,
         lam=lam,
+        scale=scale,
         hull_weights=witness,
     )
 

@@ -4,8 +4,11 @@ These deliberately avoid the code paths they check: multiplicity comes from
 an affine dehomogenization instead of frames, projections come from
 either subset enumeration or random convex combinations instead of the
 active-set search, or from the same Wolfe search run in Fraction arithmetic
-with Gauss-Jordan solves instead of the library's integer core, band geometry comes from vector distances to the
-barycenter instead of the closed forms, and the frame family keeps the
+with Gauss-Jordan solves instead of the library's integer core, band
+geometry comes from vector distances to the barycenter instead of the
+closed forms, the band of a point from a scan of every band instead of the
+two-test interval argument, the scale of a certificate from lam and w
+instead of the projection's lcm, and the frame family keeps the
 permutations of coordinates 1..r that the library drops.  Determinants,
 point images and the substitution action are computed over Fractions, by
 Gaussian elimination and the exact inverse, where the library runs
@@ -348,6 +351,23 @@ def band_contains_oracle(y: Sequence, r: int, d: int, big_n: int, m: int) -> boo
         return False
     xi = barycenter(r, d + r * big_n)
     return norm_sq(sub(xi, point)) <= l_squared_oracle(r, d, big_n, m)
+
+
+def unique_band_oracle(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:
+    """The band of y by scanning every m = 0..d on the vector route.
+
+    None when no band or more than one holds y.
+    """
+    matches = [m for m in range(d + 1) if band_contains_oracle(y, r, d, big_n, m)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def scale_oracle(cert) -> Optional[Fraction]:
+    """lam[i] / w[i] at the first nonzero w[i]: the factor c with lam = c * w."""
+    if cert.lam is None:
+        return None
+    i = next(i for i, b in enumerate(cert.w) if b != 0)
+    return Fraction(cert.lam.weights[i]) / cert.w[i]
 
 
 def permuted_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:

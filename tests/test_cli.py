@@ -64,6 +64,13 @@ def test_mult_text_and_json(capsys, cubic_file):
     assert payload == {"r": 2, "d": 3, "point": ["1", "0", "0"], "m": 2}
 
 
+def test_mult_at_a_large_exponent(capsys, tmp_path):
+    path = tmp_path / "high.form"
+    path.write_text("r=1 d=3000\n1 0 3000\n2 1500 1500\n")
+    code, out, err = invoke(capsys, "mult", "--input", str(path), "--point", "1,0")
+    assert (code, out.strip(), err) == (0, "1500", "")
+
+
 def test_index_reports_certificate(capsys, square_file):
     code, out, _ = invoke(capsys, "index", "--input", square_file)
     payload = json.loads(out)

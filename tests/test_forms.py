@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -142,6 +143,11 @@ def test_parse_errors_quote_a_short_prefix():
         "r=1 d=2\n" + "1" * 1_000_000 + " 2 0\n",
         "r=" + "1" * 1_000_000 + " d=2\n1 2 0\n",
         "r=1 d=2 " + "x" * 1_000_000 + "\n1 2 0\n",
+        # rejected by the form constructor, not the grammar: 300,001
+        # exponents summing to 300,001 instead of d, and two rows on one
+        # 300,001-entry exponent vector that cancel
+        "r=300000 d=2\n1 " + " ".join(["1"] * 300_001) + "\n",
+        "r=300000 d=1\n1 1" + " 0" * 300_000 + "\n-1 1" + " 0" * 300_000 + "\n",
     ]
     for text in cases:
         with pytest.raises(FormParseError) as err:
@@ -194,6 +200,13 @@ def test_act_identity_and_dimension_mismatch():
     assert act(Frame.identity(3), f) == f
     with pytest.raises(ValueError):
         act(Frame.identity(2), f)
+
+
+def test_act_takes_exponents_past_the_recursion_limit():
+    # the shear x_1 -> x_0 + x_1 sends x_1^1200 to sum_k C(1200, k) x_0^k x_1^(1200-k)
+    f = HomogeneousForm(1, 1200, {(0, 1200): Fraction(1)})
+    image = act(Frame([[1, 1], [0, 1]]), f)
+    assert image.terms == {(k, 1200 - k): Fraction(math.comb(1200, k)) for k in range(1201)}
 
 
 def test_act_is_a_left_action():

@@ -13,13 +13,16 @@ from hypermult import (
     act,
     band_contains,
     barycenter,
+    classify_at_origin,
     default_frames,
     destabilize,
     frame_moving_to_origin,
+    gen_corpus,
     l_squared,
     multiplicity_at_origin,
     pair_minima,
     pair_separation_min_N,
+    parse_form,
     point_image,
     separation_gap,
     separation_threshold,
@@ -27,6 +30,7 @@ from hypermult import (
     worst_frame_search,
 )
 from hypermult import _linalg, hesselink
+from hypermult.hesselink import unique_band
 from hypermult._linalg import norm_sq, sub, vec
 from oracle import (
     band_contains_oracle,
@@ -35,6 +39,7 @@ from oracle import (
     random_form,
     random_unimodular_frame,
     separation_gap_oracle,
+    unique_band_oracle,
 )
 
 
@@ -218,6 +223,87 @@ def test_closed_forms_match_the_vector_route(r, d, big_n, data):
             assert band_contains(y, r, d, big_n, m) == band_contains_oracle(
                 y, r, d, big_n, m
             )
+
+
+# ---------------------------------------------------------------- band pick
+
+@st.composite
+def slice_points(draw, r, d, big_n):
+    """A point on the segment from z_m toward v_m (past it up to t = 3/2),
+    coordinates 1..r permuted; sometimes y_0 is jittered along the
+    hyperplane, sometimes the point is pushed off it."""
+    m = draw(st.integers(0, d))
+    t = Fraction(draw(st.integers(0, 12)), 8)
+    z = [Fraction(d - m)] + [big_n + Fraction(m, r)] * r
+    v = [Fraction(d - m), Fraction(m + big_n)] + [Fraction(big_n)] * (r - 1)
+    point = [a + t * (b - a) for a, b in zip(z, v)]
+    perm = draw(st.permutations(range(1, r + 1)))
+    point = [point[0]] + [point[i] for i in perm]
+    eps = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 5)))
+    kind = draw(st.sampled_from(["on", "jitter", "off"]))
+    if kind == "jitter":
+        k = draw(st.integers(1, r))
+        point[0] += eps
+        point[k] -= eps
+    elif kind == "off":
+        point[draw(st.integers(0, r))] += eps
+    return point
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 12), st.data())
+def test_unique_band_matches_the_scan(r, d, data):
+    big_n = data.draw(st.integers(d + 1, separation_threshold(r, d) + 3))
+    for _ in range(4):
+        y = data.draw(slice_points(r, d, big_n))
+        assert unique_band(y, r, d, big_n) == unique_band_oracle(y, r, d, big_n)
+
+
+def test_unique_band_below_threshold_sees_overlaps():
+    # below the threshold bands overlap at r >= 3, so some points lie in
+    # several bands; unique_band must answer None for exactly those
+    several = 0
+    # small (r, d) whose threshold exceeds d + 1 (N = d + 1 still overlaps)
+    for r, d in [(3, 7), (4, 6), (5, 7)]:
+        for big_n in range(d + 1, separation_threshold(r, d) + 1):
+            for m in range(d + 1):
+                z = [Fraction(d - m)] + [big_n + Fraction(m, r)] * r
+                v = [Fraction(d - m), Fraction(m + big_n)] + [Fraction(big_n)] * (r - 1)
+                for t in range(9):
+                    y = [a + Fraction(t, 8) * (b - a) for a, b in zip(z, v)]
+                    for shift in (0, Fraction(1, 3), Fraction(-1, 2)):
+                        y_j = [y[0] + shift, y[1] - shift] + y[2:]
+                        matches = [
+                            k for k in range(d + 1)
+                            if band_contains_oracle(y_j, r, d, big_n, k)
+                        ]
+                        several += len(matches) > 1
+                        assert unique_band(y_j, r, d, big_n) == unique_band_oracle(
+                            y_j, r, d, big_n
+                        )
+    assert several > 0
+
+
+def test_unique_band_needs_n_above_d():
+    with pytest.raises(ValueError):
+        unique_band((2, 2), 1, 2, 2)
+    assert unique_band((1, 4), 1, 2, 3) == 1  # the vertex v_1 at N = 3
+
+
+def test_classify_makes_at_most_two_band_tests(monkeypatch):
+    calls = []
+    real = hesselink.band_contains
+    monkeypatch.setattr(hesselink, "band_contains", lambda *a: calls.append(a) or real(*a))
+    forms = [(m, f) for r, d in [(1, 3), (2, 4), (3, 6)] for m in range(d + 1)
+             for f in gen_corpus(r, d, m, 3, seed=61)]
+    # a degree whose d+1 band scan took seconds
+    forms.append((199_999, parse_form("r=1 d=200000\n1 0 200000\n1 1 199999\n")))
+    for m, f in forms:
+        calls.clear()
+        report = classify_at_origin(f)
+        assert report.m_band == m and report.agreed
+        assert 1 <= len(calls) <= 2
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- capture

@@ -26,6 +26,7 @@ from oracle import (
     random_convex_combination,
     random_exponent,
     random_form,
+    scale_oracle,
     solve_consistent,
 )
 
@@ -276,6 +277,17 @@ def test_torus_index_frozen_examples():
     assert cert.delta_sq == 6
     assert cert.lam.weights == (-1, 2, -1)
     assert class_rep(cert.lam).weights == (2, -1, -1)
+
+
+def test_certificate_scale_equals_lam_over_w():
+    unstable = 0
+    for r, d in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]:
+        for m in range(d + 1):
+            for f in gen_corpus(r, d, m, 5, seed=55):
+                cert = torus_index(f)
+                assert cert.scale == scale_oracle(cert)
+                unstable += cert.scale is not None
+    assert unstable >= 50
 
 
 def test_torus_index_semistable_case():
