@@ -267,7 +267,6 @@ def verify_theorem_main(
             results = list(pool.map(_verify_case, cases, chunksize=8))
     else:
         results = [_verify_case(case) for case in cases]
-    results.sort(key=lambda row: (row[0], row[1]))
     failures = tuple(
         FailureRecord(m=m, index=i, m_band=m_band, m_direct=m_direct)
         for m, i, m_band, m_direct, agreed in results

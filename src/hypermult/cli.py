@@ -10,11 +10,11 @@ asks otherwise.  Rationals in JSON are "p/q" strings, never floats.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence
 
-from . import serialize
+from . import hesselink, serialize
 from .classifier import (
     bound_check,
     classify_at,
@@ -61,7 +61,7 @@ def _parse_n(text: str) -> object:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(serialize.dumps(payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +137,7 @@ def _cmd_mult(args: argparse.Namespace) -> int:
     point = ProjPoint.parse(args.point)
     m = multiplicity_at(form, point)
     if args.json:
-        _emit({"r": form.r, "d": form.d, "point": serialize.vec_encode(point.coords), "m": m})
+        _emit({"r": form.r, "d": form.d, "point": point.coords, "m": m})
     else:
         print(m)
     return 0
@@ -154,18 +154,18 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _cmd_destab(args: argparse.Namespace) -> int:
     form = _read_form(args.input)
-    n = _parse_n(str(args.N))
+    n = _parse_n(args.N)
     if n == "auto":
         n = separation_threshold(form.r, form.d)
-    result = destabilize(form, int(n))
+    result = destabilize(form, n)
     if args.json:
         _emit(
             {
                 "r": result.r,
                 "d": result.d,
-                "N": int(n),
+                "N": n,
                 "terms": [
-                    {"coeff": serialize.frac_str(c), "exponents": list(e)}
+                    {"coeff": c, "exponents": e}
                     for e, c in sorted(result.terms.items())
                 ],
             }
@@ -197,26 +197,31 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_bands(args: argparse.Namespace) -> int:
-    n = _parse_n(str(args.N))
+    if args.m is None and args.d + 1 > hesselink.MAX_PAIRS:
+        raise ValueError(
+            f"d={args.d} gives more than {hesselink.MAX_PAIRS} bands to list; "
+            "pass --m to test one"
+        )
+    n = _parse_n(args.N)
     if n == "auto":
         n = separation_threshold(args.r, args.d)
     point = ProjPoint.parse(args.point).coords
-    xi = barycenter(args.r, args.d + args.r * int(n))
-    values = [args.m] if args.m is not None else list(range(args.d + 1))
+    xi = barycenter(args.r, args.d + args.r * n)
+    values = [args.m] if args.m is not None else range(args.d + 1)
     memberships = [
         {
             "m": m,
-            "contains": band_contains(point, args.r, args.d, int(n), m),
-            "l_sq": serialize.frac_str(l_squared(args.r, args.d, int(n), m)),
+            "contains": band_contains(point, args.r, args.d, n, m),
+            "l_sq": l_squared(args.r, args.d, n, m),
         }
         for m in values
     ]
     payload = {
         "r": args.r,
         "d": args.d,
-        "N": int(n),
-        "point": serialize.vec_encode(point),
-        "dist_sq": serialize.frac_str(norm_sq(sub(point, xi))),
+        "N": n,
+        "point": point,
+        "dist_sq": norm_sq(sub(point, xi)),
         "memberships": memberships,
     }
     _emit(payload)
@@ -225,7 +230,7 @@ def _cmd_bands(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     form = _read_form(args.input)
-    n = _parse_n(str(args.N))
+    n = _parse_n(args.N)
     if args.point is None:
         report = classify_at_origin(form, n)
     else:
@@ -235,9 +240,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    n = _parse_n(str(args.N))
+    n = _parse_n(args.N)
     summary = verify_theorem_main(args.r, args.d, n, args.count, args.seed, args.jobs)
-    _emit(serialize.summary_encode(summary))
+    _emit(asdict(summary))
     return 0 if summary.ok else 1
 
 

@@ -2,57 +2,42 @@
 
 Machine output never contains floating point.  Integers that are genuinely
 integers (multiplicities, weights, exponents) stay JSON numbers; every
-rational quantity becomes a string that Fraction parses back verbatim, so
-no precision is lost on the way out.
+rational quantity is a Fraction, and dumps is the one place a Fraction
+becomes text: a "p/q" string that Fraction parses back verbatim, so no
+precision is lost on the way out.  The encoders below only rename, flatten
+or drop fields; records whose JSON keys are their own fields go through
+dataclasses.asdict.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict
 
-from .classifier import (
-    BandDiagnostic,
-    BoundCheckResult,
-    ClassificationReport,
-    VerifySummary,
-)
-from .hesselink import BandParams, StratumLabel
+from .classifier import BoundCheckResult, ClassificationReport
+from .hesselink import StratumLabel
 from .statepoly import InstabilityCertificate
 
 
-def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
+def _rational(x: object) -> str:
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def vec_encode(v: Sequence[Fraction]) -> List[str]:
-    return [frac_str(x) for x in v]
+def dumps(payload: Any) -> str:
+    return json.dumps(payload, indent=2, default=_rational)
 
 
 def cert_encode(cert: InstabilityCertificate) -> Dict[str, Any]:
     return {
-        "q": vec_encode(cert.q),
-        "w": vec_encode(cert.w),
-        "delta_sq": frac_str(cert.delta_sq),
-        "lambda": list(cert.lam.weights) if cert.lam is not None else None,
-        "hull_weights": [
-            {"point": list(e), "weight": frac_str(c)} for e, c in cert.hull_weights
-        ],
-    }
-
-
-def band_params_encode(band: BandParams) -> Dict[str, Any]:
-    return {"r": band.r, "d": band.d, "N": band.N, "m": band.m}
-
-
-def _diagnostic_encode(diag: BandDiagnostic) -> Dict[str, Any]:
-    return {
-        "m": diag.m,
-        "l_sq": frac_str(diag.l_sq),
-        "dist_sq": frac_str(diag.dist_sq),
-        "y0_cap": diag.y0_cap,
-        "radius_ok": diag.radius_ok,
-        "cap_ok": diag.cap_ok,
+        "q": cert.q,
+        "w": cert.w,
+        "delta_sq": cert.delta_sq,
+        "lambda": cert.lam.weights if cert.lam is not None else None,
+        "hull_weights": [{"point": e, "weight": c} for e, c in cert.hull_weights],
     }
 
 
@@ -66,12 +51,8 @@ def report_encode(report: ClassificationReport) -> Dict[str, Any]:
         "m_direct": report.m_direct,
         "agreed": report.agreed,
         "cert": cert_encode(report.cert),
-        "band": band_params_encode(report.band_params)
-        if report.band_params is not None
-        else None,
-        "diagnostics": [
-            _diagnostic_encode(diag) for diag in report.diagnostics
-        ]
+        "band": asdict(report.band_params) if report.band_params is not None else None,
+        "diagnostics": [asdict(diag) for diag in report.diagnostics]
         if report.diagnostics is not None
         else None,
     }
@@ -79,39 +60,11 @@ def report_encode(report: ClassificationReport) -> Dict[str, Any]:
 
 def label_encode(label: StratumLabel) -> Dict[str, Any]:
     return {
-        "lambda_rep": list(label.lambda_rep.weights),
-        "delta_sq": frac_str(label.delta_sq),
-        "scale": frac_str(label.scale),
+        "lambda_rep": label.lambda_rep.weights,
+        "delta_sq": label.delta_sq,
+        "scale": label.scale,
     }
 
 
 def bound_encode(result: BoundCheckResult) -> Dict[str, Any]:
-    return {
-        "lower": frac_str(result.lower),
-        "upper": frac_str(result.upper),
-        "max_mult": result.max_mult,
-        "within": result.within,
-    }
-
-
-def summary_encode(summary: VerifySummary) -> Dict[str, Any]:
-    return {
-        "r": summary.r,
-        "d": summary.d,
-        "N": summary.N,
-        "threshold": summary.threshold,
-        "count": summary.count,
-        "seed": summary.seed,
-        "total": summary.total,
-        "passed": summary.passed,
-        "failed": summary.failed,
-        "failures": [
-            {
-                "m": rec.m,
-                "index": rec.index,
-                "m_band": rec.m_band,
-                "m_direct": rec.m_direct,
-            }
-            for rec in summary.failures
-        ],
-    }
+    return asdict(result)

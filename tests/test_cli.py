@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import hesselink, serialize
+from hypermult import cli, hesselink, serialize
+from hypermult.forms import Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.cli import run
 
@@ -35,6 +37,11 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def wire(payload):
+    """What the CLI's JSON writer makes of payload, read back."""
+    return json.loads(serialize.dumps(payload))
 
 
 @pytest.fixture
@@ -78,7 +85,7 @@ def test_index_reports_certificate(capsys, square_file):
     assert payload["delta_sq"] == "2"
     assert payload["lambda"] == [-1, 1]
     cert = torus_index(parse_form(SQUARE_TEXT))
-    assert payload == {"r": 1, "d": 2, **serialize.cert_encode(cert)}
+    assert payload == wire({"r": 1, "d": 2, **serialize.cert_encode(cert)})
 
 
 def test_index_semistable_has_null_lambda(capsys, tmp_path):
@@ -91,7 +98,7 @@ def test_index_semistable_has_null_lambda(capsys, tmp_path):
     assert payload["lambda"] is None
     cert = torus_index(parse_form("r=1 d=2\n1 1 1\n"))
     assert cert.semistable_for_torus
-    assert payload == {"r": 1, "d": 2, **serialize.cert_encode(cert)}
+    assert payload == wire({"r": 1, "d": 2, **serialize.cert_encode(cert)})
 
 
 def test_destab_round_trips_through_the_parser(capsys, cubic_file):
@@ -167,9 +174,34 @@ def test_bands_single_m_flag(capsys):
         {
             "m": 2,
             "contains": False,
-            "l_sq": serialize.frac_str(l_squared(1, 2, 3, 2)),
+            "l_sq": wire(l_squared(1, 2, 3, 2)),
         }
     ]
+    assert Fraction(payload["memberships"][0]["l_sq"]) == l_squared(1, 2, 3, 2)
+
+
+def test_bands_lists_at_most_max_pairs_bands(capsys, monkeypatch):
+    monkeypatch.setattr(hesselink, "MAX_PAIRS", 4)
+    code, out, _ = invoke(capsys, "bands", "-r", "1", "-d", "3", "--point", "1,4")
+    assert code == 0 and len(json.loads(out)["memberships"]) == 4
+    code, out, err = invoke(capsys, "bands", "-r", "1", "-d", "4", "--point", "1,4")
+    assert (code, out) == (2, "") and err.startswith("error: d=4 ")
+    code, out, _ = invoke(capsys, "bands", "-r", "1", "-d", "4", "--point", "1,4", "--m", "3")
+    assert code == 0 and len(json.loads(out)["memberships"]) == 1
+
+
+def test_bands_refuses_a_huge_listing_before_any_row(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        # a billion rows would not end; fail at the first
+        calls.append(args)
+        assert len(calls) == 0, "a band row was computed"
+
+    monkeypatch.setattr(cli, "l_squared", counted)
+    code, out, err = invoke(capsys, "bands", "-r", "1", "-d", "1000000000", "--point=1,2")
+    assert (code, out, calls) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_classify_agrees_and_round_trips(capsys, cubic_file):
@@ -180,7 +212,7 @@ def test_classify_agrees_and_round_trips(capsys, cubic_file):
     assert code == 0
     assert payload["m_band"] == 2 and payload["agreed"] is True
     report = classify_at_origin(parse_form(CUBIC_TEXT), "auto")
-    assert payload == serialize.report_encode(report)
+    assert payload == wire(serialize.report_encode(report))
 
 
 def test_classify_default_point_is_the_origin(capsys, cubic_file):
@@ -199,7 +231,7 @@ def test_verify_small_run(capsys):
     assert payload["total"] == 3 * 4
     assert payload["failed"] == 0 and payload["failures"] == []
     summary = verify_theorem_main(1, 2, "auto", count=4, seed=11)
-    assert payload == serialize.summary_encode(summary)
+    assert payload == wire(asdict(summary))
 
 
 def test_gen_is_deterministic_and_parseable(capsys):
@@ -228,8 +260,8 @@ def test_bound_pins_a_coordinate_power(capsys, square_file):
     points = [ProjPoint.parse("1,0")]
     _, cert = worst_frame_search(form, default_frames(1, points[0], 1))
     label = StratumLabel.from_certificate(cert)
-    assert payload["label"] == serialize.label_encode(label)
-    result = serialize.bound_encode(bound_check(form, label, points))
+    assert payload["label"] == wire(serialize.label_encode(label))
+    result = wire(serialize.bound_encode(bound_check(form, label, points)))
     assert {key: payload[key] for key in result} == result
 
 
@@ -415,10 +447,8 @@ def test_report_encoding_survives_json(capsys):
     # rationals travel as "p/q" strings that Fraction reads back exactly
     form = parse_form(CUBIC_TEXT)
     report = classify_at_origin(form, "auto")
-    encoded = serialize.report_encode(report)
-    wire = json.loads(json.dumps(encoded))
-    assert wire == encoded
-    cert = wire["cert"]
+    cert = wire(serialize.report_encode(report))["cert"]
+    assert all(isinstance(x, str) for x in [*cert["q"], *cert["w"], cert["delta_sq"]])
     assert tuple(Fraction(x) for x in cert["q"]) == report.cert.q
     assert tuple(Fraction(x) for x in cert["w"]) == report.cert.w
     assert Fraction(cert["delta_sq"]) == report.cert.delta_sq
@@ -427,10 +457,25 @@ def test_report_encoding_survives_json(capsys):
     ] == list(report.cert.hull_weights)
 
 
+def test_dumps_writes_rationals_as_exact_strings():
+    values = [Fraction(3), Fraction(-1, 2)]
+    text = serialize.dumps({"x": values})
+    assert json.loads(text) == {"x": ["3", "-1/2"]}
+    assert [Fraction(x) for x in json.loads(text)["x"]] == values
+
+
+@pytest.mark.parametrize("stray", [{1, 2}, Frame.identity(2)], ids=["set", "frame"])
+def test_dumps_refuses_values_that_are_not_json(stray):
+    with pytest.raises(TypeError):
+        serialize.dumps({"x": stray})
+
+
 def test_summary_encoding_survives_json():
     summary = verify_theorem_main(1, 2, 3, count=2, seed=0)
-    encoded = serialize.summary_encode(summary)
-    assert json.loads(json.dumps(encoded)) == encoded
+    encoded = wire(asdict(summary))
+    assert list(encoded) == [
+        "r", "d", "N", "threshold", "count", "seed", "total", "passed", "failed", "failures",
+    ]
     assert (encoded["total"], encoded["passed"], encoded["failed"]) == (
         summary.total,
         summary.passed,
