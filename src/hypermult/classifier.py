@@ -39,6 +39,8 @@ from .hesselink import (
 )
 from .statepoly import InstabilityCertificate, torus_index
 
+MAX_CORPUS = 2**18  # most forms x (r+1) a corpus or a verify run generates
+
 
 @dataclass(frozen=True)
 class BandDiagnostic:
@@ -177,6 +179,14 @@ def _composition(total: int, parts: int, rng: random.Random) -> Tuple[int, ...]:
     return tuple(result)
 
 
+def _check_corpus_size(forms: int, r: int) -> None:
+    if forms * (r + 1) > MAX_CORPUS:
+        raise ValueError(
+            f"corpus size forms x (r+1) = {forms} x {r + 1} is above the limit "
+            f"of {MAX_CORPUS}"
+        )
+
+
 def gen_corpus(
     r: int, d: int, m: int, count: int, seed: int
 ) -> List[HomogeneousForm]:
@@ -185,10 +195,12 @@ def gen_corpus(
     Every form carries one anchor term with x_0 exponent exactly d - m and
     a few extra terms with smaller or equal x_0 exponent, all with small
     integer coefficients.  The same arguments always produce the same list.
+    More than MAX_CORPUS forms x (r+1) raise ValueError before any is made.
     """
     BandParams(r, d, 0, m)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    _check_corpus_size(count, r)
     rng = random.Random(f"corpus:{r}:{d}:{m}:{seed}")
     forms: List[HomogeneousForm] = []
     nonzero = [c for c in range(-3, 4) if c != 0]
@@ -249,8 +261,11 @@ def verify_theorem_main(
 ) -> VerifySummary:
     """Classify a corpus for every m in 0..d and tally band/direct agreement.
 
-    The output is deterministic for fixed arguments regardless of jobs."""
+    The output is deterministic for fixed arguments regardless of jobs.  More
+    than MAX_CORPUS forms x (r+1) over all m raise ValueError before any is
+    made."""
     big_n, threshold = _resolve_n(r, d, n)
+    _check_corpus_size((d + 1) * count, r)
     cases: List[Tuple[int, int, HomogeneousForm, int]] = []
     for m in range(d + 1):
         for index, form in enumerate(gen_corpus(r, d, m, count, seed)):

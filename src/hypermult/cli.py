@@ -5,6 +5,10 @@ verification, 2 for usage and parse errors.  Report-style subcommands
 (index, classify, bands, bound, verify) print JSON by default; value-style
 subcommands (mult, threshold, destab, gen) print plain text unless --json
 asks otherwise.  Rationals in JSON are "p/q" strings, never floats.
+
+Each subcommand is declared once in build_parser and handled by a _cmd_*
+function that returns (exit code, out), where a str out is written as it is
+and anything else as serialize.dumps(out) plus a newline, by run alone.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import hesselink, serialize
 from .classifier import (
@@ -60,10 +64,6 @@ def _parse_n(text: str) -> object:
         raise ValueError(f"--N must be an integer or 'auto', got {text!r}") from exc
 
 
-def _emit(payload: dict) -> None:
-    print(serialize.dumps(payload))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermult",
@@ -71,132 +71,120 @@ def build_parser() -> argparse.ArgumentParser:
         "for projective hypersurfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "-r": dict(type=int, required=True, help="projective dimension"),
+        "-d": dict(type=int, required=True, help="degree"),
+        "--N": dict(default="auto", help="destabilization exponent or 'auto'"),
+        "--input": dict(required=True, help="form file"),
+        "--json": dict(action="store_true", help="emit JSON"),
+    }
 
-    def add_common(p: argparse.ArgumentParser, *names: str) -> None:
-        if "r" in names:
-            p.add_argument("-r", type=int, required=True, help="projective dimension")
-        if "d" in names:
-            p.add_argument("-d", type=int, required=True, help="degree")
-        if "N" in names:
-            p.add_argument("--N", default="auto", help="destabilization exponent or 'auto'")
-        if "input" in names:
-            p.add_argument("--input", required=True, help="form file")
-        if "json" in names:
-            p.add_argument("--json", action="store_true", help="emit JSON")
+    def command(name: str, handler, help: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p_mult = sub.add_parser("mult", help="multiplicity of a form at a point")
-    add_common(p_mult, "input", "json")
-    p_mult.add_argument("--point", required=True, help="comma separated rationals")
+    p = command("mult", _cmd_mult, "multiplicity of a form at a point", "--input", "--json")
+    p.add_argument("--point", required=True, help="comma separated rationals")
 
-    p_index = sub.add_parser("index", help="torus instability certificate of a form")
-    add_common(p_index, "input", "json")
+    command("index", _cmd_index, "torus instability certificate of a form",
+            "--input", "--json")
 
-    p_destab = sub.add_parser("destab", help="multiply by (x_1...x_r)^N")
-    add_common(p_destab, "input", "json")
-    p_destab.add_argument("--N", required=True, help="destabilization exponent")
+    p = command("destab", _cmd_destab, "multiply by (x_1...x_r)^N", "--input", "--json")
+    p.add_argument("--N", required=True, help="destabilization exponent")
 
-    p_threshold = sub.add_parser("threshold", help="band separation threshold")
-    add_common(p_threshold, "r", "d", "json")
+    command("threshold", _cmd_threshold, "band separation threshold", "-r", "-d", "--json")
 
-    p_bands = sub.add_parser("bands", help="band membership of a rational point")
-    add_common(p_bands, "r", "d", "N", "json")
-    p_bands.add_argument("--point", required=True, help="comma separated rationals")
-    p_bands.add_argument("--m", type=int, default=None, help="test only this band")
+    p = command("bands", _cmd_bands, "band membership of a rational point",
+                "-r", "-d", "--N", "--json")
+    p.add_argument("--point", required=True, help="comma separated rationals")
+    p.add_argument("--m", type=int, default=None, help="test only this band")
 
-    p_classify = sub.add_parser("classify", help="band classification at a point")
-    add_common(p_classify, "input", "N", "json")
-    p_classify.add_argument("--point", default=None, help="defaults to [1:0:...:0]")
+    p = command("classify", _cmd_classify, "band classification at a point",
+                "--N", "--input", "--json")
+    p.add_argument("--point", default=None, help="defaults to [1:0:...:0]")
 
-    p_verify = sub.add_parser("verify", help="corpus agreement run over all m")
-    add_common(p_verify, "r", "d", "N", "json")
-    p_verify.add_argument("--count", type=int, default=25, help="forms per m")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p = command("verify", _cmd_verify, "corpus agreement run over all m",
+                "-r", "-d", "--N", "--json")
+    p.add_argument("--count", type=int, default=25, help="forms per m")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
-    p_gen = sub.add_parser("gen", help="emit corpus forms in the form file format")
-    add_common(p_gen, "r", "d", "json")
-    p_gen.add_argument("--m", type=int, required=True, help="multiplicity at the origin")
-    p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p = command("gen", _cmd_gen, "emit corpus forms in the form file format",
+                "-r", "-d", "--json")
+    p.add_argument("--m", type=int, required=True, help="multiplicity at the origin")
+    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
 
-    p_bound = sub.add_parser("bound", help="multiplicity bounds from a frame search")
-    add_common(p_bound, "input", "json")
-    p_bound.add_argument(
+    p = command("bound", _cmd_bound, "multiplicity bounds from a frame search",
+                "--input", "--json")
+    p.add_argument(
         "--point",
         action="append",
         required=True,
         help="candidate point, repeatable; the first is also the search anchor",
     )
-    p_bound.add_argument("--budget", type=int, default=1, help="unipotent entry range")
+    p.add_argument("--budget", type=int, default=1, help="unipotent entry range")
 
     return parser
 
 
-def _cmd_mult(args: argparse.Namespace) -> int:
+def _cmd_mult(args: argparse.Namespace) -> Tuple[int, object]:
     form = _read_form(args.input)
     point = ProjPoint.parse(args.point)
     m = multiplicity_at(form, point)
     if args.json:
-        _emit({"r": form.r, "d": form.d, "point": point.coords, "m": m})
-    else:
-        print(m)
-    return 0
+        return 0, {"r": form.r, "d": form.d, "point": point.coords, "m": m}
+    return 0, f"{m}\n"
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
+def _cmd_index(args: argparse.Namespace) -> Tuple[int, object]:
     form = _read_form(args.input)
     cert = torus_index(form)
     payload = {"r": form.r, "d": form.d}
     payload.update(serialize.cert_encode(cert))
-    _emit(payload)
-    return 0
+    return 0, payload
 
 
-def _cmd_destab(args: argparse.Namespace) -> int:
+def _cmd_destab(args: argparse.Namespace) -> Tuple[int, object]:
     form = _read_form(args.input)
     n = _parse_n(args.N)
     if n == "auto":
         n = separation_threshold(form.r, form.d)
     result = destabilize(form, n)
-    if args.json:
-        _emit(
-            {
-                "r": result.r,
-                "d": result.d,
-                "N": n,
-                "terms": [
-                    {"coeff": c, "exponents": e}
-                    for e, c in sorted(result.terms.items())
-                ],
-            }
-        )
-    else:
-        sys.stdout.write(result.to_text())
-    return 0
+    if not args.json:
+        return 0, result.to_text()
+    return 0, {
+        "r": result.r,
+        "d": result.d,
+        "N": n,
+        "terms": [
+            {"coeff": c, "exponents": e}
+            for e, c in sorted(result.terms.items())
+        ],
+    }
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
+def _cmd_threshold(args: argparse.Namespace) -> Tuple[int, object]:
     threshold = separation_threshold(args.r, args.d)
     pairs = pair_minima(args.r, args.d)
     if args.json:
-        _emit(
-            {
-                "r": args.r,
-                "d": args.d,
-                "threshold": threshold,
-                "pairs": [
-                    {"m": m, "m_prime": mp, "min_N": n} for m, mp, n in pairs
-                ],
-            }
-        )
-    else:
-        print(threshold)
-        for m, mp, n in pairs:
-            print(f"pair m={m} m'={mp}: least separating N = {n}")
-    return 0
+        return 0, {
+            "r": args.r,
+            "d": args.d,
+            "threshold": threshold,
+            "pairs": [
+                {"m": m, "m_prime": mp, "min_N": n} for m, mp, n in pairs
+            ],
+        }
+    lines = [f"{threshold}\n"]
+    lines += [f"pair m={m} m'={mp}: least separating N = {n}\n" for m, mp, n in pairs]
+    return 0, "".join(lines)
 
 
-def _cmd_bands(args: argparse.Namespace) -> int:
+def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
     if args.m is None and args.d + 1 > hesselink.MAX_PAIRS:
         raise ValueError(
             f"d={args.d} gives more than {hesselink.MAX_PAIRS} bands to list; "
@@ -206,6 +194,9 @@ def _cmd_bands(args: argparse.Namespace) -> int:
     if n == "auto":
         n = separation_threshold(args.r, args.d)
     point = ProjPoint.parse(args.point).coords
+    # checked before the barycenter, whose r+1 entries only the header bounds
+    if len(point) != args.r + 1:
+        raise ValueError("point dimension must be r+1")
     xi = barycenter(args.r, args.d + args.r * n)
     values = [args.m] if args.m is not None else range(args.d + 1)
     memberships = [
@@ -216,7 +207,7 @@ def _cmd_bands(args: argparse.Namespace) -> int:
         }
         for m in values
     ]
-    payload = {
+    return 0, {
         "r": args.r,
         "d": args.d,
         "N": n,
@@ -224,50 +215,41 @@ def _cmd_bands(args: argparse.Namespace) -> int:
         "dist_sq": norm_sq(sub(point, xi)),
         "memberships": memberships,
     }
-    _emit(payload)
-    return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> Tuple[int, object]:
     form = _read_form(args.input)
     n = _parse_n(args.N)
     if args.point is None:
         report = classify_at_origin(form, n)
     else:
         report = classify_at(form, ProjPoint.parse(args.point), n)
-    _emit(serialize.report_encode(report))
-    return 0 if report.agreed else 1
+    return (0 if report.agreed else 1), serialize.report_encode(report)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Tuple[int, object]:
     n = _parse_n(args.N)
     summary = verify_theorem_main(args.r, args.d, n, args.count, args.seed, args.jobs)
-    _emit(asdict(summary))
-    return 0 if summary.ok else 1
+    return (0 if summary.ok else 1), asdict(summary)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Tuple[int, object]:
     forms = gen_corpus(args.r, args.d, args.m, args.count, args.seed)
-    if args.json:
-        _emit(
-            {
-                "r": args.r,
-                "d": args.d,
-                "m": args.m,
-                "seed": args.seed,
-                "forms": [f.to_text() for f in forms],
-            }
-        )
-    else:
-        chunks = [
+    if not args.json:
+        return 0, "\n".join(
             f"# corpus form {i} (m={args.m}, seed={args.seed})\n" + f.to_text()
             for i, f in enumerate(forms)
-        ]
-        sys.stdout.write("\n".join(chunks))
-    return 0
+        )
+    return 0, {
+        "r": args.r,
+        "d": args.d,
+        "m": args.m,
+        "seed": args.seed,
+        "forms": [f.to_text() for f in forms],
+    }
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> Tuple[int, object]:
     form = _read_form(args.input)
     points = [ProjPoint.parse(text) for text in args.point]
     frames = default_frames(form.r, points[0], args.budget)
@@ -286,21 +268,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "frames_searched": len(frames),
     }
     payload.update(serialize.bound_encode(result))
-    _emit(payload)
-    return 0 if result.within else 1
-
-
-_HANDLERS = {
-    "mult": _cmd_mult,
-    "index": _cmd_index,
-    "destab": _cmd_destab,
-    "threshold": _cmd_threshold,
-    "bands": _cmd_bands,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-    "bound": _cmd_bound,
-}
+    return (0 if result.within else 1), payload
 
 
 def _attach_point_values(argv: Sequence[str]) -> List[str]:
@@ -328,10 +296,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
+        code, out = args.handler(args)
+        text = out if isinstance(out, str) else serialize.dumps(out) + "\n"
     except (FormParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

@@ -18,6 +18,7 @@ from hypermult import (
     default_frames,
     frame_moving_to_origin,
     gen_corpus,
+    l_squared,
     multiplicity_at,
     multiplicity_at_origin,
     point_image,
@@ -26,6 +27,7 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
+from hypermult import classifier
 from oracle import random_form, random_point, random_unimodular_frame
 
 NODAL_CUBIC = HomogeneousForm(2, 3, {(1, 1, 1): Fraction(1), (0, 3, 0): Fraction(1)})
@@ -53,6 +55,23 @@ def test_classify_refuses_small_N():
 def test_classify_rejects_bad_N_strings():
     with pytest.raises(ValueError):
         classify_at_origin(NODAL_CUBIC, "later")
+
+
+def test_classify_without_a_unique_band_lists_every_band(monkeypatch):
+    # unreachable at N >= threshold, so forced: the report falls back to d+1 rows
+    monkeypatch.setattr(classifier, "unique_band", lambda *args: None)
+    report = classify_at_origin(NODAL_CUBIC, "auto")
+    assert (report.agreed, report.m_band, report.band_params) == (False, None, None)
+    assert report.m_direct == 2
+    cert = report.cert
+    assert [row.m for row in report.diagnostics] == [0, 1, 2, 3]
+    for row in report.diagnostics:
+        assert row.l_sq == l_squared(2, 3, report.N, row.m)
+        assert row.dist_sq == cert.delta_sq
+        assert row.y0_cap == 3 - row.m
+        assert row.radius_ok == (cert.delta_sq <= row.l_sq)
+        assert row.cap_ok == (cert.q[0] <= row.y0_cap)
+    assert [row.m for row in report.diagnostics if row.radius_ok and row.cap_ok] == [2]
 
 
 def test_classify_stable_across_admissible_N():
@@ -123,6 +142,23 @@ def test_gen_corpus_validation():
     with pytest.raises(ValueError):
         gen_corpus(1, 2, 1, -1, seed=0)
     assert gen_corpus(1, 2, 1, 0, seed=0) == []
+
+
+@pytest.mark.parametrize(
+    "make, size",
+    [
+        (lambda: gen_corpus(2, 3, 1, 4, seed=0), 4 * 3),
+        (lambda: verify_theorem_main(1, 2, "auto", count=2, seed=0), 3 * 2 * 2),
+    ],
+    ids=["gen_corpus", "verify"],
+)
+def test_corpus_size_limit_is_inclusive(monkeypatch, make, size):
+    # forms x (r+1): a corpus of exactly MAX_CORPUS is made, one more is refused
+    monkeypatch.setattr(classifier, "MAX_CORPUS", size)
+    make()
+    monkeypatch.setattr(classifier, "MAX_CORPUS", size - 1)
+    with pytest.raises(ValueError, match=f"above the limit of {size - 1}"):
+        make()
 
 
 # ---------------------------------------------------------------- verify

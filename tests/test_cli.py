@@ -24,7 +24,7 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import cli, hesselink, serialize
+from hypermult import classifier, cli, hesselink, serialize
 from hypermult.forms import Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.cli import run
@@ -204,6 +204,22 @@ def test_bands_refuses_a_huge_listing_before_any_row(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_bands_checks_the_point_before_the_barycenter(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        # a barycenter of r+1 = 10^9 entries would exhaust memory
+        calls.append(args)
+        assert len(calls) == 0, "a barycenter was built"
+
+    monkeypatch.setattr(cli, "barycenter", counted)
+    code, out, err = invoke(
+        capsys, "bands", "-r", "1000000000", "-d", "2", "--N", "5", "--point", "1,2", "--m", "0"
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: point dimension must be r+1\n"
+
+
 def test_classify_agrees_and_round_trips(capsys, cubic_file):
     code, out, _ = invoke(
         capsys, "classify", "--input", cubic_file, "--point", "1,0,0", "--N", "auto"
@@ -232,6 +248,45 @@ def test_verify_small_run(capsys):
     assert payload["failed"] == 0 and payload["failures"] == []
     summary = verify_theorem_main(1, 2, "auto", count=4, seed=11)
     assert payload == wire(asdict(summary))
+
+
+def test_classify_and_verify_report_a_missing_band(capsys, monkeypatch, cubic_file):
+    # unreachable at N >= threshold, so forced
+    monkeypatch.setattr(classifier, "unique_band", lambda *args: None)
+    code, out, _ = invoke(capsys, "classify", "--input", cubic_file)
+    payload = json.loads(out)
+    assert (code, payload["m_band"], payload["band"]) == (1, None, None)
+    report = classify_at_origin(parse_form(CUBIC_TEXT), "auto")
+    assert payload["diagnostics"] == wire(serialize.report_encode(report))["diagnostics"]
+    assert len(payload["diagnostics"]) == 4
+    code, out, _ = invoke(capsys, "verify", "-r", "1", "-d", "2", "--count", "2", "--jobs", "1")
+    payload = json.loads(out)
+    assert code == 1 and payload["total"] == payload["failed"] == 6
+    assert [(f["m"], f["index"], f["m_band"]) for f in payload["failures"]] == [
+        (m, i, None) for m in range(3) for i in range(2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen -r 1000000000 -d 1 --m 0 --count 1",
+        "gen -r 1 -d 2 --m 1 --count 1000000000",
+        "verify -r 1 -d 1000000000 --count 1",
+    ],
+)
+def test_oversized_corpora_are_refused_before_any_form(capsys, monkeypatch, argv):
+    calls = []
+
+    def counted(*args):
+        # every generated form draws a composition; fail at the first
+        calls.append(args)
+        assert len(calls) == 0, "a corpus form was generated"
+
+    monkeypatch.setattr(classifier, "_composition", counted)
+    code, out, err = invoke(capsys, *argv.split())
+    assert (code, out, calls) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: corpus size ")
 
 
 def test_gen_is_deterministic_and_parseable(capsys):
@@ -429,6 +484,15 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["mult", "index", "destab", "threshold", "bands", "classify", "verify", "gen", "bound"],
+)
+def test_each_subcommand_has_help(capsys, name):
+    code, out, _ = invoke(capsys, name, "--help")
+    assert code == 0 and out.startswith(f"usage: hypermult {name} ")
 
 
 def test_module_entry_point():

@@ -89,6 +89,14 @@ def test_golden_stdout(name, form_paths):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+def test_golden_stdout_repeats_in_one_process(form_paths):
+    # every case twice, the second pass in reverse: no call leaves state behind
+    names = sorted(CASES)
+    for name in names + names[::-1]:
+        expected = (CASES[name][1], (GOLDEN / f"{name}.out").read_text())
+        assert run_case(name, form_paths) == expected, name
+
+
 if __name__ == "__main__":
     import tempfile
 
