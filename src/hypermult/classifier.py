@@ -125,6 +125,8 @@ def classify_at(
     f: HomogeneousForm, p: ProjPoint, n: Union[int, str] = "auto"
 ) -> ClassificationReport:
     """Classify the multiplicity of f at an arbitrary rational point."""
+    if len(p.coords) != f.r + 1:
+        raise ValueError("point dimension must be r+1")
     moved = act(frame_moving_to_origin(p), f)
     return classify_at_origin(moved, n)
 

@@ -252,6 +252,9 @@ def _cmd_gen(args: argparse.Namespace) -> Tuple[int, object]:
 def _cmd_bound(args: argparse.Namespace) -> Tuple[int, object]:
     form = _read_form(args.input)
     points = [ProjPoint.parse(text) for text in args.point]
+    # every point is checked before the search, not only the anchor
+    if any(len(p.coords) != form.r + 1 for p in points):
+        raise ValueError("point dimension must be r+1")
     frames = default_frames(form.r, points[0], args.budget)
     _, cert = worst_frame_search(form, frames)
     if cert.lam is None:

@@ -289,6 +289,80 @@ def _poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
     return {e: c for e, c in out.items() if c != 0}
 
 
+def _numerators(f: HomogeneousForm) -> Tuple[IntPoly, int]:
+    """f's coefficients as integer numerators over their lcm denominator."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
+
+
+def _from_numerators(r: int, d: int, poly: IntPoly, den: int) -> HomogeneousForm:
+    """The form with coefficients poly[e] / den; poly holds no zeros."""
+    return HomogeneousForm(r, d, {e: Fraction(c, den) for e, c in poly.items()})
+
+
+def _substitute(rows: Matrix, poly: IntPoly) -> IntPoly:
+    """Substitute x_i -> sum_j rows[j][i] x_j into integer coefficients.
+
+    The integer core of act: no Fractions in or out, zero terms dropped.
+    """
+    n = len(rows)
+    # powers[i][k] = (image of x_i)^k for each exponent k of x_i in poly,
+    # built by one multiplication per power up to the largest
+    powers: List[Dict[int, IntPoly]] = []
+    for i in range(n):
+        image = {_unit_exp(n, j): rows[j][i] for j in range(n) if rows[j][i] != 0}
+        wanted = {e[i] for e in poly}
+        power: IntPoly = {(0,) * n: 1}
+        table = {}
+        for k in range(1, max(wanted) + 1):
+            power = _poly_mul(power, image)
+            if k in wanted:
+                table[k] = power
+        powers.append(table)
+    acc: IntPoly = {}
+    for e, coeff in poly.items():
+        term = {(0,) * n: coeff}
+        for i, ei in enumerate(e):
+            if ei:
+                term = _poly_mul(term, powers[i][ei])
+        for key, value in term.items():
+            acc[key] = acc.get(key, 0) + value
+    return {e: c for e, c in acc.items() if c != 0}
+
+
+def _taylor_shift(poly: IntPoly, i: int, s: int) -> IntPoly:
+    """Substitute x_0 -> x_0 + s*x_i into integer coefficients.
+
+    This is act by the frame I + s*e_i*e_0^T.  Terms that agree off x_0
+    and x_i form a binary form p(x_0, x_i) of one degree t, and the shift
+    is the univariate Taylor shift p(T) -> p(T + s) of its coefficients
+    in T = x_0, done by Horner's scheme: at most t(t+1)/2 steps
+    c_k += s*c_{k+1}, with no binomials or powers of s (von zur Gathen and
+    Gerhard, "Fast algorithms for Taylor shifts and certain difference
+    equations", 1997).  Zero terms are dropped.
+    """
+    groups: Dict[ExponentVector, List[int]] = {}
+    for e, c in poly.items():
+        rest = (0,) + e[1:i] + (0,) + e[i + 1:]
+        coeffs = groups.get(rest)
+        if coeffs is None:
+            coeffs = groups[rest] = [0] * (e[0] + e[i] + 1)
+        coeffs[e[0]] = c
+    out: IntPoly = {}
+    for rest, c in groups.items():
+        top = max(k for k, x in enumerate(c) if x)
+        for low in range(top):
+            for k in range(top - 1, low - 1, -1):
+                c[k] += s * c[k + 1]
+        t = len(c) - 1
+        for k, x in enumerate(c):
+            if x:
+                e = list(rest)
+                e[0], e[i] = k, t - k
+                out[tuple(e)] = x
+    return out
+
+
 def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     """Substitute x_i -> sum_j g[j][i] x_j into f.
 
@@ -299,29 +373,8 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     n = f.r + 1
     if g.size != n:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
-    # powers[i][k] = (image of x_i)^k for each exponent k of x_i in f, built
-    # by one multiplication per power up to the largest
-    powers: List[Dict[int, IntPoly]] = []
-    for i in range(n):
-        image = {_unit_exp(n, j): g.rows[j][i] for j in range(n) if g.rows[j][i] != 0}
-        wanted = {e[i] for e in f.terms}
-        power: IntPoly = {(0,) * n: 1}
-        table = {}
-        for k in range(1, max(wanted) + 1):
-            power = _poly_mul(power, image)
-            if k in wanted:
-                table[k] = power
-        powers.append(table)
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    acc: IntPoly = {}
-    for e, coeff in f.terms.items():
-        poly = {(0,) * n: coeff.numerator * (den // coeff.denominator)}
-        for i, ei in enumerate(e):
-            if ei:
-                poly = _poly_mul(poly, powers[i][ei])
-        for key, value in poly.items():
-            acc[key] = acc.get(key, 0) + value
-    return HomogeneousForm(f.r, f.d, {e: Fraction(c, den) for e, c in acc.items() if c != 0})
+    poly, den = _numerators(f)
+    return _from_numerators(f.r, f.d, _substitute(g.rows, poly), den)
 
 
 def point_image(g: Frame, p: ProjPoint) -> ProjPoint:
@@ -404,7 +457,7 @@ def multiplicity_at_origin(f: HomogeneousForm) -> int:
 def multiplicity_at(f: HomogeneousForm, p: ProjPoint) -> int:
     """Multiplicity of f = 0 at p, via a frame moving p to the origin."""
     if len(p.coords) != f.r + 1:
-        raise ValueError("point dimension does not match the form")
+        raise ValueError("point dimension must be r+1")
     return multiplicity_at_origin(act(frame_moving_to_origin(p), f))
 
 

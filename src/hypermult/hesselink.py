@@ -21,6 +21,17 @@ separating N and stays separated above it.  The threshold for (r, d) also
 insists on N > d, which the capture argument for destabilized forms needs.
 For N > d the bands holding a point form one interval of m, so
 unique_band finds the band of a point with at most two band tests.
+
+worst_frame_search returns what projecting act(g, f) for every frame g in
+order would, the first largest delta_sq, without paying for every member:
+
+- it projects no member whose support has a point e with
+  (r+1)*|e|^2 - d^2 <= (r+1)*best delta_sq, since that is (r+1) times
+  |e - xi|^2, an upper bound for the member's own delta_sq;
+- it walks chains: frames whose rows 1..r differ only by multiples of
+  row 0 move f by Taylor shifts of one another, so a default_frames family
+  takes one full substitution per setting of the entries off column 0,
+  (2b+1)^(r(r-1)/2) of them, and keeps one moved form per chain.
 """
 
 from __future__ import annotations
@@ -29,14 +40,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import norm_sq
-from .forms import Frame, HomogeneousForm, ProjPoint, act, frame_moving_to_origin
+from .forms import (
+    Frame,
+    HomogeneousForm,
+    IntPoly,
+    ProjPoint,
+    _from_numerators,
+    _numerators,
+    _substitute,
+    _taylor_shift,
+    frame_moving_to_origin,
+)
 from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
 
 MAX_FRAMES = 4096  # largest family default_frames builds
+MAX_CHAINS = 64  # moved forms worst_frame_search keeps at once
 MAX_PAIRS = 2**16  # most band pairs pair_minima lists
 
 
@@ -226,6 +248,23 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
     return frames
 
 
+def _chain_of(rows: Sequence[Sequence[int]]) -> Tuple[tuple, Tuple[int, ...]]:
+    """(chain key, shifts) of a frame: rows 1..r reduced modulo row 0.
+
+    With k the first nonzero entry of row 0, row i is s_i * row 0 plus a
+    remainder whose k-th entry lies between 0 and row0[k]; two frames
+    share a key exactly when row 0 agrees and rows 1..r differ by integer
+    multiples of it.
+    """
+    head = tuple(rows[0])
+    k = next(j for j, x in enumerate(head) if x)
+    shifts = tuple(row[k] // head[k] for row in rows[1:])
+    rests = tuple(
+        tuple(x - s * h for x, h in zip(row, head)) for row, s in zip(rows[1:], shifts)
+    )
+    return (head, rests), shifts
+
+
 def worst_frame_search(
     f: HomogeneousForm, frames: Iterable[Frame]
 ) -> Tuple[Frame, InstabilityCertificate]:
@@ -234,10 +273,53 @@ def worst_frame_search(
     Ties keep the first frame encountered, so a fixed family gives a
     deterministic result.  The value is a lower bound for the true index
     over the whole group; the family never proves optimality.
+
+    The result is that of projecting act(frame, f) for every frame in
+    order, but two exact shortcuts avoid most of that work:
+
+    - Pruning.  The hull distance is at most the distance to any support
+      point e, and on the hyperplane sum(e) = d, (r+1)*|e - xi|^2 =
+      (r+1)*|e|^2 - d^2.  So a member with
+      (r+1)*min_e |e|^2 - d^2 <= (r+1)*best.delta_sq is not projected: the
+      best is replaced only by a strictly larger delta_sq.
+    - The chain walk.  Frames whose row 0 agrees and whose rows 1..r
+      differ by integer multiples s_i of it form a chain: g = T*g' with
+      T = I + sum s_i e_i e_0^T, so act(g, f) is act(g', f) after the
+      Taylor shifts x_0 -> x_0 + s_i*x_i, integer additions on the
+      numerators over f's lcm denominator.  Only the first member of a
+      chain gets a full substitution.  In a default_frames family the
+      chains are the settings of the entries off column 0, so the family
+      takes (2b+1)^(r(r-1)/2) substitutions: 1 at r = 1.
+
+    One moved form is kept per chain, the last one visited, and at most
+    MAX_CHAINS chains (the least recently visited goes first), so memory
+    does not grow with the number of frames.  A default_frames family
+    has at most 27 chains.  Only projected members build a form.
     """
+    n = f.r + 1
+    poly, den = _numerators(f)
+    chains: Dict[tuple, Tuple[Tuple[int, ...], IntPoly]] = {}
     best: Optional[Tuple[Frame, InstabilityCertificate]] = None
     for frame in frames:
-        cert = torus_index(act(frame, f))
+        if frame.size != n:
+            raise ValueError(f"frame size {frame.size} does not match r+1 = {n}")
+        key, shifts = _chain_of(frame.rows)
+        chain = chains.pop(key, None)
+        if chain is None:
+            moved = _substitute(frame.rows, poly)
+        else:
+            before, moved = chain
+            for i, (s, s0) in enumerate(zip(shifts, before), 1):
+                if s != s0:
+                    moved = _taylor_shift(moved, i, s - s0)
+        chains[key] = (shifts, moved)
+        if len(chains) > MAX_CHAINS:
+            del chains[next(iter(chains))]
+        # (r+1) * the least |e - xi|^2 over the moved support
+        nearest = n * min(sum(x * x for x in e) for e in moved) - f.d * f.d
+        if best is not None and nearest <= n * best[1].delta_sq:
+            continue
+        cert = torus_index(_from_numerators(f.r, f.d, moved, den))
         if best is None or cert.delta_sq > best[1].delta_sq:
             best = (frame, cert)
     if best is None:

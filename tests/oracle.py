@@ -8,11 +8,12 @@ with Gauss-Jordan solves instead of the library's integer core, band
 geometry comes from vector distances to the barycenter instead of the
 closed forms, the band of a point from a scan of every band instead of the
 two-test interval argument, the scale of a certificate from lam and w
-instead of the projection's lcm, and the frame family keeps the
-permutations of coordinates 1..r that the library drops.  Determinants,
-point images and the substitution action are computed over Fractions, by
-Gaussian elimination and the exact inverse, where the library runs
-fraction-free on integer frames.
+instead of the projection's lcm, the frame family keeps the permutations
+of coordinates 1..r that the library drops, and the worst-frame search
+moves and projects every frame, with neither the chain walk nor the
+pruning.  Determinants, point images and the substitution action are
+computed over Fractions, by Gaussian elimination and the exact inverse,
+where the library runs fraction-free on integer frames.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from hypermult import (
     HomogeneousForm,
     ProjPoint,
     ProjectionResult,
+    act,
     barycenter,
     frame_moving_to_origin,
+    torus_index,
 )
 from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
 
@@ -392,3 +395,15 @@ def permuted_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
             total = Frame(mat_mul(mat_mul(perm_rows, rows), mover.rows))
             frames.setdefault(total.rows, total)
     return list(frames.values())
+
+
+def worst_frame_search_oracle(f: HomogeneousForm, frames) -> Tuple[Frame, object]:
+    """First frame with the largest delta_sq, projecting act(frame, f) for each."""
+    best = None
+    for frame in frames:
+        cert = torus_index(act(frame, f))
+        if best is None or cert.delta_sq > best[1].delta_sq:
+            best = (frame, cert)
+    if best is None:
+        raise ValueError("frame family cannot be empty")
+    return best

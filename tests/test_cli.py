@@ -28,6 +28,7 @@ from hypermult import classifier, cli, hesselink, serialize
 from hypermult.forms import Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.cli import run
+from oracle import worst_frame_search_oracle
 
 CUBIC_TEXT = "r=2 d=3\n1 1 1 1\n1 0 3 0\n"
 SQUARE_TEXT = "r=1 d=2\n1 0 2\n"
@@ -318,6 +319,53 @@ def test_bound_pins_a_coordinate_power(capsys, square_file):
     assert payload["label"] == wire(serialize.label_encode(label))
     result = wire(serialize.bound_encode(bound_check(form, label, points)))
     assert {key: payload[key] for key in result} == result
+
+
+# README's quintic.form: x1^3 (x0 - x1)(x0 - 2 x1), a triple point at [1:0]
+QUINTIC_TEXT = "r=1 d=5\n1 2 3\n-3 1 4\n2 0 5\n"
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bound_skips_dominated_frames_with_the_same_output(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "quintic.form"
+    path.write_text(QUINTIC_TEXT)
+    argv = ("bound", "--input", str(path), "--point", "1,0", "--budget", "1")
+    # the plain loop projects every frame
+    monkeypatch.setattr(cli, "worst_frame_search", worst_frame_search_oracle)
+    expected = invoke(capsys, *argv)
+    monkeypatch.undo()
+    projected = _count_calls(monkeypatch, hesselink, "torus_index")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == expected and code == 0
+    assert 0 < len(projected) < json.loads(out)["frames_searched"] == 3
+
+
+@pytest.mark.parametrize("command", [
+    ("mult", "--point", "1,0"),
+    ("classify", "--point", "1,0"),
+    ("bound", "--point", "1,0"),
+    ("bound", "--point", "1,0,0", "--point", "1,0"),
+    ("bands", "-r", "2", "-d", "3", "--N", "4", "--point", "1,0"),
+])
+def test_a_point_of_the_wrong_dimension_reads_alike(capsys, monkeypatch, cubic_file, command):
+    # bound checks every point before it builds and searches the family
+    projected = _count_calls(monkeypatch, hesselink, "torus_index")
+    name, *rest = command
+    argv = [name] + ([] if name == "bands" else ["--input", cubic_file]) + rest
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: point dimension must be r+1\n")
+    assert projected == []
 
 
 def test_bound_fails_without_a_maximal_candidate(capsys, square_file):

@@ -21,6 +21,7 @@ from hypermult import (
     point_image,
 )
 from hypermult import _linalg
+from hypermult.forms import _from_numerators, _numerators, _taylor_shift
 from oracle import (
     act_oracle,
     mult_oracle,
@@ -278,6 +279,46 @@ def test_act_matches_the_fraction_substitution(case):
     theirs = act_oracle(g, f)
     assert ours.terms == theirs.terms
     assert all(type(c) is Fraction for c in ours.terms.values())
+
+
+def _shear(r, i, s):
+    """The frame I + s*e_i*e_0^T, which substitutes x_0 -> x_0 + s*x_i."""
+    rows = [[int(a == b) for b in range(r + 1)] for a in range(r + 1)]
+    rows[i][0] = s
+    return Frame(rows)
+
+
+@st.composite
+def shift_cases(draw):
+    """A form with exponents up to 40, a variable 1..r and a shift -3..3."""
+    r = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 40))
+    i = draw(st.integers(1, r))
+    s = draw(st.integers(-3, 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    dens = [1] if draw(st.booleans()) else [1, 2, 3, 7, 2**40]
+    terms = {
+        random_exponent(rng, r, d): Fraction(rng.choice([-9, -2, -1, 1, 3, 8]), rng.choice(dens))
+        for _ in range(draw(st.integers(1, 6)))
+    }
+    base = HomogeneousForm(r, d, terms)
+    # the shift by s undoes act by -s, so most terms of f cancel
+    undo = draw(st.booleans())
+    return (act(_shear(r, i, -s), base) if undo else base), i, s, base if undo else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_cases())
+@example((HomogeneousForm(1, 3, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}), 1, -1, None))
+def test_taylor_shift_is_act_by_a_shear(case):
+    f, i, s, undone = case
+    poly, den = _numerators(f)
+    shifted = _taylor_shift(poly, i, s)
+    assert 0 not in shifted.values()
+    moved = _from_numerators(f.r, f.d, shifted, den)
+    assert moved == act(_shear(f.r, i, s), f)
+    if undone is not None:
+        assert moved == undone
 
 
 @settings(max_examples=150, deadline=None)

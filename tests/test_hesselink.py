@@ -36,10 +36,13 @@ from oracle import (
     band_contains_oracle,
     l_squared_oracle,
     permuted_frames,
+    random_exponent,
     random_form,
+    random_point,
     random_unimodular_frame,
     separation_gap_oracle,
     unique_band_oracle,
+    worst_frame_search_oracle,
 )
 
 
@@ -448,6 +451,143 @@ def test_worst_frame_search_is_deterministic_on_ties():
     assert frame2 == b
     with pytest.raises(ValueError):
         worst_frame_search(f, [])
+
+
+def _sheared(rng, frame):
+    """frame with k_i * row 0 added to each row i >= 1, k_i in -5..5."""
+    head, *rest = frame.rows
+    ks = [rng.randint(-5, 5) for _ in rest]
+    return Frame([head] + [[x + k * h for x, h in zip(row, head)] for row, k in zip(rest, ks)])
+
+
+@st.composite
+def search_cases(draw):
+    """A form, a frame list and how the list was made from a family."""
+    r = draw(st.integers(1, 3))
+    budget = draw(st.integers(0, 1 if r == 3 else 2))
+    d = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["integer", "rational", "power"]))
+    if kind == "power":
+        # one moved monomial: many members share a support, so delta_sq ties
+        base = HomogeneousForm(r, d, {random_exponent(rng, r, d): Fraction(1)})
+        f = act(random_unimodular_frame(rng, r + 1), base)
+    else:
+        f = random_form(rng, r, d)
+        if kind == "rational":
+            f = HomogeneousForm(r, d, {
+                e: c / rng.choice([1, 2, 3, 7, 2**40]) for e, c in f.terms.items()
+            })
+    frames = default_frames(r, random_point(rng, r), budget)
+    order = draw(st.sampled_from(
+        ["family", "reversed", "shuffled", "duplicates", "sheared", "mixed"]
+    ))
+    if order == "reversed":
+        frames.reverse()
+    elif order == "shuffled":
+        rng.shuffle(frames)
+    elif order == "duplicates":
+        frames = rng.choices(frames, k=len(frames) + 3)
+    elif order == "sheared":
+        frames = [_sheared(rng, g) if rng.random() < 0.7 else g for g in frames]
+    elif order == "mixed":
+        # other row 0s too, so several chain heads interleave
+        frames = frames + [_sheared(rng, random_unimodular_frame(rng, r + 1)) for _ in range(9)]
+        rng.shuffle(frames)
+    if r == 3 and budget == 1:
+        frames = frames[: rng.randint(1, 120)]
+    return f, frames
+
+
+@settings(max_examples=80, deadline=None)
+@given(search_cases())
+def test_worst_frame_search_matches_the_plain_loop(case):
+    f, frames = case
+    given_frames = list(frames)
+    ours = worst_frame_search(f, frames)
+    assert ours == worst_frame_search_oracle(f, frames)
+    # the same frame object, the first of its kind, so ties break alike
+    assert ours[0] is worst_frame_search_oracle(f, frames)[0]
+    assert frames == given_frames and len(frames) == len(given_frames)
+    assert worst_frame_search(f, iter(frames)) == ours
+
+
+def test_worst_frame_search_matches_the_plain_loop_on_a_whole_r3_family():
+    rng = random.Random(67)
+    f = act(random_unimodular_frame(rng, 4), HomogeneousForm(3, 3, {(1, 1, 0, 1): 1, (0, 0, 3, 0): -2}))
+    frames = default_frames(3, random_point(rng, 3), 1)
+    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
+
+
+def _count_substitutions(monkeypatch):
+    calls = []
+    substitute = hesselink._substitute
+
+    def counted(rows, poly):
+        calls.append(rows)
+        return substitute(rows, poly)
+
+    monkeypatch.setattr(hesselink, "_substitute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r, budget, chains", [(1, 3, 1), (2, 1, 3), (2, 2, 5), (3, 1, 27)])
+def test_a_family_takes_one_substitution_per_chain(monkeypatch, r, budget, chains):
+    # members that differ only in column 0 are Taylor shifts of one another
+    rng = random.Random(71 + r)
+    f = random_form(rng, r, 3)
+    frames = default_frames(r, random_point(rng, r), budget)
+    calls = _count_substitutions(monkeypatch)
+    worst_frame_search(f, frames)
+    assert chains == (2 * budget + 1) ** (r * (r - 1) // 2)
+    assert len(calls) == chains
+
+
+def test_evicted_chains_are_substituted_again(monkeypatch):
+    # an r=2 family cycles through 3 chains; with room for 2 each member
+    # finds its chain evicted, and the answer stays the plain loop's
+    rng = random.Random(73)
+    f = random_form(rng, 2, 3)
+    frames = default_frames(2, random_point(rng, 2), 1)
+    monkeypatch.setattr(hesselink, "MAX_CHAINS", 2)
+    calls = _count_substitutions(monkeypatch)
+    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
+    assert len(calls) == len(frames)
+
+
+def test_dominated_members_are_not_projected(monkeypatch):
+    # (x0 + x1)^2 x1: the first shear moves it to x0^2 x1, and the other
+    # members keep (2, 1) in their support, so they can at most tie it
+    f = HomogeneousForm(1, 3, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+    projected = []
+    index = hesselink.torus_index
+
+    def counted(form):
+        projected.append(form)
+        return index(form)
+
+    monkeypatch.setattr(hesselink, "torus_index", counted)
+    frames = [Frame([[1, 0], [-1, 1]]), Frame.identity(2), Frame([[1, 0], [1, 1]])]
+    frame, cert = worst_frame_search(f, frames)
+    assert (frame, cert) == worst_frame_search_oracle(f, frames)
+    assert len(projected) == 1
+
+
+def test_a_frame_with_another_row_0_starts_its_own_chain():
+    # rows 1..r of both frames reduce to (0, 1), but their row 0s differ,
+    # so the second is no Taylor shift of the first: it moves
+    # (x1 - x0)^2, torus semistable as given, to x1^2
+    f = HomogeneousForm(1, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
+    frames = [Frame.identity(2), Frame([[1, 1], [0, 1]])]
+    best = worst_frame_search(f, frames)
+    assert best == worst_frame_search_oracle(f, frames)
+    assert best[0] == frames[1] and best[1].delta_sq > 0
+
+
+def test_worst_frame_search_rejects_a_frame_of_the_wrong_size():
+    f = HomogeneousForm(1, 2, {(0, 2): 1})
+    with pytest.raises(ValueError, match="frame size 3"):
+        worst_frame_search(f, [Frame.identity(2), Frame.identity(3)])
 
 
 # ---------------------------------------------------------------- labels

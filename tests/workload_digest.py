@@ -8,6 +8,9 @@ byte alike.  Run it from the repository root:
 
     python tests/workload_digest.py
 
+`tests/test_workload_digest.py` pins the line in the test suite, so an
+intended change of any answer must update that pin.
+
 It imports hypermult from this checkout's `src/` and loads
 `benchmarks/workloads.py` by path, without editing it.  The input files
 are written to a temporary directory, whose path is replaced by a fixed
@@ -42,7 +45,8 @@ def load_workloads():
     return module
 
 
-def main() -> None:
+def digest_line() -> str:
+    """'<count> requests, sha256 <hex>' over every request's answer."""
     sys.path.insert(0, str(ROOT / "src"))
     from hypermult import cli
 
@@ -64,8 +68,8 @@ def main() -> None:
                     for part in (code, out.getvalue(), err.getvalue()):
                         digest.update(part.replace(tmp, "<tmp>").encode("utf-8") + b"\0")
                     count += 1
-    print(f"{count} requests, sha256 {digest.hexdigest()}")
+    return f"{count} requests, sha256 {digest.hexdigest()}"
 
 
 if __name__ == "__main__":
-    main()
+    print(digest_line())
