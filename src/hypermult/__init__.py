@@ -1,9 +1,9 @@
 """Exact instability certificates and multiplicity classification for hypersurfaces.
 
-Coefficients, distances, certificates and band memberships are exact
-fractions.Fraction values, frames are integer matrices, and the hot loops
-run on integers scaled once from them, so every check in the package is
-binary.
+A form holds its coefficients as integer numerators over one positive
+denominator, frames are integer matrices, and distances, certificates and
+band memberships are exact fractions.Fraction values; the hot loops run on
+integers scaled once from them, so every check in the package is binary.
 """
 
 from .forms import (

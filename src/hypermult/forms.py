@@ -2,7 +2,8 @@
 
 A form of degree d in the r+1 variables x_0 .. x_r is stored sparsely as a
 map from exponent vectors (tuples of nonnegative ints summing to d) to
-nonzero Fraction coefficients.  A frame g, an invertible (r+1) x (r+1)
+nonzero int numerators over one positive denominator, in lowest terms
+(`terms` views them as Fractions).  A frame g, an invertible (r+1) x (r+1)
 integer matrix, acts by substitution
 
     g.x_i = sum_j g[j][i] * x_j
@@ -29,12 +30,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import Matrix, Vector
 
 ExponentVector = Tuple[int, ...]
+IntPoly = Dict[ExponentVector, int]
 
 
 class FormParseError(ValueError):
@@ -46,52 +48,71 @@ def _quote(text: str, limit: int = 40) -> str:
     return repr(text[:limit]) + ("..." if len(text) > limit else "")
 
 
-def _validate_exponent(e: Sequence[int], r: int, d: int) -> ExponentVector:
-    if len(e) != r + 1:
-        raise ValueError(f"exponent vector {_quote(str(e))} needs {r + 1} entries")
-    out = []
-    for x in e:
-        xi = int(x)
-        if xi != x or xi < 0:
-            raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
-        out.append(xi)
-    if sum(out) != d:
-        raise ValueError(f"exponent vector {_quote(str(e))} must sum to degree {d}")
-    return tuple(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomogeneousForm:
-    """Sparse homogeneous form with nonzero rational coefficients."""
+    """Sparse homogeneous form: coefficient of x^e is nums[e] / den.
+
+    den > 0 and gcd(den, *nums.values()) == 1, so equal forms hold equal
+    data and == compares them exactly.
+    """
 
     r: int
     d: int
-    terms: Dict[ExponentVector, Fraction]
+    nums: IntPoly
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __init__(self, r: int, d: int, terms: Mapping[Sequence[int], object]) -> None:
+        """The form sum of terms[e] * x^e, each terms[e] what Fraction() takes."""
+        coeffs = {tuple(e): Fraction(c) for e, c in terms.items()}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        self.__dict__.update(HomogeneousForm._from_ints(r, d, nums, den).__dict__)
+
+    @classmethod
+    def _from_ints(cls, r: int, d: int, nums: IntPoly, den: int) -> HomogeneousForm:
+        """The form with coefficients nums[e] / den for a positive int den.
+
+        Every form is built here, and this is the only place its
+        invariants are checked; the result is reduced to lowest terms.
+        """
+        if r < 1:
             raise ValueError("need at least two variables (r >= 1)")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("degree must be positive")
-        if not self.terms:
+        if not nums:
             raise ValueError("a form must have at least one term")
-        canonical: Dict[ExponentVector, Fraction] = {}
-        for e, c in self.terms.items():
-            coeff = Fraction(c)
-            if coeff == 0:
+        for e, c in nums.items():
+            if c == 0:
                 raise ValueError(f"zero coefficient for exponent {_quote(str(e))}")
-            canonical[_validate_exponent(e, self.r, self.d)] = coeff
-        object.__setattr__(self, "terms", canonical)
+            if len(e) != r + 1:
+                raise ValueError(f"exponent vector {_quote(str(e))} needs {r + 1} entries")
+            if not all(type(x) is int and x >= 0 for x in e):
+                raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
+            if sum(e) != d:
+                raise ValueError(f"exponent vector {_quote(str(e))} must sum to degree {d}")
+        # gcd(den, sum) is nearly always 1 and ends the chain, which alone is
+        # quadratic when many terms carry distinct large denominators
+        g = math.gcd(den, sum(nums.values()), *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+        form = object.__new__(cls)
+        form.__dict__.update(r=r, d=d, nums=nums, den=den)
+        return form
+
+    @property
+    def terms(self) -> Dict[ExponentVector, Fraction]:
+        """The coefficients as Fractions, built on each access."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     def support(self) -> Tuple[ExponentVector, ...]:
-        return tuple(sorted(self.terms))
+        return tuple(sorted(self.nums))
 
     def to_text(self) -> str:
         """Render in the form file format (header line plus one row per term)."""
         lines = [f"r={self.r} d={self.d}"]
-        for e in self.support():
-            coeff = self.terms[e]
-            lines.append(" ".join([str(coeff)] + [str(x) for x in e]))
+        for e, c in sorted(self.terms.items()):
+            lines.append(" ".join([str(c)] + [str(x) for x in e]))
         return "\n".join(lines) + "\n"
 
     def __str__(self) -> str:
@@ -104,8 +125,7 @@ class HomogeneousForm:
             return "*".join(parts) if parts else "1"
 
         chunks = []
-        for e in self.support():
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items()):
             chunks.append(f"({c})*{monomial(e)}" if c != 1 else monomial(e))
         return " + ".join(chunks)
 
@@ -115,23 +135,24 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _EXPONENT = re.compile(r"[0-9]+")
 
 
-def _parse_rational(text: str) -> Fraction:
-    """Read an optional sign, then p or p/q; no other number syntax.
+def _read_rational(text: str) -> Tuple[int, int]:
+    """(p, q) with q > 0 from an optional sign, then p or p/q; no other syntax.
 
     Fraction(text) would also take exponents, decimals and underscores
-    (expanding a short exponent like 1e10000000 takes seconds) and would
-    parse the text a second time, so the Fraction is built from the match.
+    (expanding a short exponent like 1e10000000 takes seconds), so the ints
+    are read from the match; q is not reduced.
     """
     match = _RATIONAL.fullmatch(text)
     if not match:
         raise ValueError(f"{_quote(text)} is not a rational p or p/q")
     num, den = match.groups()
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"{_quote(text)} has a zero denominator") from exc
+        p, q = int(num), int(den) if den else 1
     except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"{_quote(text)} has too many digits") from exc
+    if q == 0:
+        raise ValueError(f"{_quote(text)} has a zero denominator")
+    return p, q
 
 
 def parse_form(text: str) -> HomogeneousForm:
@@ -140,11 +161,12 @@ def parse_form(text: str) -> HomogeneousForm:
     First payload line is ``r=<int> d=<int>``; every following line is a
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
     exponents.  Header numbers and exponents are ASCII digits 0-9 only.
-    ``#`` starts a comment.  Duplicate exponent rows are summed.  Only this
-    grammar is checked here; the invariants of a form (r, d >= 1, a term,
-    exponents summing to d, no rows that cancel) are checked by the
-    HomogeneousForm constructor, whose ValueError is raised again as a
-    FormParseError.  Messages quote at most a short prefix of the input.
+    ``#`` starts a comment.  Duplicate exponent rows are summed over the
+    lcm of the row denominators.  Only this grammar is checked here; the
+    invariants of a form (r, d >= 1, a term, exponents summing to d, no
+    rows that cancel) are checked by HomogeneousForm._from_ints, whose
+    ValueError is raised again as a FormParseError.  Messages quote at most
+    a short prefix of the input.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -160,7 +182,7 @@ def parse_form(text: str) -> HomogeneousForm:
         r, d = int(header.group(1)), int(header.group(2))
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
-    acc: Dict[ExponentVector, Fraction] = {}
+    rows: List[Tuple[ExponentVector, int, int]] = []
     for line in payload[1:]:
         fields = line.split()
         if len(fields) != r + 2:
@@ -168,7 +190,7 @@ def parse_form(text: str) -> HomogeneousForm:
                 f"row {_quote(line)} needs a coefficient and {r + 1} exponents"
             )
         try:
-            coeff = _parse_rational(fields[0])
+            p, q = _read_rational(fields[0])
         except ValueError as exc:
             raise FormParseError(f"bad coefficient: {exc}") from exc
         if not all(_EXPONENT.fullmatch(x) for x in fields[1:]):
@@ -177,10 +199,13 @@ def parse_form(text: str) -> HomogeneousForm:
             expo = [int(x) for x in fields[1:]]
         except ValueError as exc:  # more digits than int() converts
             raise FormParseError(f"too many digits in row {_quote(line)}") from exc
-        key = tuple(expo)
-        acc[key] = acc[key] + coeff if key in acc else coeff
+        rows.append((tuple(expo), p, q))
+    den = math.lcm(*(q for _, _, q in rows))
+    nums: Dict[ExponentVector, int] = {}
+    for key, p, q in rows:
+        nums[key] = nums.get(key, 0) + p * (den // q)
     try:
-        return HomogeneousForm(r, d, acc)
+        return HomogeneousForm._from_ints(r, d, nums, den)
     except ValueError as exc:
         raise FormParseError(str(exc)) from exc
 
@@ -218,12 +243,6 @@ class Frame:
     def size(self) -> int:
         return len(self.rows)
 
-    def compose(self, other: "Frame") -> "Frame":
-        """Matrix product self * other; act(self.compose(g), f) applies g first."""
-        if self.size != other.size:
-            raise ValueError("frame size mismatch")
-        return Frame(_linalg.mat_mul(self.rows, other.rows))
-
 
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
@@ -246,7 +265,7 @@ class ProjPoint:
     @classmethod
     def parse(cls, text: str) -> "ProjPoint":
         try:
-            return cls(tuple(_parse_rational(chunk.strip()) for chunk in text.split(",")))
+            return cls(tuple(Fraction(*_read_rational(c.strip())) for c in text.split(",")))
         except ValueError as exc:
             raise ValueError(f"bad point {_quote(text)}: {exc}") from exc
 
@@ -277,9 +296,6 @@ def _unit_exp(n: int, j: int) -> ExponentVector:
     return tuple(int(i == j) for i in range(n))
 
 
-IntPoly = Dict[ExponentVector, int]
-
-
 def _poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
     out: IntPoly = {}
     for e1, c1 in p.items():
@@ -287,17 +303,6 @@ def _poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
             key = tuple(a + b for a, b in zip(e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
-
-
-def _numerators(f: HomogeneousForm) -> Tuple[IntPoly, int]:
-    """f's coefficients as integer numerators over their lcm denominator."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
-
-
-def _from_numerators(r: int, d: int, poly: IntPoly, den: int) -> HomogeneousForm:
-    """The form with coefficients poly[e] / den; poly holds no zeros."""
-    return HomogeneousForm(r, d, {e: Fraction(c, den) for e, c in poly.items()})
 
 
 def _substitute(rows: Matrix, poly: IntPoly) -> IntPoly:
@@ -366,15 +371,13 @@ def _taylor_shift(poly: IntPoly, i: int, s: int) -> IntPoly:
 def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     """Substitute x_i -> sum_j g[j][i] x_j into f.
 
-    The frame is integral, so the substitution runs on the coefficients
-    scaled once to integers by their lcm denominator; Fractions are built
-    only for the result.
+    The frame is integral, so the substitution runs on f's integer
+    numerators and the result keeps f's denominator until it is reduced.
     """
     n = f.r + 1
     if g.size != n:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
-    poly, den = _numerators(f)
-    return _from_numerators(f.r, f.d, _substitute(g.rows, poly), den)
+    return HomogeneousForm._from_ints(f.r, f.d, _substitute(g.rows, f.nums), f.den)
 
 
 def point_image(g: Frame, p: ProjPoint) -> ProjPoint:
@@ -451,7 +454,7 @@ def frame_moving_to_origin(p: ProjPoint) -> Frame:
 
 def multiplicity_at_origin(f: HomogeneousForm) -> int:
     """Multiplicity of f = 0 at [1:0:...:0]: d minus the top x_0 exponent."""
-    return f.d - max(e[0] for e in f.terms)
+    return f.d - max(e[0] for e in f.nums)
 
 
 def multiplicity_at(f: HomogeneousForm, p: ProjPoint) -> int:
@@ -468,14 +471,14 @@ def destabilize(f: HomogeneousForm, n: int) -> HomogeneousForm:
     if n == 0:
         return f
     shift = (0,) + (n,) * f.r
-    terms = {
-        tuple(a + b for a, b in zip(e, shift)): c for e, c in f.terms.items()
+    nums = {
+        tuple(a + b for a, b in zip(e, shift)): c for e, c in f.nums.items()
     }
-    return HomogeneousForm(f.r, f.d + f.r * n, terms)
+    return HomogeneousForm._from_ints(f.r, f.d + f.r * n, nums, f.den)
 
 
 def destabilizing_factor(r: int, n: int) -> HomogeneousForm:
     """The coordinate product (x_1 * ... * x_r)^n as a form of degree r*n."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    return HomogeneousForm(r, r * n, {(0,) + (n,) * r: Fraction(1)})
+    return HomogeneousForm(r, r * n, {(0,) + (n,) * r: 1})

@@ -49,8 +49,6 @@ from .forms import (
     HomogeneousForm,
     IntPoly,
     ProjPoint,
-    _from_numerators,
-    _numerators,
     _substitute,
     _taylor_shift,
     frame_moving_to_origin,
@@ -286,7 +284,7 @@ def worst_frame_search(
       differ by integer multiples s_i of it form a chain: g = T*g' with
       T = I + sum s_i e_i e_0^T, so act(g, f) is act(g', f) after the
       Taylor shifts x_0 -> x_0 + s_i*x_i, integer additions on the
-      numerators over f's lcm denominator.  Only the first member of a
+      numerators over f's denominator.  Only the first member of a
       chain gets a full substitution.  In a default_frames family the
       chains are the settings of the entries off column 0, so the family
       takes (2b+1)^(r(r-1)/2) substitutions: 1 at r = 1.
@@ -297,7 +295,6 @@ def worst_frame_search(
     has at most 27 chains.  Only projected members build a form.
     """
     n = f.r + 1
-    poly, den = _numerators(f)
     chains: Dict[tuple, Tuple[Tuple[int, ...], IntPoly]] = {}
     best: Optional[Tuple[Frame, InstabilityCertificate]] = None
     for frame in frames:
@@ -306,7 +303,7 @@ def worst_frame_search(
         key, shifts = _chain_of(frame.rows)
         chain = chains.pop(key, None)
         if chain is None:
-            moved = _substitute(frame.rows, poly)
+            moved = _substitute(frame.rows, f.nums)
         else:
             before, moved = chain
             for i, (s, s0) in enumerate(zip(shifts, before), 1):
@@ -319,7 +316,7 @@ def worst_frame_search(
         nearest = n * min(sum(x * x for x in e) for e in moved) - f.d * f.d
         if best is not None and nearest <= n * best[1].delta_sq:
             continue
-        cert = torus_index(_from_numerators(f.r, f.d, moved, den))
+        cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, f.den))
         if best is None or cert.delta_sq > best[1].delta_sq:
             best = (frame, cert)
     if best is None:

@@ -226,10 +226,6 @@ class InstabilityCertificate:
     scale: Optional[Fraction]
     hull_weights: Tuple[Tuple[ExponentVector, Fraction], ...]
 
-    @property
-    def semistable_for_torus(self) -> bool:
-        return self.delta_sq == 0
-
 
 def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
     """Instability certificate of f for the diagonal torus in fixed coordinates."""
@@ -269,7 +265,7 @@ def mu_weight(f: HomogeneousForm, a: Union[OneParamSubgroup, Sequence[int]]) -> 
         raise ValueError("weight vector cannot vanish")
     if sum(vec) != 0:
         raise ValueError("weight vector must sum to zero")
-    return min(sum(x * k for x, k in zip(vec, e)) for e in f.terms)
+    return min(sum(x * k for x, k in zip(vec, e)) for e in f.nums)
 
 
 def class_rep(a: OneParamSubgroup) -> OneParamSubgroup:

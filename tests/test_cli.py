@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermult import (
+    HomogeneousForm,
     ProjPoint,
     StratumLabel,
     bound_check,
@@ -98,7 +99,7 @@ def test_index_semistable_has_null_lambda(capsys, tmp_path):
     assert payload["delta_sq"] == "0"
     assert payload["lambda"] is None
     cert = torus_index(parse_form("r=1 d=2\n1 1 1\n"))
-    assert cert.semistable_for_torus
+    assert cert.delta_sq == 0
     assert payload == wire({"r": 1, "d": 2, **serialize.cert_encode(cert)})
 
 
@@ -436,6 +437,32 @@ def test_exponents_and_header_outside_the_grammar_exit_2(capsys, tmp_path, text)
     code, out, err = invoke(capsys, "index", "--input", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: bad")
+
+
+@pytest.mark.parametrize(
+    "text, r, d, terms, message",
+    [
+        ("r=0 d=2\n1 2\n", 0, 2, {(2,): 1}, "need at least two variables (r >= 1)"),
+        ("r=1 d=0\n1 0 0\n", 1, 0, {(0, 0): 1}, "degree must be positive"),
+        ("r=1 d=2\n# no rows\n", 1, 2, {}, "a form must have at least one term"),
+        ("r=1 d=2\n2 2 0\n1 1 1\n-1 1 1\n", 1, 2, {(2, 0): 2, (1, 1): 0},
+         "zero coefficient for exponent '(1, 1)'"),
+        # the two rows are summed over the lcm 4 of their denominators
+        ("r=1 d=2\n1/2 1 1\n-2/4 1 1\n", 1, 2, {(1, 1): Fraction(1, 2) - Fraction(2, 4)},
+         "zero coefficient for exponent '(1, 1)'"),
+        ("r=1 d=2\n0 2 0\n", 1, 2, {(2, 0): 0}, "zero coefficient for exponent '(2, 0)'"),
+        ("r=1 d=2\n1 0 2\n3/2 1 0\n", 1, 2, {(0, 2): 1, (1, 0): Fraction(3, 2)},
+         "exponent vector '(1, 0)' must sum to degree 2"),
+    ],
+    ids=["r0", "d0", "no-rows", "rows-cancel", "rows-cancel-over-lcm", "zero-row", "bad-sum"],
+)
+def test_form_invariant_violations_give_one_message(capsys, tmp_path, text, r, d, terms, message):
+    path = tmp_path / "bad.form"
+    path.write_text(text)
+    assert invoke(capsys, "index", "--input", str(path)) == (2, "", f"error: {message}\n")
+    with pytest.raises(ValueError) as err:
+        HomogeneousForm(r, d, terms)
+    assert str(err.value) == message
 
 
 def test_bound_refuses_an_oversized_frame_family(capsys, tmp_path):

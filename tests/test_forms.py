@@ -21,7 +21,7 @@ from hypermult import (
     point_image,
 )
 from hypermult import _linalg
-from hypermult.forms import _from_numerators, _numerators, _taylor_shift
+from hypermult.forms import _taylor_shift
 from oracle import (
     act_oracle,
     mult_oracle,
@@ -217,7 +217,7 @@ def test_act_is_a_left_action():
         f = random_form(rng, r, rng.randint(1, 3))
         g = random_unimodular_frame(rng, r + 1)
         h = random_unimodular_frame(rng, r + 1)
-        assert act(g, act(h, f)) == act(g.compose(h), f)
+        assert act(g, act(h, f)) == act(Frame(_linalg.mat_mul(g.rows, h.rows)), f)
 
 
 def test_act_scalar_frames_fix_support():
@@ -312,13 +312,54 @@ def shift_cases(draw):
 @example((HomogeneousForm(1, 3, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}), 1, -1, None))
 def test_taylor_shift_is_act_by_a_shear(case):
     f, i, s, undone = case
-    poly, den = _numerators(f)
-    shifted = _taylor_shift(poly, i, s)
+    shifted = _taylor_shift(f.nums, i, s)
     assert 0 not in shifted.values()
-    moved = _from_numerators(f.r, f.d, shifted, den)
+    moved = HomogeneousForm._from_ints(f.r, f.d, shifted, f.den)
     assert moved == act(_shear(f.r, i, s), f)
     if undone is not None:
         assert moved == undone
+
+
+def _as_rows(f, rng):
+    """f in the file format with unreduced coefficients, some split over two rows."""
+    lines = [f"r={f.r} d={f.d}"]
+    for e, c in f.terms.items():
+        part = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 4]))
+        for piece in [c - part, part] if part else [c]:
+            k = rng.choice([1, 2, 6])
+            lines.append(f"{piece.numerator * k}/{piece.denominator * k} " + " ".join(map(str, e)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms_with_frames(), st.integers(0, 3), st.integers(-3, 3), st.integers(0, 10**6))
+@example((RATIONAL_CUBIC, Frame([[6, 0], [0, 10]])), 1, 2, 0)
+def test_every_constructor_holds_a_form_in_lowest_terms(case, n, s, seed):
+    f, g = case
+    rng = random.Random(seed)
+    parsed = parse_form(_as_rows(f, rng))
+    assert parsed == f
+    shifted = _taylor_shift(f.nums, rng.randint(1, f.r), s)
+    built = [
+        f,
+        parsed,
+        act(g, f),
+        destabilize(f, n),
+        HomogeneousForm._from_ints(f.r, f.d, shifted, f.den),
+    ]
+    for h in built:
+        assert h.den > 0 and math.gcd(h.den, *h.nums.values()) == 1
+        assert all(type(c) is int and c != 0 for c in h.nums.values())
+        assert HomogeneousForm(h.r, h.d, h.terms) == h
+        assert parse_form(h.to_text()) == h
+
+
+def test_act_reduces_numerators_that_share_a_factor_with_the_denominator():
+    half_square = HomogeneousForm(1, 2, {(2, 0): Fraction(1, 2)})
+    assert (half_square.nums, half_square.den) == ({(2, 0): 1}, 2)
+    image = act(Frame([[2, 0], [0, 1]]), half_square)
+    assert image == HomogeneousForm(1, 2, {(2, 0): 2})
+    assert (image.nums, image.den) == ({(2, 0): 2}, 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,7 +390,8 @@ def test_point_image_is_a_left_action():
         p = random_point(rng, n - 1)
         g = random_unimodular_frame(rng, n)
         h = random_unimodular_frame(rng, n)
-        assert point_image(g, point_image(h, p)) == point_image(g.compose(h), p)
+        gh = Frame(_linalg.mat_mul(g.rows, h.rows))
+        assert point_image(g, point_image(h, p)) == point_image(gh, p)
 
 
 # ---------------------------------------------------------------- movers

@@ -324,7 +324,7 @@ def block_frame(rng, r):
     for i in range(1, n):
         for j in range(i):
             shear[i][j] = rng.randint(-1, 1)
-    return Frame(rows).compose(Frame(shear))
+    return Frame(_linalg.mat_mul(rows, shear))
 
 
 def test_band_capture_for_destabilized_forms():

@@ -295,7 +295,6 @@ def test_torus_index_semistable_case():
     cert = torus_index(f)
     assert cert.delta_sq == 0
     assert cert.lam is None
-    assert cert.semistable_for_torus
     assert cert.q == barycenter(1, 2)
 
 
