@@ -263,9 +263,11 @@ def verify_theorem_main(
 ) -> VerifySummary:
     """Classify a corpus for every m in 0..d and tally band/direct agreement.
 
-    The output is deterministic for fixed arguments regardless of jobs.  More
-    than MAX_CORPUS forms x (r+1) over all m raise ValueError before any is
-    made."""
+    The output is deterministic for fixed arguments regardless of jobs.  A
+    jobs below 1, or more than MAX_CORPUS forms x (r+1) over all m, raise
+    ValueError before any form is made."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     big_n, threshold = _resolve_n(r, d, n)
     _check_corpus_size((d + 1) * count, r)
     cases: List[Tuple[int, int, HomogeneousForm, int]] = []

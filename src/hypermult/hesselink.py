@@ -25,9 +25,11 @@ unique_band finds the band of a point with at most two band tests.
 worst_frame_search returns what projecting act(g, f) for every frame g in
 order would, the first largest delta_sq, without paying for every member:
 
-- it projects no member whose support has a point e with
-  (r+1)*|e|^2 - d^2 <= (r+1)*best delta_sq, since that is (r+1) times
-  |e - xi|^2, an upper bound for the member's own delta_sq;
+- it projects no member whose support contains a set at least as near xi
+  as the best so far: a support it has already projected, or one point e
+  with (r+1)*|e|^2 - d^2 <= (r+1)*best delta_sq, which is (r+1) times
+  |e - xi|^2.  A larger support has a hull at least as near xi, so such a
+  member can at most tie the best;
 - it walks chains: frames whose rows 1..r differ only by multiples of
   row 0 move f by Taylor shifts of one another, so a default_frames family
   takes one full substitution per setting of the entries off column 0,
@@ -37,10 +39,11 @@ order would, the first largest delta_sq, without paying for every member:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, KeysView, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import norm_sq
@@ -275,11 +278,15 @@ def worst_frame_search(
     The result is that of projecting act(frame, f) for every frame in
     order, but two exact shortcuts avoid most of that work:
 
-    - Pruning.  The hull distance is at most the distance to any support
-      point e, and on the hyperplane sum(e) = d, (r+1)*|e - xi|^2 =
-      (r+1)*|e|^2 - d^2.  So a member with
-      (r+1)*min_e |e|^2 - d^2 <= (r+1)*best.delta_sq is not projected: the
-      best is replaced only by a strictly larger delta_sq.
+    - Pruning, by one rule: delta_sq is the squared distance from xi to
+      the hull of the moved support, and the hull of a superset holds the
+      hull of the subset, so a member's delta_sq is at most that of any
+      set its support contains.  A member is not projected when that set
+      can be a support already projected, whose delta_sq is at most the
+      best, or one support point e, whose squared distance is
+      ((r+1)*|e|^2 - d^2)/(r+1) on the hyperplane sum(e) = d, with
+      (r+1)*|e|^2 - d^2 <= (r+1)*best.delta_sq.  Such a member can at most
+      tie, and the best is replaced only by a strictly larger delta_sq.
     - The chain walk.  Frames whose row 0 agrees and whose rows 1..r
       differ by integer multiples s_i of it form a chain: g = T*g' with
       T = I + sum s_i e_i e_0^T, so act(g, f) is act(g', f) after the
@@ -290,13 +297,16 @@ def worst_frame_search(
       takes (2b+1)^(r(r-1)/2) substitutions: 1 at r = 1.
 
     One moved form is kept per chain, the last one visited, and at most
-    MAX_CHAINS chains (the least recently visited goes first), so memory
-    does not grow with the number of frames.  A default_frames family
-    has at most 27 chains.  Only projected members build a form.
+    MAX_CHAINS chains (the least recently visited goes first); at most
+    MAX_CHAINS projected supports are kept too (the oldest goes first).
+    So memory does not grow with the number of frames.  A default_frames
+    family has at most 27 chains.  Only projected members build a form.
     """
     n = f.r + 1
     chains: Dict[tuple, Tuple[Tuple[int, ...], IntPoly]] = {}
+    projected: Deque[KeysView] = deque(maxlen=MAX_CHAINS)
     best: Optional[Tuple[Frame, InstabilityCertificate]] = None
+    bound = Fraction(0)  # (r+1) * best delta_sq
     for frame in frames:
         if frame.size != n:
             raise ValueError(f"frame size {frame.size} does not match r+1 = {n}")
@@ -312,13 +322,19 @@ def worst_frame_search(
         chains[key] = (shifts, moved)
         if len(chains) > MAX_CHAINS:
             del chains[next(iter(chains))]
-        # (r+1) * the least |e - xi|^2 over the moved support
-        nearest = n * min(sum(x * x for x in e) for e in moved) - f.d * f.d
-        if best is not None and nearest <= n * best[1].delta_sq:
-            continue
+        support = moved.keys()
+        if best is not None:
+            if any(support >= p for p in projected):
+                continue
+            # (r+1) * the least |e - xi|^2 over the moved support
+            nearest = n * min(sum(x * x for x in e) for e in support) - f.d * f.d
+            if nearest <= bound:
+                continue
+        projected.append(support)
         cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, f.den))
         if best is None or cert.delta_sq > best[1].delta_sq:
             best = (frame, cert)
+            bound = n * cert.delta_sq
     if best is None:
         raise ValueError("frame family cannot be empty")
     return best

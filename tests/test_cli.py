@@ -291,6 +291,20 @@ def test_oversized_corpora_are_refused_before_any_form(capsys, monkeypatch, argv
     assert len(err.splitlines()) == 1 and err.startswith("error: corpus size ")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_job_before_any_form(capsys, monkeypatch, jobs):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) == 0, "a corpus form was generated"
+
+    monkeypatch.setattr(classifier, "_composition", counted)
+    code, out, err = invoke(capsys, "verify", "-r", "1", "-d", "2", "--count", "1", "--jobs", jobs)
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: jobs must be at least 1\n"
+
+
 def test_gen_is_deterministic_and_parseable(capsys):
     args = ("gen", "-r", "2", "-d", "3", "--m", "1", "--count", "3", "--seed", "7")
     code_a, out_a, _ = invoke(capsys, *args)

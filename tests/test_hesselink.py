@@ -555,10 +555,7 @@ def test_evicted_chains_are_substituted_again(monkeypatch):
     assert len(calls) == len(frames)
 
 
-def test_dominated_members_are_not_projected(monkeypatch):
-    # (x0 + x1)^2 x1: the first shear moves it to x0^2 x1, and the other
-    # members keep (2, 1) in their support, so they can at most tie it
-    f = HomogeneousForm(1, 3, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+def _count_projections(monkeypatch):
     projected = []
     index = hesselink.torus_index
 
@@ -567,10 +564,74 @@ def test_dominated_members_are_not_projected(monkeypatch):
         return index(form)
 
     monkeypatch.setattr(hesselink, "torus_index", counted)
+    return projected
+
+
+def test_dominated_members_are_not_projected(monkeypatch):
+    # (x0 + x1)^2 x1: the first shear moves it to x0^2 x1, and the other
+    # members keep (2, 1) in their support, so they can at most tie it
+    f = HomogeneousForm(1, 3, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+    projected = _count_projections(monkeypatch)
     frames = [Frame([[1, 0], [-1, 1]]), Frame.identity(2), Frame([[1, 0], [1, 1]])]
     frame, cert = worst_frame_search(f, frames)
     assert (frame, cert) == worst_frame_search_oracle(f, frames)
     assert len(projected) == 1
+
+
+def test_a_superset_of_a_projected_support_is_not_projected(monkeypatch):
+    # x1^3 + x2^3 projects to the middle of the segment from (0,3,0) to
+    # (0,0,3), at squared distance 3/2 from xi; the shear x2 -> x1 + x2
+    # adds (0,2,1) and (0,1,2), each at squared distance 2, so no single
+    # point prunes the second member, but its support holds the first's
+    f = HomogeneousForm(2, 3, {(0, 3, 0): 1, (0, 0, 3): 1})
+    frames = [Frame.identity(3), Frame([[1, 0, 0], [0, 1, 0], [0, 1, 1]])]
+    first, second = (set(act(g, f).support()) for g in frames)
+    assert second > first
+    xi = barycenter(2, 3)
+    best = torus_index(f).delta_sq
+    assert all(norm_sq(sub(e, xi)) > best for e in second)
+    projected = _count_projections(monkeypatch)
+    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
+    assert len(projected) == 1
+
+
+def test_a_member_with_a_point_as_near_as_the_best_is_not_projected(monkeypatch):
+    # x1^3 lies at squared distance 9/2 from xi; the second frame moves it
+    # to -x0^3, whose support {(3, 0)} holds no projected support, but its
+    # one point is as near xi, so the member can at most tie
+    f = HomogeneousForm(1, 3, {(0, 3): 1})
+    frames = [Frame.identity(2), Frame([[0, 1], [-1, 0]])]
+    assert act(frames[1], f).support() == ((3, 0),)
+    projected = _count_projections(monkeypatch)
+    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
+    assert len(projected) == 1
+
+
+# x0*x1*x2 + x0*x3^2 + x1^3, a double point at [1:0:0:0]
+R3_CUBIC = HomogeneousForm(3, 3, {(1, 1, 1, 0): 1, (1, 0, 0, 2): 1, (0, 3, 0, 0): 1})
+
+
+@pytest.mark.parametrize("point, projections", [("1,0,0,0", 61), ("2,1,-1,3", 23)])
+def test_an_r3_family_projects_few_of_its_729_members(monkeypatch, point, projections):
+    frames = default_frames(3, ProjPoint.parse(point), 1)
+    assert len(frames) == 729
+    expected = worst_frame_search_oracle(R3_CUBIC, frames)
+    projected = _count_projections(monkeypatch)
+    frame, cert = worst_frame_search(R3_CUBIC, frames)
+    assert frame is expected[0] and cert == expected[1]
+    assert len(projected) == projections
+
+
+def test_one_kept_support_gives_the_same_answer(monkeypatch):
+    # with room for one projected support the search forgets the others,
+    # so it projects more than the 61 members it projects with room for
+    # 64, and still returns the plain loop's pick
+    frames = default_frames(3, ProjPoint.origin(3), 1)
+    expected = worst_frame_search_oracle(R3_CUBIC, frames)
+    monkeypatch.setattr(hesselink, "MAX_CHAINS", 1)
+    projected = _count_projections(monkeypatch)
+    assert worst_frame_search(R3_CUBIC, frames) == expected
+    assert len(projected) > 61
 
 
 def test_a_frame_with_another_row_0_starts_its_own_chain():

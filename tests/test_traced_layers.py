@@ -62,3 +62,7 @@ def test_traced_requests_fill_the_form_counters(capsys, tmp_path):
     assert tracer.warnings == []
     assert metrics["forms.parse_form.terms"] == 9
     assert metrics["forms.act.terms_out"] > 0
+    # the search's counters: bound's 3 frames, of which one is projected,
+    # beside one projection each for index and classify
+    assert metrics["hesselink.default_frames.frames"] == 3
+    assert metrics["statepoly.nearest_point.calls"] == 3
