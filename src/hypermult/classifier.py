@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .forms import (
     HomogeneousForm,
     ProjPoint,
+    _quote,
     act,
     destabilize,
     frame_moving_to_origin,
@@ -72,7 +73,7 @@ def _resolve_n(r: int, d: int, n: Union[int, str]) -> Tuple[int, int]:
     threshold = separation_threshold(r, d)
     if isinstance(n, str):
         if n != "auto":
-            raise ValueError(f"N must be an integer or 'auto', got {n!r}")
+            raise ValueError(f"N must be an integer or 'auto', got {_quote(n)}")
         return threshold, threshold
     value = int(n)
     if value < threshold:

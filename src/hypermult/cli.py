@@ -30,6 +30,7 @@ from .forms import (
     FormParseError,
     HomogeneousForm,
     ProjPoint,
+    _quote,
     destabilize,
     multiplicity_at,
     parse_form,
@@ -61,7 +62,7 @@ def _parse_n(text: str) -> object:
     try:
         return int(text)
     except ValueError as exc:
-        raise ValueError(f"--N must be an integer or 'auto', got {text!r}") from exc
+        raise ValueError(f"--N must be an integer or 'auto', got {_quote(text)}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

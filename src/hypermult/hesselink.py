@@ -31,9 +31,9 @@ order would, the first largest delta_sq, without paying for every member:
   |e - xi|^2.  A larger support has a hull at least as near xi, so such a
   member can at most tie the best;
 - it walks chains: frames whose rows 1..r differ only by multiples of
-  row 0 move f by Taylor shifts of one another, so a default_frames family
-  takes one full substitution per setting of the entries off column 0,
-  (2b+1)^(r(r-1)/2) of them, and keeps one moved form per chain.
+  row 0 move f by Taylor shifts of one another.  default_frames lists each
+  chain's members together, so the search keeps one moved form and takes
+  one substitution per setting off column 0, (2b+1)^(r(r-1)/2) of them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Deque, Dict, Iterable, KeysView, List, Optional, Sequence, Tuple
+from typing import Deque, Iterable, KeysView, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import norm_sq
@@ -59,7 +59,7 @@ from .forms import (
 from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
 
 MAX_FRAMES = 4096  # largest family default_frames builds
-MAX_CHAINS = 64  # moved forms worst_frame_search keeps at once
+MAX_SUPPORTS = 64  # projected supports worst_frame_search keeps
 MAX_PAIRS = 2**16  # most band pairs pair_minima lists
 
 
@@ -226,6 +226,8 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
     coordinates 1..r on top would only permute the support, changing
     neither delta_sq nor the sorted label, so the family has none.  A
     family larger than MAX_FRAMES raises ValueError before any is built.
+    The entries of column 0 vary fastest, so the members of one chain of
+    worst_frame_search, which share the entries off column 0, are adjacent.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -238,7 +240,8 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
     if budget and (2 * budget + 1) ** min(slots, MAX_FRAMES.bit_length()) > MAX_FRAMES:
         raise ValueError(f"budget {budget} at r={r} gives more than {MAX_FRAMES} frames")
     n = r + 1
-    lower_slots = [(i, j) for i in range(1, n) for j in range(i)]
+    lower_slots = [(i, j) for i in range(1, n) for j in range(1, i)]
+    lower_slots += [(i, 0) for i in range(1, n)]  # so column 0 varies fastest
     mover = frame_moving_to_origin(p)
     frames = []
     for fill in product(range(-budget, budget + 1), repeat=slots):
@@ -291,37 +294,31 @@ def worst_frame_search(
       differ by integer multiples s_i of it form a chain: g = T*g' with
       T = I + sum s_i e_i e_0^T, so act(g, f) is act(g', f) after the
       Taylor shifts x_0 -> x_0 + s_i*x_i, integer additions on the
-      numerators over f's denominator.  Only the first member of a
-      chain gets a full substitution.  In a default_frames family the
-      chains are the settings of the entries off column 0, so the family
-      takes (2b+1)^(r(r-1)/2) substitutions: 1 at r = 1.
+      numerators over f's denominator.  Only the last member's moved
+      form is kept: a member not in its chain gets a full substitution.
+      A default_frames family, whose chains are adjacent, takes one per
+      setting off column 0, (2b+1)^(r(r-1)/2); other orders take more.
 
-    One moved form is kept per chain, the last one visited, and at most
-    MAX_CHAINS chains (the least recently visited goes first); at most
-    MAX_CHAINS projected supports are kept too (the oldest goes first).
-    So memory does not grow with the number of frames.  A default_frames
-    family has at most 27 chains.  Only projected members build a form.
+    Memory is one moved form and at most MAX_SUPPORTS projected supports
+    (the oldest goes first); only projected members build a form.
     """
     n = f.r + 1
-    chains: Dict[tuple, Tuple[Tuple[int, ...], IntPoly]] = {}
-    projected: Deque[KeysView] = deque(maxlen=MAX_CHAINS)
+    chain: Optional[Tuple[tuple, Tuple[int, ...], IntPoly]] = None  # the last member's
+    projected: Deque[KeysView] = deque(maxlen=MAX_SUPPORTS)
     best: Optional[Tuple[Frame, InstabilityCertificate]] = None
     bound = Fraction(0)  # (r+1) * best delta_sq
     for frame in frames:
         if frame.size != n:
             raise ValueError(f"frame size {frame.size} does not match r+1 = {n}")
         key, shifts = _chain_of(frame.rows)
-        chain = chains.pop(key, None)
-        if chain is None:
+        if chain is None or chain[0] != key:
             moved = _substitute(frame.rows, f.nums)
         else:
-            before, moved = chain
+            _, before, moved = chain
             for i, (s, s0) in enumerate(zip(shifts, before), 1):
                 if s != s0:
                     moved = _taylor_shift(moved, i, s - s0)
-        chains[key] = (shifts, moved)
-        if len(chains) > MAX_CHAINS:
-            del chains[next(iter(chains))]
+        chain = (key, shifts, moved)
         support = moved.keys()
         if best is not None:
             if any(support >= p for p in projected):

@@ -381,7 +381,9 @@ def permuted_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
     """
     mover = frame_moving_to_origin(p)
     n = r + 1
-    lower_slots = [(i, j) for i in range(1, n) for j in range(i)]
+    # the slot order of default_frames: column 0 last
+    lower_slots = [(i, j) for i in range(1, n) for j in range(1, i)]
+    lower_slots += [(i, 0) for i in range(1, n)]
     frames: Dict[Tuple, Frame] = {}
     for perm in itertools.permutations(range(1, n)):
         perm_rows = [[0] * n for _ in range(n)]

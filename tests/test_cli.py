@@ -305,6 +305,15 @@ def test_verify_refuses_fewer_than_one_job_before_any_form(capsys, monkeypatch, 
     assert err == "error: jobs must be at least 1\n"
 
 
+def test_a_huge_bad_n_gets_a_short_error(capsys, cubic_file):
+    # 5,000 nines pass int()'s syntax but not its digit limit, and the
+    # error quotes only a prefix of them
+    code, out, err = invoke(capsys, "classify", "--input", cubic_file, "--N", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.startswith("error: --N must be an integer or 'auto', got '999")
+
+
 def test_gen_is_deterministic_and_parseable(capsys):
     args = ("gen", "-r", "2", "-d", "3", "--m", "1", "--count", "3", "--seed", "7")
     code_a, out_a, _ = invoke(capsys, *args)

@@ -531,28 +531,38 @@ def _count_substitutions(monkeypatch):
     return calls
 
 
+def _key_changes(frames):
+    keys = [hesselink._chain_of(g.rows)[0] for g in frames]
+    return sum(a != b for a, b in zip(keys, keys[1:]))
+
+
 @pytest.mark.parametrize("r, budget, chains", [(1, 3, 1), (2, 1, 3), (2, 2, 5), (3, 1, 27)])
 def test_a_family_takes_one_substitution_per_chain(monkeypatch, r, budget, chains):
-    # members that differ only in column 0 are Taylor shifts of one another
+    # members that differ only in column 0 are Taylor shifts of one another,
+    # and the family lists each chain's members together
     rng = random.Random(71 + r)
     f = random_form(rng, r, 3)
     frames = default_frames(r, random_point(rng, r), budget)
+    assert _key_changes(frames) == chains - 1
     calls = _count_substitutions(monkeypatch)
     worst_frame_search(f, frames)
     assert chains == (2 * budget + 1) ** (r * (r - 1) // 2)
     assert len(calls) == chains
 
 
-def test_evicted_chains_are_substituted_again(monkeypatch):
-    # an r=2 family cycles through 3 chains; with room for 2 each member
-    # finds its chain evicted, and the answer stays the plain loop's
+def test_interleaved_chains_are_substituted_again(monkeypatch):
+    # sorted by their shifts, the members of an r=2 family's 3 chains
+    # interleave; each member whose chain differs from the one before it
+    # gets a full substitution, and the answer stays the plain loop's
     rng = random.Random(73)
     f = random_form(rng, 2, 3)
-    frames = default_frames(2, random_point(rng, 2), 1)
-    monkeypatch.setattr(hesselink, "MAX_CHAINS", 2)
+    frames = sorted(default_frames(2, random_point(rng, 2), 1),
+                    key=lambda g: hesselink._chain_of(g.rows)[1])
+    changes = _key_changes(frames)
+    assert changes > 2
     calls = _count_substitutions(monkeypatch)
     assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
-    assert len(calls) == len(frames)
+    assert len(calls) == changes + 1
 
 
 def _count_projections(monkeypatch):
@@ -611,7 +621,7 @@ def test_a_member_with_a_point_as_near_as_the_best_is_not_projected(monkeypatch)
 R3_CUBIC = HomogeneousForm(3, 3, {(1, 1, 1, 0): 1, (1, 0, 0, 2): 1, (0, 3, 0, 0): 1})
 
 
-@pytest.mark.parametrize("point, projections", [("1,0,0,0", 61), ("2,1,-1,3", 23)])
+@pytest.mark.parametrize("point, projections", [("1,0,0,0", 73), ("2,1,-1,3", 18)])
 def test_an_r3_family_projects_few_of_its_729_members(monkeypatch, point, projections):
     frames = default_frames(3, ProjPoint.parse(point), 1)
     assert len(frames) == 729
@@ -624,14 +634,14 @@ def test_an_r3_family_projects_few_of_its_729_members(monkeypatch, point, projec
 
 def test_one_kept_support_gives_the_same_answer(monkeypatch):
     # with room for one projected support the search forgets the others,
-    # so it projects more than the 61 members it projects with room for
+    # so it projects more than the 73 members it projects with room for
     # 64, and still returns the plain loop's pick
     frames = default_frames(3, ProjPoint.origin(3), 1)
     expected = worst_frame_search_oracle(R3_CUBIC, frames)
-    monkeypatch.setattr(hesselink, "MAX_CHAINS", 1)
+    monkeypatch.setattr(hesselink, "MAX_SUPPORTS", 1)
     projected = _count_projections(monkeypatch)
     assert worst_frame_search(R3_CUBIC, frames) == expected
-    assert len(projected) > 61
+    assert len(projected) > 73
 
 
 def test_a_frame_with_another_row_0_starts_its_own_chain():
