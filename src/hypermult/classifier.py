@@ -171,15 +171,10 @@ def bound_check(
 
 def _composition(total: int, parts: int, rng: random.Random) -> Tuple[int, ...]:
     """Uniform weak composition of total into parts by stars and bars."""
-    if parts == 1:
-        return (total,)
-    cuts = sorted(rng.sample(range(total + parts - 1), parts - 1))
-    prev = -1
-    result = []
-    for c in cuts + [total + parts - 1]:
-        result.append(c - prev - 1)
-        prev = c
-    return tuple(result)
+    bars = sorted(rng.sample(range(total + parts - 1), parts - 1))
+    # the parts are the gaps between bars, with one more bar at each end
+    ends = [-1] + bars + [total + parts - 1]
+    return tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 def _check_corpus_size(forms: int, r: int) -> None:

@@ -14,6 +14,7 @@ and anything else as serialize.dumps(out) plus a newline, by run alone.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
@@ -56,13 +57,27 @@ def _read_form(path: str) -> HomogeneousForm:
         raise FormParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _integer(text: str) -> int:
+    """An optional sign, then ASCII digits 0-9 (int() alone also takes '1_0')."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {_quote(text)}")
+
+
 def _parse_n(text: str) -> object:
+    """--N as "auto" or an integer >= 0, read before any check of a command's own."""
     if text == "auto":
         return "auto"
     try:
-        return int(text)
-    except ValueError as exc:
+        n = _integer(text)
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"--N must be an integer or 'auto', got {_quote(text)}") from exc
+    if n < 0:
+        raise ValueError(f"--N must be nonnegative, got {_quote(text)}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
-        "-r": dict(type=int, required=True, help="projective dimension"),
-        "-d": dict(type=int, required=True, help="degree"),
+        "-r": dict(type=_integer, required=True, help="projective dimension"),
+        "-d": dict(type=_integer, required=True, help="degree"),
         "--N": dict(default="auto", help="destabilization exponent or 'auto'"),
         "--input": dict(required=True, help="form file"),
         "--json": dict(action="store_true", help="emit JSON"),
@@ -101,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bands", _cmd_bands, "band membership of a rational point",
                 "-r", "-d", "--N", "--json")
     p.add_argument("--point", required=True, help="comma separated rationals")
-    p.add_argument("--m", type=int, default=None, help="test only this band")
+    p.add_argument("--m", type=_integer, default=None, help="test only this band")
 
     p = command("classify", _cmd_classify, "band classification at a point",
                 "--N", "--input", "--json")
@@ -109,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", _cmd_verify, "corpus agreement run over all m",
                 "-r", "-d", "--N", "--json")
-    p.add_argument("--count", type=int, default=25, help="forms per m")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--count", type=_integer, default=25, help="forms per m")
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--jobs", type=_integer, default=1, help="worker processes")
 
     p = command("gen", _cmd_gen, "emit corpus forms in the form file format",
                 "-r", "-d", "--json")
-    p.add_argument("--m", type=int, required=True, help="multiplicity at the origin")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_integer, required=True, help="multiplicity at the origin")
+    p.add_argument("--count", type=_integer, default=1)
+    p.add_argument("--seed", type=_integer, default=0)
 
     p = command("bound", _cmd_bound, "multiplicity bounds from a frame search",
                 "--input", "--json")
@@ -127,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="candidate point, repeatable; the first is also the search anchor",
     )
-    p.add_argument("--budget", type=int, default=1, help="unipotent entry range")
+    p.add_argument("--budget", type=_integer, default=1, help="unipotent entry range")
 
     return parser
 
@@ -150,8 +165,8 @@ def _cmd_index(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_destab(args: argparse.Namespace) -> Tuple[int, object]:
-    form = _read_form(args.input)
     n = _parse_n(args.N)
+    form = _read_form(args.input)
     if n == "auto":
         n = separation_threshold(form.r, form.d)
     result = destabilize(form, n)
@@ -186,12 +201,12 @@ def _cmd_threshold(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
+    n = _parse_n(args.N)
     if args.m is None and args.d + 1 > hesselink.MAX_PAIRS:
         raise ValueError(
             f"d={args.d} gives more than {hesselink.MAX_PAIRS} bands to list; "
             "pass --m to test one"
         )
-    n = _parse_n(args.N)
     if n == "auto":
         n = separation_threshold(args.r, args.d)
     point = ProjPoint.parse(args.point).coords
@@ -219,8 +234,8 @@ def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Tuple[int, object]:
-    form = _read_form(args.input)
     n = _parse_n(args.N)
+    form = _read_form(args.input)
     if args.point is None:
         report = classify_at_origin(form, n)
     else:
@@ -258,11 +273,6 @@ def _cmd_bound(args: argparse.Namespace) -> Tuple[int, object]:
         raise ValueError("point dimension must be r+1")
     frames = default_frames(form.r, points[0], args.budget)
     _, cert = worst_frame_search(form, frames)
-    if cert.lam is None:
-        raise ValueError(
-            "the frame search found no instability (delta_sq = 0 everywhere); "
-            "bounds need an unstable form"
-        )
     label = StratumLabel.from_certificate(cert)
     result = bound_check(form, label, points)
     payload = {

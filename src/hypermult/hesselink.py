@@ -25,11 +25,11 @@ unique_band finds the band of a point with at most two band tests.
 worst_frame_search returns what projecting act(g, f) for every frame g in
 order would, the first largest delta_sq, without paying for every member:
 
-- it projects no member whose support contains a set at least as near xi
-  as the best so far: a support it has already projected, or one point e
-  with (r+1)*|e|^2 - d^2 <= (r+1)*best delta_sq, which is (r+1) times
-  |e - xi|^2.  A larger support has a hull at least as near xi, so such a
-  member can at most tie the best;
+- it projects no member whose support contains the witness of a member
+  already projected: the at most r+1 support points whose hull holds that
+  member's nearest point, so their hull is exactly as near xi as its
+  support, no nearer than the best.  A larger set has a hull at least as
+  near xi, so such a member can at most tie the best;
 - it walks chains: frames whose rows 1..r differ only by multiples of
   row 0 move f by Taylor shifts of one another.  default_frames lists each
   chain's members together, so the search keeps one moved form and takes
@@ -39,15 +39,15 @@ order would, the first largest delta_sq, without paying for every member:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Deque, Iterable, KeysView, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import norm_sq
 from .forms import (
+    ExponentVector,
     Frame,
     HomogeneousForm,
     IntPoly,
@@ -59,7 +59,6 @@ from .forms import (
 from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
 
 MAX_FRAMES = 4096  # largest family default_frames builds
-MAX_SUPPORTS = 64  # projected supports worst_frame_search keeps
 MAX_PAIRS = 2**16  # most band pairs pair_minima lists
 
 
@@ -209,7 +208,10 @@ class StratumLabel:
     @classmethod
     def from_certificate(cls, cert: InstabilityCertificate) -> "StratumLabel":
         if cert.lam is None:
-            raise ValueError("cannot label a torus-semistable certificate")
+            raise ValueError(
+                "cannot label a torus-semistable certificate (delta_sq = 0); "
+                "bounds need an unstable form"
+            )
         return cls(
             lambda_rep=class_rep(cert.lam),
             delta_sq=cert.delta_sq,
@@ -282,14 +284,14 @@ def worst_frame_search(
     order, but two exact shortcuts avoid most of that work:
 
     - Pruning, by one rule: delta_sq is the squared distance from xi to
-      the hull of the moved support, and the hull of a superset holds the
-      hull of the subset, so a member's delta_sq is at most that of any
-      set its support contains.  A member is not projected when that set
-      can be a support already projected, whose delta_sq is at most the
-      best, or one support point e, whose squared distance is
-      ((r+1)*|e|^2 - d^2)/(r+1) on the hyperplane sum(e) = d, with
-      (r+1)*|e|^2 - d^2 <= (r+1)*best.delta_sq.  Such a member can at most
-      tie, and the best is replaced only by a strictly larger delta_sq.
+      the hull of the moved support, so a member's delta_sq is at most
+      that of any set its support contains.  A member is not projected
+      when its support contains the witness W of a member P already
+      projected: the at most r+1 points of P's hull_weights (Wolfe's
+      corral).  Their hull holds P's nearest point and lies in the hull of
+      P's support, so it is exactly as near xi as that support: no nearer
+      than the best.  Such a member can at most tie, and the best is
+      replaced only by a strictly larger delta_sq.
     - The chain walk.  Frames whose row 0 agrees and whose rows 1..r
       differ by integer multiples s_i of it form a chain: g = T*g' with
       T = I + sum s_i e_i e_0^T, so act(g, f) is act(g', f) after the
@@ -299,14 +301,13 @@ def worst_frame_search(
       A default_frames family, whose chains are adjacent, takes one per
       setting off column 0, (2b+1)^(r(r-1)/2); other orders take more.
 
-    Memory is one moved form and at most MAX_SUPPORTS projected supports
-    (the oldest goes first); only projected members build a form.
+    Memory is one moved form and the at most r+1 exponent vectors of each
+    projected member's witness; only projected members build a form.
     """
     n = f.r + 1
     chain: Optional[Tuple[tuple, Tuple[int, ...], IntPoly]] = None  # the last member's
-    projected: Deque[KeysView] = deque(maxlen=MAX_SUPPORTS)
+    witnesses: List[FrozenSet[ExponentVector]] = []
     best: Optional[Tuple[Frame, InstabilityCertificate]] = None
-    bound = Fraction(0)  # (r+1) * best delta_sq
     for frame in frames:
         if frame.size != n:
             raise ValueError(f"frame size {frame.size} does not match r+1 = {n}")
@@ -319,19 +320,12 @@ def worst_frame_search(
                 if s != s0:
                     moved = _taylor_shift(moved, i, s - s0)
         chain = (key, shifts, moved)
-        support = moved.keys()
-        if best is not None:
-            if any(support >= p for p in projected):
-                continue
-            # (r+1) * the least |e - xi|^2 over the moved support
-            nearest = n * min(sum(x * x for x in e) for e in support) - f.d * f.d
-            if nearest <= bound:
-                continue
-        projected.append(support)
+        if any(moved.keys() >= w for w in witnesses):
+            continue
         cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, f.den))
+        witnesses.append(frozenset(e for e, _ in cert.hull_weights))
         if best is None or cert.delta_sq > best[1].delta_sq:
             best = (frame, cert)
-            bound = n * cert.delta_sq
     if best is None:
         raise ValueError("frame family cannot be empty")
     return best

@@ -314,6 +314,28 @@ def test_a_huge_bad_n_gets_a_short_error(capsys, cubic_file):
     assert err.startswith("error: --N must be an integer or 'auto', got '999")
 
 
+@pytest.mark.parametrize(
+    "degree", ["9" * 5000, "1_0", "\u0663"], ids=["5000-nines", "underscore", "arabic-indic-3"]
+)
+def test_integer_options_take_ascii_digits_only(capsys, degree):
+    # int() takes the last two (as 10 and 3) and quotes all of the first in
+    # its error; the options read an optional sign, then digits 0-9
+    code, out, err = invoke(capsys, "threshold", "-r", "1", "-d", degree)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 400 and "argument -d: expected an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "destab --input {cubic} --N -1",
+    "bands -r 2 -d 3 --N -1 --point 1,7,4",
+    "classify --input {cubic} --N -1",
+    "verify -r 2 -d 3 --N -1",
+])
+def test_a_negative_n_gets_one_message_everywhere(capsys, cubic_file, argv):
+    code, out, err = invoke(capsys, *argv.format(cubic=cubic_file).split())
+    assert (code, out, err) == (2, "", "error: --N must be nonnegative, got '-1'\n")
+
+
 def test_gen_is_deterministic_and_parseable(capsys):
     args = ("gen", "-r", "2", "-d", "3", "--m", "1", "--count", "3", "--seed", "7")
     code_a, out_a, _ = invoke(capsys, *args)

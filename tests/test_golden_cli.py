@@ -31,6 +31,8 @@ FORMS = {
     "rational": "r=2 d=3\n-3/2 1 1 1\n2 0 3 0\n1/3 0 1 2\n5 2 0 1\n",
     # (x0 + x1)^3 * (x0 - 2 x1): a triple point at [1:-1]
     "quartic": "r=1 d=4\n1 4 0\n1 3 1\n-3 2 2\n-5 1 3\n-2 0 4\n",
+    # x0*x1*x2 + x0*x3^2 + x1^3, a double point at [1:0:0:0]
+    "r3cubic": "r=3 d=3\n1 1 1 1 0\n1 1 0 0 2\n1 0 3 0 0\n",
 }
 
 # name -> (argv with {form} placeholders, exit code)
@@ -45,6 +47,7 @@ CASES = {
     "bound_within": (["bound", "--input", "{square}", "--point", "1,0"], 0),
     "bound_frames": (["bound", "--input", "{quartic}", "--point", "1,-1", "--point", "1,0", "--budget", "1"], 0),
     "bound_outside": (["bound", "--input", "{square}", "--point", "1,1"], 1),
+    "bound_r3": (["bound", "--input", "{r3cubic}", "--point", "2,1,-1,3", "--budget", "1"], 1),
     "bound_semistable": (["bound", "--input", "{semistable}", "--point", "1,0"], 2),
     "bands": (["bands", "-r", "2", "-d", "3", "--N", "4", "--point", "1,7,4"], 0),
     "bands_single_m": (["bands", "-r", "1", "-d", "2", "--point", "1/2,9/2", "--m", "1"], 0),

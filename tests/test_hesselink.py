@@ -592,7 +592,8 @@ def test_a_superset_of_a_projected_support_is_not_projected(monkeypatch):
     # x1^3 + x2^3 projects to the middle of the segment from (0,3,0) to
     # (0,0,3), at squared distance 3/2 from xi; the shear x2 -> x1 + x2
     # adds (0,2,1) and (0,1,2), each at squared distance 2, so no single
-    # point prunes the second member, but its support holds the first's
+    # point is as near xi as the best, but the second support holds the
+    # first, and with it the first's witness
     f = HomogeneousForm(2, 3, {(0, 3, 0): 1, (0, 0, 3): 1})
     frames = [Frame.identity(3), Frame([[1, 0, 0], [0, 1, 0], [0, 1, 1]])]
     first, second = (set(act(g, f).support()) for g in frames)
@@ -605,23 +606,50 @@ def test_a_superset_of_a_projected_support_is_not_projected(monkeypatch):
     assert len(projected) == 1
 
 
-def test_a_member_with_a_point_as_near_as_the_best_is_not_projected(monkeypatch):
-    # x1^3 lies at squared distance 9/2 from xi; the second frame moves it
-    # to -x0^3, whose support {(3, 0)} holds no projected support, but its
-    # one point is as near xi, so the member can at most tie
-    f = HomogeneousForm(1, 3, {(0, 3): 1})
-    frames = [Frame.identity(2), Frame([[0, 1], [-1, 0]])]
-    assert act(frames[1], f).support() == ((3, 0),)
+# -x1^2 - 2*x0*x1 + x1*x2 = x1*(x2 - x1 - 2*x0), at squared distance 1/6
+PAIR_OF_LINES = HomogeneousForm(2, 2, {(0, 2, 0): -1, (1, 1, 0): -2, (0, 1, 1): 1})
+# x2 -> x1 + x2 cancels x1^2, leaving -2*x0*x1 + x1*x2
+CANCELLING_SHEAR = Frame([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+
+
+def test_a_support_holding_a_witness_is_not_projected(monkeypatch):
+    # the first member's nearest point is the midpoint of (1,1,0) and
+    # (0,1,1), its witness; the shear's support is exactly that witness, a
+    # proper subset of the first support with no point as near xi as the
+    # best (2/3 against 1/6), so only the witness shows it can at most tie
+    f = PAIR_OF_LINES
+    frames = [Frame.identity(3), CANCELLING_SHEAR]
+    first, second = (set(act(g, f).support()) for g in frames)
+    witness = {e for e, _ in torus_index(f).hull_weights}
+    assert second == witness < first
+    xi = barycenter(2, 2)
+    assert torus_index(f).delta_sq == torus_index(act(frames[1], f)).delta_sq == Fraction(1, 6)
+    assert all(norm_sq(sub(e, xi)) == Fraction(2, 3) for e in second)
     projected = _count_projections(monkeypatch)
     assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
     assert len(projected) == 1
+
+
+def test_the_witness_of_a_member_that_is_not_the_best_still_prunes(monkeypatch):
+    # the middle frame moves the pair of lines to x0*x2 (x0 -> x1, x1 -> x0,
+    # x2 -> x0 + 2*x1 + x2), farther from xi, so it becomes the best; the
+    # shear's support holds the first member's witness but not the best's
+    f = PAIR_OF_LINES
+    frames = [Frame.identity(3), Frame([[0, 1, 1], [1, 0, 2], [0, 0, 1]]), CANCELLING_SHEAR]
+    assert act(frames[1], f).support() == ((1, 0, 1),)
+    projected = _count_projections(monkeypatch)
+    frame, cert = worst_frame_search(f, frames)
+    assert (frame, cert) == worst_frame_search_oracle(f, frames)
+    assert frame == frames[1] and cert.delta_sq == Fraction(2, 3)
+    assert not set(act(frames[2], f).support()) >= {e for e, _ in cert.hull_weights}
+    assert len(projected) == 2
 
 
 # x0*x1*x2 + x0*x3^2 + x1^3, a double point at [1:0:0:0]
 R3_CUBIC = HomogeneousForm(3, 3, {(1, 1, 1, 0): 1, (1, 0, 0, 2): 1, (0, 3, 0, 0): 1})
 
 
-@pytest.mark.parametrize("point, projections", [("1,0,0,0", 73), ("2,1,-1,3", 18)])
+@pytest.mark.parametrize("point, projections", [("1,0,0,0", 7), ("2,1,-1,3", 4)])
 def test_an_r3_family_projects_few_of_its_729_members(monkeypatch, point, projections):
     frames = default_frames(3, ProjPoint.parse(point), 1)
     assert len(frames) == 729
@@ -630,18 +658,6 @@ def test_an_r3_family_projects_few_of_its_729_members(monkeypatch, point, projec
     frame, cert = worst_frame_search(R3_CUBIC, frames)
     assert frame is expected[0] and cert == expected[1]
     assert len(projected) == projections
-
-
-def test_one_kept_support_gives_the_same_answer(monkeypatch):
-    # with room for one projected support the search forgets the others,
-    # so it projects more than the 73 members it projects with room for
-    # 64, and still returns the plain loop's pick
-    frames = default_frames(3, ProjPoint.origin(3), 1)
-    expected = worst_frame_search_oracle(R3_CUBIC, frames)
-    monkeypatch.setattr(hesselink, "MAX_SUPPORTS", 1)
-    projected = _count_projections(monkeypatch)
-    assert worst_frame_search(R3_CUBIC, frames) == expected
-    assert len(projected) > 73
 
 
 def test_a_frame_with_another_row_0_starts_its_own_chain():
