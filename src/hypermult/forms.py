@@ -133,6 +133,12 @@ class HomogeneousForm:
 _HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$", re.ASCII)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _EXPONENT = re.compile(r"[0-9]+")
+# a whole row: coefficient p or p/q, then the exponents; \s is the Unicode
+# whitespace that str.split() splits on, so a row this matches splits into
+# the same fields
+_ROW = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?((?:\s+[0-9]+)+)")
+
+MAX_DEN_BITS = 16384  # longest common denominator of a parsed form, in bits
 
 
 def _read_rational(text: str) -> Tuple[int, int]:
@@ -155,6 +161,28 @@ def _read_rational(text: str) -> Tuple[int, int]:
     return p, q
 
 
+def _read_row(line: str, r: int) -> Tuple[ExponentVector, int, int]:
+    """(exponents, p, q) of one payload row, each field checked on its own.
+
+    parse_form reads a row with one _ROW match; a row that does not match
+    comes here for the FormParseError that says what is wrong with it.
+    """
+    fields = line.split()
+    if len(fields) != r + 2:
+        raise FormParseError(f"row {_quote(line)} needs a coefficient and {r + 1} exponents")
+    try:
+        p, q = _read_rational(fields[0])
+    except ValueError as exc:
+        raise FormParseError(f"bad coefficient: {exc}") from exc
+    if not all(_EXPONENT.fullmatch(x) for x in fields[1:]):
+        raise FormParseError(f"bad exponent in row {_quote(line)}: digits 0-9 only")
+    try:
+        expo = tuple(int(x) for x in fields[1:])
+    except ValueError as exc:  # more digits than int() converts
+        raise FormParseError(f"too many digits in row {_quote(line)}") from exc
+    return expo, p, q
+
+
 def parse_form(text: str) -> HomogeneousForm:
     """Parse the plain text form format.
 
@@ -162,11 +190,11 @@ def parse_form(text: str) -> HomogeneousForm:
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
     exponents.  Header numbers and exponents are ASCII digits 0-9 only.
     ``#`` starts a comment.  Duplicate exponent rows are summed over the
-    lcm of the row denominators.  Only this grammar is checked here; the
-    invariants of a form (r, d >= 1, a term, exponents summing to d, no
-    rows that cancel) are checked by HomogeneousForm._from_ints, whose
-    ValueError is raised again as a FormParseError.  Messages quote at most
-    a short prefix of the input.
+    lcm of the row denominators, which may have at most MAX_DEN_BITS bits.
+    Only this grammar is checked here; the invariants of a form (r, d >= 1,
+    a term, exponents summing to d, no rows that cancel) are checked by
+    HomogeneousForm._from_ints, whose ValueError is raised again as a
+    FormParseError.  Messages quote at most a short prefix of the input.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -184,23 +212,30 @@ def parse_form(text: str) -> HomogeneousForm:
         raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
     rows: List[Tuple[ExponentVector, int, int]] = []
     for line in payload[1:]:
-        fields = line.split()
-        if len(fields) != r + 2:
-            raise FormParseError(
-                f"row {_quote(line)} needs a coefficient and {r + 1} exponents"
-            )
-        try:
-            p, q = _read_rational(fields[0])
-        except ValueError as exc:
-            raise FormParseError(f"bad coefficient: {exc}") from exc
-        if not all(_EXPONENT.fullmatch(x) for x in fields[1:]):
-            raise FormParseError(f"bad exponent in row {_quote(line)}: digits 0-9 only")
-        try:
-            expo = [int(x) for x in fields[1:]]
-        except ValueError as exc:  # more digits than int() converts
-            raise FormParseError(f"too many digits in row {_quote(line)}") from exc
-        rows.append((tuple(expo), p, q))
-    den = math.lcm(*(q for _, _, q in rows))
+        match = _ROW.fullmatch(line)
+        if match:
+            num, q_text, exponents = match.groups()
+            fields = exponents.split()
+            if len(fields) == r + 1:
+                try:
+                    p, q = int(num), int(q_text) if q_text else 1
+                    expo = tuple(map(int, fields))
+                except ValueError:  # more digits than int() converts
+                    q = 0
+                if q:
+                    rows.append((expo, p, q))
+                    continue
+        rows.append(_read_row(line, r))
+    # one row at a time, and no further once past the limit, so a file of
+    # many distinct large denominators costs no more than the limit allows
+    den = 1
+    for _, _, q in rows:
+        if q != 1 and den.bit_length() <= MAX_DEN_BITS:
+            den = math.lcm(den, q)
+    if den.bit_length() > MAX_DEN_BITS:
+        raise FormParseError(
+            f"the common denominator of the coefficients has more than {MAX_DEN_BITS} bits"
+        )
     nums: Dict[ExponentVector, int] = {}
     for key, p, q in rows:
         nums[key] = nums.get(key, 0) + p * (den // q)

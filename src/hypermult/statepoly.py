@@ -18,12 +18,16 @@ so mu(f, lambda) / ||lambda|| equals the distance itself.
 Projection is Wolfe's minimum-norm-point algorithm over affinely
 independent subsets of the support (corrals), run in integers.
 nearest_point scales once: with s the lcm of every denominator in the
-points and the target, V_j = s*p_j - s*t are integer vectors (for
-torus_index s divides r+1).  The iterate is X/D, an integer vector over one
-positive denominator that the corral weights share, and each Gram (KKT)
-system is solved by Bareiss fraction-free elimination.  Scaling by a
-positive number preserves every comparison and tie-break, so the corrals
-and weights are exactly those of the same search over Fractions.
+points and the target, V_j = s*p_j - s*t are integer vectors.  When every
+coordinate of the points is an int, as in the support torus_index passes,
+s comes from the target alone (for torus_index s divides r+1) and the V_j
+are built in int arithmetic, without a Fraction per coordinate.  The
+iterate is X/D, an integer vector over one positive denominator that the
+corral weights share, and each Gram (KKT) system is solved by Bareiss
+fraction-free elimination.  Scaling by a positive number preserves every
+comparison and tie-break, so the corrals and weights are exactly those of
+the same search over Fractions.  Each major step pairs the iterate with
+every V_j in one pass over the vectors laid end to end.
 
 Every result is checked before it is returned, in integers: the weights
 are positive, sum to D and rebuild X, and (X.V_j)*D >= |X|^2 holds for every
@@ -31,6 +35,10 @@ j, which is the optimality inequality <t - q, v - q> <= 0 for all support
 points v.  Only then are q = t + X/(D*s), delta_sq = |X|^2/(D*s)^2 and the
 weights made Fractions.  That check is the only one a certificate gets, and
 it is binary: there is no tolerance anywhere.
+
+A corral can grow to as many points as there are coordinates, and each
+step solves its Gram system afresh, so nearest_point refuses points of more
+than MAX_DIM coordinates before the search starts.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
+from operator import lt, mul, sub as sub_op
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
@@ -45,6 +55,8 @@ from ._linalg import Vector, dot, norm_sq, sub
 from .forms import ExponentVector, HomogeneousForm
 
 HullWeights = Tuple[Tuple[Vector, Fraction], ...]
+
+MAX_DIM = 33  # most coordinates nearest_point takes; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,15 @@ def _affine_minimizer(vecs: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
     return [a // g for a in alpha], den // g
 
 
+def _run_sums(products: Iterable[int], n: int) -> List[int]:
+    """The sums of consecutive runs of n products, one run per vector.
+
+    With the vectors laid end to end, map(mul, flat, cycle(x)) gives one
+    run per vector, so this is <x, v> for every v in one pass of C loops.
+    """
+    return list(map(sum, zip(*[iter(products)] * n)))
+
+
 def _min_norm_point(
     vecs: Sequence[Tuple[int, ...]]
 ) -> Tuple[Tuple[int, ...], List[int], List[int], int]:
@@ -115,15 +136,21 @@ def _min_norm_point(
     integer, so the corrals and weights are exactly those of the Fraction
     version, and the search terminates without any tolerance.
     """
-    n = len(vecs)
-    start = min(range(n), key=lambda j: (norm_sq(vecs[j]), j))
+    n = len(vecs[0])
+    flat = list(chain.from_iterable(vecs))
+    # the first of the smallest values wins, as (value, j) does in the
+    # Fraction version
+    norms = _run_sums(map(mul, flat, flat), n)
+    start = norms.index(min(norms))
     corral: List[int] = [start]
     weights: List[int] = [1]
     den = 1
     x = vecs[start]
     for _ in range(100000):
         xx = norm_sq(x)
-        value, best = min((dot(x, v), j) for j, v in enumerate(vecs))
+        pairings = _run_sums(map(mul, flat, cycle(x)), n)
+        value = min(pairings)
+        best = pairings.index(value)
         if value * den >= xx:
             return x, corral, weights, den
         corral.append(best)
@@ -167,17 +194,31 @@ def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
     The returned witness satisfies q = sum(weight * point) with positive
     weights summing to one, and the optimality inequality
     <t - q, v - q> <= 0 holds for every input point v; all of this is
-    verified before returning, and nowhere else.
+    verified before returning, and nowhere else.  Points of more than
+    MAX_DIM coordinates are refused with ValueError before the search.
     """
-    pts = sorted({_exact(p) for p in points})
+    pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("cannot project onto an empty point set")
     target = _linalg.vec(t)
     if any(len(p) != len(target) for p in pts):
         raise ValueError("point dimension does not match the target")
-    s = math.lcm(*(c.denominator for c in target), *(c.denominator for p in pts for c in p))
-    st = [int(c * s) for c in target]
-    vecs = [tuple(int(c * s) - b for c, b in zip(p, st)) for p in pts]
+    if not 0 < len(target) <= MAX_DIM:
+        raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {len(target)}")
+    s = math.lcm(*(c.denominator for c in target))
+    ints = set(map(type, chain.from_iterable(pts))) == {int}
+    if not ints:
+        pts = [_exact(p) for p in pts]
+        s = math.lcm(s, *(c.denominator for p in pts for c in p))
+    if not all(map(lt, pts, islice(pts, 1, None))):
+        pts = sorted(set(pts))
+    st = [c.numerator * (s // c.denominator) for c in target]
+    if ints:
+        # integer points, such as a support: s came from the target alone
+        scaled = map(sub_op, map(s.__mul__, chain.from_iterable(pts)), cycle(st))
+        vecs = list(zip(*[scaled] * len(st)))
+    else:
+        vecs = [tuple(int(c * s) - b for c, b in zip(p, st)) for p in pts]
     x, corral, weights, den = _min_norm_point(vecs)
     if any(w <= 0 for w in weights):
         raise AssertionError("hull weights must be positive")

@@ -13,7 +13,8 @@ of coordinates 1..r that the library drops, and the worst-frame search
 moves and projects every frame, with neither the chain walk nor the
 pruning.  Determinants, point images and the substitution action are
 computed over Fractions, by Gaussian elimination and the exact inverse,
-where the library runs fraction-free on integer frames.
+where the library runs fraction-free on integer frames.  Form files are
+read field by field, where the library reads a row with one match.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from hypermult import (
+    FormParseError,
     Frame,
     HomogeneousForm,
     ProjPoint,
@@ -34,9 +37,78 @@ from hypermult import (
     frame_moving_to_origin,
     torus_index,
 )
+from hypermult.forms import _quote
 from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
 
 Matrix = Sequence[Sequence[Fraction]]
+
+
+_HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$", re.ASCII)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_EXPONENT = re.compile(r"[0-9]+")
+
+
+def _read_rational_oracle(text: str) -> Tuple[int, int]:
+    """(p, q) with q > 0 from an optional sign, then p or p/q."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"{_quote(text)} is not a rational p or p/q")
+    num, den = match.groups()
+    try:
+        p, q = int(num), int(den) if den else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"{_quote(text)} has too many digits") from exc
+    if q == 0:
+        raise ValueError(f"{_quote(text)} has a zero denominator")
+    return p, q
+
+
+def parse_form_oracle(text: str) -> HomogeneousForm:
+    """parse_form with each field of a row split out and checked on its own.
+
+    No limit on the common denominator: inputs whose lcm stays below
+    MAX_DEN_BITS get the library's answer or its FormParseError message.
+    """
+    payload: List[str] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            payload.append(line)
+    if not payload:
+        raise FormParseError("empty input: expected an 'r=<int> d=<int>' header")
+    header = _HEADER.match(payload[0])
+    if not header:
+        raise FormParseError(f"bad header {_quote(payload[0])}: expected 'r=<int> d=<int>'")
+    try:
+        r, d = int(header.group(1)), int(header.group(2))
+    except ValueError as exc:
+        raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
+    rows: List[Tuple[Tuple[int, ...], int, int]] = []
+    for line in payload[1:]:
+        fields = line.split()
+        if len(fields) != r + 2:
+            raise FormParseError(
+                f"row {_quote(line)} needs a coefficient and {r + 1} exponents"
+            )
+        try:
+            p, q = _read_rational_oracle(fields[0])
+        except ValueError as exc:
+            raise FormParseError(f"bad coefficient: {exc}") from exc
+        if not all(_EXPONENT.fullmatch(x) for x in fields[1:]):
+            raise FormParseError(f"bad exponent in row {_quote(line)}: digits 0-9 only")
+        try:
+            expo = [int(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise FormParseError(f"too many digits in row {_quote(line)}") from exc
+        rows.append((tuple(expo), p, q))
+    den = math.lcm(*(q for _, _, q in rows))
+    nums: Dict[Tuple[int, ...], int] = {}
+    for key, p, q in rows:
+        nums[key] = nums.get(key, 0) + p * (den // q)
+    try:
+        return HomogeneousForm._from_ints(r, d, nums, den)
+    except ValueError as exc:
+        raise FormParseError(str(exc)) from exc
 
 
 def mult_oracle(f: HomogeneousForm, p: ProjPoint) -> int:

@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from fractions import Fraction
@@ -26,8 +28,9 @@ from hypermult import (
     worst_frame_search,
 )
 from hypermult import classifier, cli, hesselink, serialize
-from hypermult.forms import Frame
+from hypermult.forms import MAX_DEN_BITS, Frame
 from hypermult.hesselink import MAX_FRAMES
+from hypermult.statepoly import MAX_DIM
 from hypermult.cli import run
 from oracle import worst_frame_search_oracle
 
@@ -517,6 +520,61 @@ def test_bound_refuses_an_oversized_frame_family(capsys, tmp_path):
     code, out, err = invoke(capsys, "bound", "--input", str(path), "--point", "1,0,0,0,0")
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(MAX_FRAMES) in err
+
+
+def _large_denominator_rows(pairs):
+    """2,000 r=1 rows over distinct random 30-digit denominators (about 84 KB).
+
+    With pairs, rows 1/q and -1/q on neighbouring exponents share each q,
+    so their numerators cancel modulo the lcm.
+    """
+    rng = random.Random(11)
+    rows = []
+    for i in range(2000):
+        if not pairs or i % 2 == 0:
+            q = rng.randrange(10**29, 10**30)
+        sign = "-" if pairs and i % 2 else ""
+        rows.append(f"{sign}1/{q} {i} {2000 - i}\n")
+    return "r=1 d=2000\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["distinct", "pairs"])
+def test_many_large_denominators_exit_2_at_once(capsys, tmp_path, pairs):
+    path = tmp_path / "dens.form"
+    path.write_text(_large_denominator_rows(pairs))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "index", "--input", str(path))
+    assert time.perf_counter() - start < 0.2
+    assert code == 2 and out == ""
+    message = f"the common denominator of the coefficients has more than {MAX_DEN_BITS} bits"
+    assert err == f"error: {message}\n"
+
+
+def _vertex_simplex(r):
+    """The r+1 vertices 2*e_i: the barycenter lies in their hull."""
+    rows = [" ".join(["1"] + ["2" if j == i else "0" for j in range(r + 1)]) for i in range(r + 1)]
+    return f"r={r} d=2\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("command", ["index", "classify"])
+def test_more_coordinates_than_max_dim_exit_2_at_once(capsys, tmp_path, command):
+    path = tmp_path / "simplex.form"
+    path.write_text(_vertex_simplex(200))  # 82 KB; the search did not end in 5 minutes
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, command, "--input", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == f"error: projection takes 1 to {MAX_DIM} coordinates, got 201\n"
+
+
+def test_the_largest_simplex_still_projects(capsys, tmp_path):
+    path = tmp_path / "simplex.form"
+    path.write_text(_vertex_simplex(MAX_DIM - 1))
+    code, out, err = invoke(capsys, "index", "--input", str(path))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["delta_sq"] == "0" and payload["lambda"] is None
+    assert [h["weight"] for h in payload["hull_weights"]] == [f"1/{MAX_DIM}"] * MAX_DIM
 
 
 # Form text mostly in the grammar, with a quarter of each part drawn from

@@ -21,10 +21,11 @@ from hypermult import (
     point_image,
 )
 from hypermult import _linalg
-from hypermult.forms import _taylor_shift
+from hypermult.forms import MAX_DEN_BITS, _taylor_shift
 from oracle import (
     act_oracle,
     mult_oracle,
+    parse_form_oracle,
     point_image_oracle,
     random_exponent,
     random_form,
@@ -154,6 +155,82 @@ def test_parse_errors_quote_a_short_prefix():
         with pytest.raises(FormParseError) as err:
             parse_form(text)
         assert len(str(err.value)) < 200
+
+
+TOO_LONG = "7" * 4301  # one digit more than int() converts by default
+SEPARATORS = st.sampled_from([" "] * 6 + ["  ", "\t", "\u2003", " \u2003", "\x1c"])
+BAD_DIGITS = st.sampled_from(["\u0663", "1\u0663", TOO_LONG, "+1", "1_0", "x"])
+BAD_COEFFICIENTS = st.sampled_from(["1.5", "1e3", "1_0", "x", "/2", "1/", "--1", "\u0663/2"])
+
+
+@st.composite
+def form_texts(draw):
+    """Form text in and around the grammar, each part outside it now and then."""
+
+    def rarely():  # true about one draw in eight, away from the bounds
+        return draw(st.integers(0, 7)) == 3
+
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    header = f"r={r}" + draw(st.sampled_from([" "] * 4 + ["  ", "\t", "\u2003"])) + f"d={d}"
+    if rarely():
+        header = draw(st.sampled_from([f"r={r} d={d}x", "r=1", f"r={r}d={d}"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 4))):
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=r, max_size=r)))
+        expo = [str(b - a) for a, b in zip([0] + cuts, cuts + [d])]
+        if rarely():
+            expo = expo[1:] if draw(st.booleans()) else expo + ["0"]
+        if rarely():
+            expo[draw(st.integers(0, len(expo) - 1))] = draw(BAD_DIGITS)
+        p = str(draw(st.integers(1, 10**30)))
+        q = draw(st.one_of(st.none(), st.integers(1, 10**30).map(str)))
+        if rarely():
+            q = draw(st.sampled_from(["0", TOO_LONG]))
+        row = draw(st.sampled_from(["", "-", "+"])) + p + ("" if q is None else "/" + q)
+        if rarely():
+            row = draw(st.one_of(BAD_COEFFICIENTS, BAD_DIGITS))
+        for field in expo:
+            row += draw(SEPARATORS) + field
+        row = draw(st.sampled_from(["", "", " ", "\t"])) + row
+        row += draw(st.sampled_from(["", "", " ", "# note", "\t# 1 2 3"]))
+        lines.append(row)
+        if rarely():
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "\u2003"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(form_texts())
+@example("r=2 d=3\n1/2\u20031\x1c1 1\n")
+@example("r=1 d=2\n1\t2\u20030\n-3/4 1 1 # x\n")
+@example(f"r=1 d=2\n1/{TOO_LONG} 2 0\n")
+@example(f"r=1 d=2\n1 2 {TOO_LONG}\n")
+def test_parse_form_equals_the_field_by_field_reader(text):
+    assert _parse_outcome(parse_form, text) == _parse_outcome(parse_form_oracle, text)
+
+
+def test_a_denominator_of_the_longest_int_still_parses():
+    q = 10**4299 + 1  # 4,300 digits, the most int() converts, about 14,284 bits
+    f = parse_form(f"r=1 d=2\n1/{q} 2 0\n-1 0 2\n")
+    assert f.terms == {(2, 0): Fraction(1, q), (0, 2): Fraction(-1)}
+    assert q.bit_length() < MAX_DEN_BITS
+
+
+def test_a_common_denominator_past_the_limit_is_refused():
+    q1, q2 = 10**2600 + 1, 10**2600 + 3  # coprime, so the lcm has about 17,275 bits
+    with pytest.raises(FormParseError, match=f"more than {MAX_DEN_BITS} bits"):
+        parse_form(f"r=1 d=2\n1/{q1} 2 0\n1/{q2} 0 2\n")
+    # the same denominator on many rows keeps the lcm at one row's size
+    f = parse_form("r=1 d=9\n" + "".join(f"1/{q1} {i} {9 - i}\n" for i in range(10)))
+    assert f.den == q1
 
 
 @settings(max_examples=200, deadline=None)

@@ -100,6 +100,23 @@ def test_golden_stdout_repeats_in_one_process(form_paths):
         assert run_case(name, form_paths) == expected, name
 
 
+
+def test_a_usage_error_or_help_leaves_no_state_behind(form_paths):
+    # what a parser kept across calls would have to keep: a stale --point
+    # list or a half-read namespace must not reach the next call
+    def quiet(argv):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return run(argv)
+
+    square = form_paths["square"]
+    assert quiet(["bound", "--input", square, "--budget", "x", "--point", "1,0"]) == 2
+    golden = (GOLDEN / "bound_frames.out").read_text()
+    assert run_case("bound_frames", form_paths) == (0, golden)
+    assert quiet(["--help"]) == 0
+    assert quiet(["index", "--help"]) == 0
+    assert run_case("index_cubic", form_paths) == (0, (GOLDEN / "index_cubic.out").read_text())
+
 if __name__ == "__main__":
     import tempfile
 

@@ -452,3 +452,12 @@ def test_one_param_subgroup_validation():
         OneParamSubgroup((1, 1))
     assert OneParamSubgroup((1, -1)).norm_sq == 2
 
+
+
+def test_nearest_point_refuses_more_than_max_dim_coordinates():
+    n = statepoly.MAX_DIM + 1
+    points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    with pytest.raises(ValueError, match=f"1 to {statepoly.MAX_DIM} coordinates, got {n}"):
+        nearest_point(points, [Fraction(1, n)] * n)
+    inside = nearest_point([p[1:] for p in points[1:]], [Fraction(1, n - 1)] * (n - 1))
+    assert inside.dist_sq == 0
