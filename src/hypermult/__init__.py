@@ -33,6 +33,7 @@ from .statepoly import (
 )
 from .hesselink import (
     BandParams,
+    FrameFamily,
     StratumLabel,
     band_contains,
     default_frames,

@@ -38,7 +38,7 @@ from .hesselink import (
     separation_threshold,
     unique_band,
 )
-from .statepoly import InstabilityCertificate, torus_index
+from .statepoly import InstabilityCertificate, check_dim, torus_index
 
 MAX_CORPUS = 2**18  # most forms x (r+1) a corpus or a verify run generates
 
@@ -128,6 +128,7 @@ def classify_at(
     """Classify the multiplicity of f at an arbitrary rational point."""
     if len(p.coords) != f.r + 1:
         raise ValueError("point dimension must be r+1")
+    check_dim(f.r + 1)  # refuse before moving the form, not in torus_index after
     moved = act(frame_moving_to_origin(p), f)
     return classify_at_origin(moved, n)
 

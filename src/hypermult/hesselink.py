@@ -22,18 +22,19 @@ insists on N > d, which the capture argument for destabilized forms needs.
 For N > d the bands holding a point form one interval of m, so
 unique_band finds the band of a point with at most two band tests.
 
-worst_frame_search returns what projecting act(g, f) for every frame g in
-order would, the first largest delta_sq, without paying for every member:
+A frame family is a mover and a budget b: its members are L * mover for
+each lower unipotent L with entries in -b..b.  worst_frame_search returns
+what projecting act(g, f) for every member g in order would, without
+paying for every member:
 
 - it projects no member whose support contains the witness of a member
   already projected: the at most r+1 support points whose hull holds that
   member's nearest point, so their hull is exactly as near xi as its
   support, no nearer than the best.  A larger set has a hull at least as
   near xi, so such a member can at most tie the best;
-- it walks chains: frames whose rows 1..r differ only by multiples of
-  row 0 move f by Taylor shifts of one another.  default_frames lists each
-  chain's members together, so the search keeps one moved form and takes
-  one substitution per setting off column 0, (2b+1)^(r(r-1)/2) of them.
+- it walks the family chain by chain: members whose entries off column 0
+  agree move f by Taylor shifts of one another, so it takes one full
+  substitution per setting off column 0, (2b+1)^(r(r-1)/2) of them.
 """
 
 from __future__ import annotations
@@ -42,21 +43,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import norm_sq
+from ._linalg import Matrix, norm_sq
 from .forms import (
     ExponentVector,
     Frame,
     HomogeneousForm,
-    IntPoly,
     ProjPoint,
     _substitute,
     _taylor_shift,
     frame_moving_to_origin,
 )
-from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
+from .statepoly import (
+    InstabilityCertificate, OneParamSubgroup, check_dim, class_rep, torus_index
+)
 
 MAX_FRAMES = 4096  # largest family default_frames builds
 MAX_PAIRS = 2**16  # most band pairs pair_minima lists
@@ -219,17 +221,30 @@ class StratumLabel:
         )
 
 
-def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
+@dataclass(frozen=True)
+class FrameFamily:
+    """L * mover for each lower unipotent L with entries in -budget..budget.
+
+    Column 0 varies fastest, the last row's entry fastest of all.
+    """
+
+    mover: Frame
+    budget: int
+
+    def __len__(self) -> int:
+        r = self.mover.size - 1
+        return (2 * self.budget + 1) ** (r * (r + 1) // 2)
+
+
+def default_frames(r: int, p: ProjPoint, budget: int) -> FrameFamily:
     """Search family around the frame moving p to the origin.
 
     Every member first applies the mover, then a lower-triangular
-    unipotent with strictly-lower entries drawn from -budget..budget, which
-    fixes [1:0:...:0]; all entries 0 give the mover itself.  Permuting
-    coordinates 1..r on top would only permute the support, changing
-    neither delta_sq nor the sorted label, so the family has none.  A
-    family larger than MAX_FRAMES raises ValueError before any is built.
-    The entries of column 0 vary fastest, so the members of one chain of
-    worst_frame_search, which share the entries off column 0, are adjacent.
+    unipotent, which fixes [1:0:...:0].  Permuting coordinates 1..r on top
+    would only permute the support, changing neither delta_sq nor the
+    sorted label, so the family has none.  A family larger than MAX_FRAMES
+    or of more than statepoly.MAX_DIM coordinates raises ValueError before
+    the mover is built.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -241,46 +256,20 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
     # a base >= 3 exceeds MAX_FRAMES by its bit length, so cap the power there
     if budget and (2 * budget + 1) ** min(slots, MAX_FRAMES.bit_length()) > MAX_FRAMES:
         raise ValueError(f"budget {budget} at r={r} gives more than {MAX_FRAMES} frames")
-    n = r + 1
-    lower_slots = [(i, j) for i in range(1, n) for j in range(1, i)]
-    lower_slots += [(i, 0) for i in range(1, n)]  # so column 0 varies fastest
-    mover = frame_moving_to_origin(p)
-    frames = []
-    for fill in product(range(-budget, budget + 1), repeat=slots):
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for (i, j), value in zip(lower_slots, fill):
-            rows[i][j] = value
-        frames.append(Frame(_linalg.mat_mul(rows, mover.rows)))
-    return frames
-
-
-def _chain_of(rows: Sequence[Sequence[int]]) -> Tuple[tuple, Tuple[int, ...]]:
-    """(chain key, shifts) of a frame: rows 1..r reduced modulo row 0.
-
-    With k the first nonzero entry of row 0, row i is s_i * row 0 plus a
-    remainder whose k-th entry lies between 0 and row0[k]; two frames
-    share a key exactly when row 0 agrees and rows 1..r differ by integer
-    multiples of it.
-    """
-    head = tuple(rows[0])
-    k = next(j for j, x in enumerate(head) if x)
-    shifts = tuple(row[k] // head[k] for row in rows[1:])
-    rests = tuple(
-        tuple(x - s * h for x, h in zip(row, head)) for row, s in zip(rows[1:], shifts)
-    )
-    return (head, rests), shifts
+    check_dim(r + 1)
+    return FrameFamily(frame_moving_to_origin(p), budget)
 
 
 def worst_frame_search(
-    f: HomogeneousForm, frames: Iterable[Frame]
+    f: HomogeneousForm, family: FrameFamily
 ) -> Tuple[Frame, InstabilityCertificate]:
-    """Frame from the family whose moved form has the largest delta_sq.
+    """Member of the family whose moved form has the largest delta_sq.
 
-    Ties keep the first frame encountered, so a fixed family gives a
-    deterministic result.  The value is a lower bound for the true index
-    over the whole group; the family never proves optimality.
+    Ties keep the first member, so the result is deterministic.  The value
+    is a lower bound for the true index over the whole group; the family
+    never proves optimality.
 
-    The result is that of projecting act(frame, f) for every frame in
+    The result is that of projecting act(g, f) for every member g in
     order, but two exact shortcuts avoid most of that work:
 
     - Pruning, by one rule: delta_sq is the squared distance from xi to
@@ -292,40 +281,42 @@ def worst_frame_search(
       P's support, so it is exactly as near xi as that support: no nearer
       than the best.  Such a member can at most tie, and the best is
       replaced only by a strictly larger delta_sq.
-    - The chain walk.  Frames whose row 0 agrees and whose rows 1..r
-      differ by integer multiples s_i of it form a chain: g = T*g' with
-      T = I + sum s_i e_i e_0^T, so act(g, f) is act(g', f) after the
-      Taylor shifts x_0 -> x_0 + s_i*x_i, integer additions on the
-      numerators over f's denominator.  Only the last member's moved
-      form is kept: a member not in its chain gets a full substitution.
-      A default_frames family, whose chains are adjacent, takes one per
-      setting off column 0, (2b+1)^(r(r-1)/2); other orders take more.
+    - The chain walk.  With base = L * mover for one setting off column
+      0, the member of column-0 entries s_i is T * base, T = I + sum s_i
+      e_i e_0^T: base with s_i * row 0 added to row i.  So act(T * base, f)
+      is act(base, f) after the Taylor shifts x_0 -> x_0 + s_i*x_i,
+      integer additions on the numerators over f's denominator: one full
+      substitution per chain, then a shift per entry that changes.
 
     Memory is one moved form and the at most r+1 exponent vectors of each
-    projected member's witness; only projected members build a form.
+    projected member's witness; only the winner becomes a Frame.
     """
     n = f.r + 1
-    chain: Optional[Tuple[tuple, Tuple[int, ...], IntPoly]] = None  # the last member's
+    if family.mover.size != n:
+        raise ValueError(f"frame size {family.mover.size} does not match r+1 = {n}")
+    settings = range(-family.budget, family.budget + 1)
+    lower = [(i, j) for i in range(1, n) for j in range(1, i)]
     witnesses: List[FrozenSet[ExponentVector]] = []
-    best: Optional[Tuple[Frame, InstabilityCertificate]] = None
-    for frame in frames:
-        if frame.size != n:
-            raise ValueError(f"frame size {frame.size} does not match r+1 = {n}")
-        key, shifts = _chain_of(frame.rows)
-        if chain is None or chain[0] != key:
-            moved = _substitute(frame.rows, f.nums)
-        else:
-            _, before, moved = chain
+    best: Optional[Tuple[Matrix, Tuple[int, ...], InstabilityCertificate]] = None
+    for fill in product(settings, repeat=len(lower)):
+        unipotent = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), value in zip(lower, fill):
+            unipotent[i][j] = value
+        base = _linalg.mat_mul(unipotent, family.mover.rows)
+        before = (0,) * f.r
+        moved = _substitute(base, f.nums)
+        for shifts in product(settings, repeat=f.r):
             for i, (s, s0) in enumerate(zip(shifts, before), 1):
                 if s != s0:
                     moved = _taylor_shift(moved, i, s - s0)
-        chain = (key, shifts, moved)
-        if any(moved.keys() >= w for w in witnesses):
-            continue
-        cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, f.den))
-        witnesses.append(frozenset(e for e, _ in cert.hull_weights))
-        if best is None or cert.delta_sq > best[1].delta_sq:
-            best = (frame, cert)
-    if best is None:
-        raise ValueError("frame family cannot be empty")
-    return best
+            before = shifts
+            if any(moved.keys() >= w for w in witnesses):
+                continue
+            cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, f.den))
+            witnesses.append(frozenset(e for e, _ in cert.hull_weights))
+            if best is None or cert.delta_sq > best[2].delta_sq:
+                best = (base, shifts, cert)
+    base, shifts, cert = best
+    head = base[0]
+    rows = [head] + [[x + s * h for x, h in zip(row, head)] for row, s in zip(base[1:], shifts)]
+    return Frame(rows), cert

@@ -59,6 +59,12 @@ HullWeights = Tuple[Tuple[Vector, Fraction], ...]
 MAX_DIM = 33  # most coordinates nearest_point takes; see the module docstring
 
 
+def check_dim(n: int) -> None:
+    """Refuse a projection onto n coordinates unless 0 < n <= MAX_DIM."""
+    if not 0 < n <= MAX_DIM:
+        raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {n}")
+
+
 @dataclass(frozen=True)
 class OneParamSubgroup:
     """Primitive nonzero integer weight vector with zero sum."""
@@ -203,8 +209,7 @@ def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
     target = _linalg.vec(t)
     if any(len(p) != len(target) for p in pts):
         raise ValueError("point dimension does not match the target")
-    if not 0 < len(target) <= MAX_DIM:
-        raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {len(target)}")
+    check_dim(len(target))
     s = math.lcm(*(c.denominator for c in target))
     ints = set(map(type, chain.from_iterable(pts))) == {int}
     if not ints:

@@ -9,9 +9,12 @@ geometry comes from vector distances to the barycenter instead of the
 closed forms, the band of a point from a scan of every band instead of the
 two-test interval argument, the scale of a certificate from lam and w
 instead of the projection's lcm, the frame family keeps the permutations
-of coordinates 1..r that the library drops, and the worst-frame search
-moves and projects every frame, with neither the chain walk nor the
-pruning.  Determinants, point images and the substitution action are
+of coordinates 1..r that the library drops, the frame family is listed as
+one Frame per member where the library keeps a mover and a budget, and
+the worst-frame search moves and projects every frame, with neither the
+chain walk nor the pruning.  The largest multiplicity of a binary form,
+and with it the largest torus index the paper's relation allows at r = 1,
+comes from Yun's squarefree decomposition over Q.  Determinants, point images and the substitution action are
 computed over Fractions, by Gaussian elimination and the exact inverse,
 where the library runs fraction-free on integer frames.  Form files are
 read field by field, where the library reads a row with one match.
@@ -445,6 +448,27 @@ def scale_oracle(cert) -> Optional[Fraction]:
     return Fraction(cert.lam.weights[i]) / cert.w[i]
 
 
+def _unipotents(n: int, budget: int):
+    """Each lower unipotent n x n matrix with entries in -budget..budget.
+
+    In the member order of a frame family: the entries of column 0 vary
+    fastest, the last row's fastest of all.
+    """
+    lower_slots = [(i, j) for i in range(1, n) for j in range(1, i)]
+    lower_slots += [(i, 0) for i in range(1, n)]
+    for fill in itertools.product(range(-budget, budget + 1), repeat=len(lower_slots)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), value in zip(lower_slots, fill):
+            rows[i][j] = value
+        yield rows
+
+
+def family_members(family) -> List[Frame]:
+    """One Frame per member of a FrameFamily, L * mover, in the search's order."""
+    mover = family.mover
+    return [Frame(mat_mul(rows, mover.rows)) for rows in _unipotents(mover.size, family.budget)]
+
+
 def permuted_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
     """Every lower unipotent after the mover, then each permutation of 1..r.
 
@@ -453,19 +477,13 @@ def permuted_frames(r: int, p: ProjPoint, budget: int) -> List[Frame]:
     """
     mover = frame_moving_to_origin(p)
     n = r + 1
-    # the slot order of default_frames: column 0 last
-    lower_slots = [(i, j) for i in range(1, n) for j in range(1, i)]
-    lower_slots += [(i, 0) for i in range(1, n)]
     frames: Dict[Tuple, Frame] = {}
     for perm in itertools.permutations(range(1, n)):
         perm_rows = [[0] * n for _ in range(n)]
         perm_rows[0][0] = 1
         for col, row in zip(range(1, n), perm):
             perm_rows[row][col] = 1
-        for fill in itertools.product(range(-budget, budget + 1), repeat=len(lower_slots)):
-            rows = [[int(i == j) for j in range(n)] for i in range(n)]
-            for (i, j), value in zip(lower_slots, fill):
-                rows[i][j] = value
+        for rows in _unipotents(n, budget):
             total = Frame(mat_mul(mat_mul(perm_rows, rows), mover.rows))
             frames.setdefault(total.rows, total)
     return list(frames.values())
@@ -481,3 +499,89 @@ def worst_frame_search_oracle(f: HomogeneousForm, frames) -> Tuple[Frame, object
     if best is None:
         raise ValueError("frame family cannot be empty")
     return best
+
+
+# ---------------------------------------------------------------- r = 1
+# Univariate polynomials over Q as Fraction coefficient lists, lowest
+# degree first, with no trailing zeros; [] is the zero polynomial.
+
+
+def _trim(p: List[Fraction]) -> List[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _derivative(p: List[Fraction]) -> List[Fraction]:
+    return _trim([k * c for k, c in enumerate(p)][1:])
+
+
+def _divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        c = rem[-1] / b[-1]
+        quo[k] = c
+        for j, x in enumerate(b):
+            rem[k + j] -= c * x
+        _trim(rem)
+    return _trim(quo), rem
+
+
+def _gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    """Monic gcd by Euclid's algorithm; gcd(a, 0) is a made monic."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _exact_quotient(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    quo, rem = _divmod(a, b)
+    assert not rem, "the division should be exact"
+    return quo
+
+
+def squarefree_parts(p: List[Fraction]) -> List[List[Fraction]]:
+    """[a_1, a_2, ...] with p = c * a_1 * a_2^2 * ..., each a_i squarefree.
+
+    Yun's algorithm ("On square-free decomposition algorithms", 1976): the
+    roots of a_i are exactly the roots of p of multiplicity i, over the
+    algebraic closure.  A constant p gives [].
+    """
+    dp = _derivative(p)
+    g = _gcd(p, dp)
+    b, c = _exact_quotient(p, g), _exact_quotient(dp, g)
+    parts = []
+    while len(b) > 1:
+        dd = _trim([x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd(b, dd)
+        b, c = _exact_quotient(b, a), _exact_quotient(dd, a)
+        parts.append(a)
+    return parts
+
+
+def binary_index_oracle(f: HomogeneousForm) -> Tuple[int, Fraction]:
+    """(m_max, 2 * max(0, m_max - d/2)^2) of a binary form, over Q.
+
+    m_max is the largest multiplicity of a point of f = 0 over the
+    algebraic closure: the roots of f(t, 1) give the points [t:1], and the
+    drop of its degree below d is the multiplicity of [1:0].  The second
+    value, the paper's relation at r = 1, bounds the torus index of f in
+    every frame, and a frame moving a point of multiplicity m_max > d/2 to
+    [1:0] attains it: a support on the segment from (d, 0) to (0, d) lies
+    at squared distance 2*(k - d/2)^2 from xi = (d/2, d/2) through its
+    exponent k of x_0 nearest d/2, and the exponents of x_0 run from the
+    multiplicity of [0:1] to d minus that of [1:0].  No frames, supports
+    or projections are used.
+    """
+    if f.r != 1:
+        raise ValueError("binary forms only")
+    chart = [Fraction(0)] * (f.d + 1)
+    for (e0, _), c in f.terms.items():
+        chart[e0] = c
+    chart = _trim(chart)
+    parts = squarefree_parts(chart)
+    finite = max((i for i, a in enumerate(parts, 1) if len(a) > 1), default=0)
+    m_max = max(f.d - (len(chart) - 1), finite)
+    return m_max, 2 * max(Fraction(0), m_max - Fraction(f.d, 2)) ** 2

@@ -32,7 +32,7 @@ from hypermult.forms import MAX_DEN_BITS, Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.statepoly import MAX_DIM
 from hypermult.cli import run
-from oracle import worst_frame_search_oracle
+from oracle import family_members, worst_frame_search_oracle
 
 CUBIC_TEXT = "r=2 d=3\n1 1 1 1\n1 0 3 0\n"
 SQUARE_TEXT = "r=1 d=2\n1 0 2\n"
@@ -391,7 +391,8 @@ def test_bound_skips_dominated_frames_with_the_same_output(capsys, monkeypatch, 
     path.write_text(QUINTIC_TEXT)
     argv = ("bound", "--input", str(path), "--point", "1,0", "--budget", "1")
     # the plain loop projects every frame
-    monkeypatch.setattr(cli, "worst_frame_search", worst_frame_search_oracle)
+    monkeypatch.setattr(cli, "worst_frame_search",
+                        lambda f, family: worst_frame_search_oracle(f, family_members(family)))
     expected = invoke(capsys, *argv)
     monkeypatch.undo()
     projected = _count_calls(monkeypatch, hesselink, "torus_index")
@@ -563,6 +564,27 @@ def test_more_coordinates_than_max_dim_exit_2_at_once(capsys, tmp_path, command)
     start = time.perf_counter()
     code, out, err = invoke(capsys, command, "--input", str(path))
     assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == f"error: projection takes 1 to {MAX_DIM} coordinates, got 201\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("classify", "--point", "1,1" + ",0" * 199),
+    ("bound", "--point", "1,1" + ",0" * 199, "--budget", "0"),
+])
+def test_a_point_on_more_coordinates_than_max_dim_exits_2_before_the_move(
+    capsys, monkeypatch, tmp_path, command
+):
+    path = tmp_path / "simplex.form"
+    path.write_text(_vertex_simplex(200))
+
+    def no_move(*args):
+        raise AssertionError("the form was moved")
+
+    for module in (classifier, hesselink):
+        monkeypatch.setattr(module, "frame_moving_to_origin", no_move)
+    monkeypatch.setattr(classifier, "act", no_move)
+    code, out, err = invoke(capsys, command[0], "--input", str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err == f"error: projection takes 1 to {MAX_DIM} coordinates, got 201\n"
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypermult import (
     BandParams,
     Frame,
+    FrameFamily,
     HomogeneousForm,
     ProjPoint,
     StratumLabel,
@@ -19,6 +20,7 @@ from hypermult import (
     frame_moving_to_origin,
     gen_corpus,
     l_squared,
+    multiplicity_at,
     multiplicity_at_origin,
     pair_minima,
     pair_separation_min_N,
@@ -31,9 +33,12 @@ from hypermult import (
 )
 from hypermult import _linalg, hesselink
 from hypermult.hesselink import unique_band
+from hypermult.statepoly import MAX_DIM
 from hypermult._linalg import norm_sq, sub, vec
 from oracle import (
     band_contains_oracle,
+    binary_index_oracle,
+    family_members,
     l_squared_oracle,
     permuted_frames,
     random_exponent,
@@ -358,31 +363,33 @@ def test_band_capture_gives_unique_band_at_threshold():
 def test_default_frames_smallest_families():
     p = ProjPoint.parse("0,1")
     family = default_frames(1, p, 0)
-    assert family == [frame_moving_to_origin(p)]
+    assert family == FrameFamily(frame_moving_to_origin(p), 0) and len(family) == 1
+    assert family_members(family) == [frame_moving_to_origin(p)]
     family2 = default_frames(2, ProjPoint.parse("1,0,0"), 0)
-    assert family2 == [Frame.identity(3)]  # no permutations of coordinates 1, 2
+    assert family_members(family2) == [Frame.identity(3)]  # no permutations of 1, 2
 
 
 def test_default_frames_fix_the_moved_point():
-    rng = random.Random(59)
     p = ProjPoint.parse("1,2,1")
     family = default_frames(2, p, 1)
     mover = frame_moving_to_origin(p)
-    assert any(frame == mover for frame in family)
+    members = family_members(family)
+    assert members[len(members) // 2] == mover  # all entries 0
     origin = ProjPoint.origin(2)
-    for frame in family:
+    for frame in members:
         assert point_image(frame, p) == origin
     # budget 1, r = 2: 3 strictly lower entries, all distinct
-    assert len(family) == 27
-    assert len(set(frame.rows for frame in family)) == 27
+    assert len(family) == len(members) == 27
+    assert len(set(frame.rows for frame in members)) == 27
 
 
 @pytest.mark.parametrize("r, point, budget", [
     (1, "0,1", 2), (2, "1,2,1", 1), (2, "1,0,0", 1), (3, "2,-1,3,5", 1), (3, "1/2,1/3,0,1", 0),
 ])
 def test_default_frames_take_one_det_per_member(monkeypatch, r, point, budget):
-    # each member is one Frame (one det); the one mover costs two more, the
-    # completion's sign check and its own Frame
+    # no member costs a det: the family is the mover, whose completion's
+    # sign check and Frame take two, and the search builds one Frame, for
+    # the winner
     calls = []
     det = _linalg.det
 
@@ -393,7 +400,9 @@ def test_default_frames_take_one_det_per_member(monkeypatch, r, point, budget):
     monkeypatch.setattr(_linalg, "det", counted)
     family = default_frames(r, ProjPoint.parse(point), budget)
     assert len(family) == (2 * budget + 1) ** (r * (r + 1) // 2)
-    assert len(calls) == len(family) + 2
+    assert len(calls) == 2
+    worst_frame_search(random_form(random.Random(79 + r), r, 3), family)
+    assert len(calls) == 3
 
 
 def test_default_frames_refuse_large_families_before_building(monkeypatch):
@@ -404,9 +413,12 @@ def test_default_frames_refuse_large_families_before_building(monkeypatch):
     for r, budget in [(4, 1), (3, 2), (1, hesselink.MAX_FRAMES), (2, 10**50), (60, 1)]:
         with pytest.raises(ValueError, match="frames"):
             default_frames(r, ProjPoint.origin(r), budget)
-    # budget 0 is always the mover alone, whatever r
-    with pytest.raises(AssertionError):
+    # budget 0 is always the mover alone, but no more coordinates than a
+    # projection takes
+    with pytest.raises(ValueError, match=f"1 to {MAX_DIM} coordinates, got 61"):
         default_frames(60, ProjPoint.origin(60), 0)
+    with pytest.raises(AssertionError):
+        default_frames(MAX_DIM - 1, ProjPoint.origin(MAX_DIM - 1), 0)
 
 
 @pytest.mark.parametrize("r, terms", [
@@ -416,53 +428,46 @@ def test_default_frames_refuse_large_families_before_building(monkeypatch):
     (3, {(0, 1, 1, 0): 1, (0, 0, 0, 2): 1}),
 ])
 def test_worst_frame_search_ignores_the_permutations(r, terms):
-    # the permutations only permute the support, so the search over the
-    # family without them returns the same frame and certificate
+    # the permutations only permute the support, so the plain loop over the
+    # family with them returns the frame and certificate of the search
     rng = random.Random(61 + r)
     g = random_unimodular_frame(rng, r + 1)
     f = act(g, HomogeneousForm(r, sum(next(iter(terms))), terms))
     p = point_image(g, ProjPoint.origin(r))
     ours = default_frames(r, p, 1)
     theirs = permuted_frames(r, p, 1)
-    assert theirs[: len(ours)] == ours
+    assert theirs[: len(ours)] == family_members(ours)
     best = worst_frame_search(f, ours)
     assert best[1].delta_sq > 0
-    assert best == worst_frame_search(f, theirs)
+    assert best == worst_frame_search_oracle(f, theirs)
 
 
 def test_worst_frame_search_beats_identity_on_hidden_instability():
-    # x_0^2 + 2 x_0 x_1 + x_1^2 = (x_0 + x_1)^2 is torus semistable as given
-    # but a shear reveals a double point
+    # x_0^2 + 2 x_0 x_1 + x_1^2 = (x_0 + x_1)^2 is torus semistable as given,
+    # and the family at the origin holds the identity, but its first member,
+    # x_0 -> x_0 - x_1, moves the double point [1:-1] to [0:1]
     f = HomogeneousForm(1, 2, {(2, 0): Fraction(1), (1, 1): Fraction(2), (0, 2): Fraction(1)})
     assert torus_index(f).delta_sq == 0
-    frames = [Frame.identity(2), Frame([[1, -1], [0, 1]]), Frame([[1, 0], [-1, 1]])]
-    best_frame, best_cert = worst_frame_search(f, frames)
+    family = default_frames(1, ProjPoint.origin(1), 1)
+    assert Frame.identity(2) in family_members(family)
+    best_frame, best_cert = worst_frame_search(f, family)
     assert best_cert.delta_sq == 2
-    assert multiplicity_at_origin(act(best_frame, f)) == 2
+    assert multiplicity_at(act(best_frame, f), ProjPoint.parse("0,1")) == 2
 
 
 def test_worst_frame_search_is_deterministic_on_ties():
+    # x_0 -> x_0 + s*x_1 fixes x_1^2, so every member ties and the first,
+    # the shear by -1, wins
     f = HomogeneousForm(1, 2, {(0, 2): Fraction(1)})
-    a = Frame.identity(2)
-    b = Frame([[1, 0], [0, 2]])  # same support, same certificate
-    frame, _ = worst_frame_search(f, [a, b])
-    assert frame == a
-    frame2, _ = worst_frame_search(f, [b, a])
-    assert frame2 == b
-    with pytest.raises(ValueError):
-        worst_frame_search(f, [])
-
-
-def _sheared(rng, frame):
-    """frame with k_i * row 0 added to each row i >= 1, k_i in -5..5."""
-    head, *rest = frame.rows
-    ks = [rng.randint(-5, 5) for _ in rest]
-    return Frame([head] + [[x + k * h for x, h in zip(row, head)] for row, k in zip(rest, ks)])
+    family = default_frames(1, ProjPoint.origin(1), 1)
+    first = family_members(family)[0]
+    assert first == Frame([[1, 0], [-1, 1]])
+    assert worst_frame_search(f, family) == (first, torus_index(f))
 
 
 @st.composite
 def search_cases(draw):
-    """A form, a frame list and how the list was made from a family."""
+    """A form and a frame family of r <= 3."""
     r = draw(st.integers(1, 3))
     budget = draw(st.integers(0, 1 if r == 3 else 2))
     d = draw(st.integers(1, 4))
@@ -478,45 +483,23 @@ def search_cases(draw):
             f = HomogeneousForm(r, d, {
                 e: c / rng.choice([1, 2, 3, 7, 2**40]) for e, c in f.terms.items()
             })
-    frames = default_frames(r, random_point(rng, r), budget)
-    order = draw(st.sampled_from(
-        ["family", "reversed", "shuffled", "duplicates", "sheared", "mixed"]
-    ))
-    if order == "reversed":
-        frames.reverse()
-    elif order == "shuffled":
-        rng.shuffle(frames)
-    elif order == "duplicates":
-        frames = rng.choices(frames, k=len(frames) + 3)
-    elif order == "sheared":
-        frames = [_sheared(rng, g) if rng.random() < 0.7 else g for g in frames]
-    elif order == "mixed":
-        # other row 0s too, so several chain heads interleave
-        frames = frames + [_sheared(rng, random_unimodular_frame(rng, r + 1)) for _ in range(9)]
-        rng.shuffle(frames)
-    if r == 3 and budget == 1:
-        frames = frames[: rng.randint(1, 120)]
-    return f, frames
+    return f, default_frames(r, random_point(rng, r), budget)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(search_cases())
 def test_worst_frame_search_matches_the_plain_loop(case):
-    f, frames = case
-    given_frames = list(frames)
-    ours = worst_frame_search(f, frames)
-    assert ours == worst_frame_search_oracle(f, frames)
-    # the same frame object, the first of its kind, so ties break alike
-    assert ours[0] is worst_frame_search_oracle(f, frames)[0]
-    assert frames == given_frames and len(frames) == len(given_frames)
-    assert worst_frame_search(f, iter(frames)) == ours
+    # the frame by value, since the search builds only the winner, and the
+    # certificate of the first member with the largest delta_sq
+    f, family = case
+    assert worst_frame_search(f, family) == worst_frame_search_oracle(f, family_members(family))
 
 
 def test_worst_frame_search_matches_the_plain_loop_on_a_whole_r3_family():
     rng = random.Random(67)
     f = act(random_unimodular_frame(rng, 4), HomogeneousForm(3, 3, {(1, 1, 0, 1): 1, (0, 0, 3, 0): -2}))
-    frames = default_frames(3, random_point(rng, 3), 1)
-    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
+    family = default_frames(3, random_point(rng, 3), 1)
+    assert worst_frame_search(f, family) == worst_frame_search_oracle(f, family_members(family))
 
 
 def _count_substitutions(monkeypatch):
@@ -531,38 +514,16 @@ def _count_substitutions(monkeypatch):
     return calls
 
 
-def _key_changes(frames):
-    keys = [hesselink._chain_of(g.rows)[0] for g in frames]
-    return sum(a != b for a, b in zip(keys, keys[1:]))
-
-
 @pytest.mark.parametrize("r, budget, chains", [(1, 3, 1), (2, 1, 3), (2, 2, 5), (3, 1, 27)])
 def test_a_family_takes_one_substitution_per_chain(monkeypatch, r, budget, chains):
-    # members that differ only in column 0 are Taylor shifts of one another,
-    # and the family lists each chain's members together
+    # members that differ only in column 0 are Taylor shifts of one another
     rng = random.Random(71 + r)
     f = random_form(rng, r, 3)
-    frames = default_frames(r, random_point(rng, r), budget)
-    assert _key_changes(frames) == chains - 1
+    family = default_frames(r, random_point(rng, r), budget)
     calls = _count_substitutions(monkeypatch)
-    worst_frame_search(f, frames)
+    worst_frame_search(f, family)
     assert chains == (2 * budget + 1) ** (r * (r - 1) // 2)
     assert len(calls) == chains
-
-
-def test_interleaved_chains_are_substituted_again(monkeypatch):
-    # sorted by their shifts, the members of an r=2 family's 3 chains
-    # interleave; each member whose chain differs from the one before it
-    # gets a full substitution, and the answer stays the plain loop's
-    rng = random.Random(73)
-    f = random_form(rng, 2, 3)
-    frames = sorted(default_frames(2, random_point(rng, 2), 1),
-                    key=lambda g: hesselink._chain_of(g.rows)[1])
-    changes = _key_changes(frames)
-    assert changes > 2
-    calls = _count_substitutions(monkeypatch)
-    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
-    assert len(calls) == changes + 1
 
 
 def _count_projections(monkeypatch):
@@ -577,72 +538,94 @@ def _count_projections(monkeypatch):
     return projected
 
 
-def test_dominated_members_are_not_projected(monkeypatch):
-    # (x0 + x1)^2 x1: the first shear moves it to x0^2 x1, and the other
-    # members keep (2, 1) in their support, so they can at most tie it
-    f = HomogeneousForm(1, 3, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+def _check_pruned_search(monkeypatch, f, family, projections):
+    """The search's result is the plain loop's, from `projections` projections."""
+    expected = worst_frame_search_oracle(f, family_members(family))
     projected = _count_projections(monkeypatch)
-    frames = [Frame([[1, 0], [-1, 1]]), Frame.identity(2), Frame([[1, 0], [1, 1]])]
-    frame, cert = worst_frame_search(f, frames)
-    assert (frame, cert) == worst_frame_search_oracle(f, frames)
-    assert len(projected) == 1
+    best = worst_frame_search(f, family)
+    assert best == expected
+    assert len(projected) == projections
+    return best, projected
+
+
+def test_dominated_members_are_not_projected(monkeypatch):
+    # (x0 + x1)^2 x1: the first shear, x0 -> x0 - x1, moves it to x0^2 x1,
+    # and the other members keep (2, 1) in their support, so they can at
+    # most tie it
+    f = HomogeneousForm(1, 3, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+    family = default_frames(1, ProjPoint.origin(1), 1)
+    assert family_members(family) == [
+        Frame([[1, 0], [-1, 1]]), Frame.identity(2), Frame([[1, 0], [1, 1]])
+    ]
+    _check_pruned_search(monkeypatch, f, family, 1)
+
+
+# the first member of default_frames(2, origin, 1), and its inverse: a form
+# moved by FIRST_INVERSE first is the form itself at the family's first member
+FIRST = Frame([[1, 0, 0], [-1, 1, 0], [-1, -1, 1]])
+FIRST_INVERSE = Frame([[1, 0, 0], [1, 1, 0], [2, 1, 1]])
+ORIGIN_FAMILY = default_frames(2, ProjPoint.origin(2), 1)
 
 
 def test_a_superset_of_a_projected_support_is_not_projected(monkeypatch):
     # x1^3 + x2^3 projects to the middle of the segment from (0,3,0) to
-    # (0,0,3), at squared distance 3/2 from xi; the shear x2 -> x1 + x2
-    # adds (0,2,1) and (0,1,2), each at squared distance 2, so no single
-    # point is as near xi as the best, but the second support holds the
-    # first, and with it the first's witness
-    f = HomogeneousForm(2, 3, {(0, 3, 0): 1, (0, 0, 3): 1})
-    frames = [Frame.identity(3), Frame([[1, 0, 0], [0, 1, 0], [0, 1, 1]])]
-    first, second = (set(act(g, f).support()) for g in frames)
-    assert second > first
+    # (0,0,3), at squared distance 3/2 from xi.  Without x0 its members are
+    # the shears x1 -> x1 + t*x2, t = 0, 1, 2, chain by chain; t = 1, 2 add
+    # (0,2,1) and (0,1,2), each at squared distance 2, so no single point
+    # is as near xi as the best, but the supports hold the first, and with
+    # it the first's witness
+    f0 = HomogeneousForm(2, 3, {(0, 3, 0): 1, (0, 0, 3): 1})
+    f = act(FIRST_INVERSE, f0)
+    assert family_members(ORIGIN_FAMILY)[0] == FIRST and act(FIRST, f) == f0
+    supports = {act(g, f).support() for g in family_members(ORIGIN_FAMILY)}
+    first = set(f0.support())
+    assert len(supports) == 2 and all(set(s) >= first for s in supports)
     xi = barycenter(2, 3)
-    best = torus_index(f).delta_sq
-    assert all(norm_sq(sub(e, xi)) > best for e in second)
-    projected = _count_projections(monkeypatch)
-    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
-    assert len(projected) == 1
+    assert all(norm_sq(sub(e, xi)) > torus_index(f0).delta_sq
+               for s in supports if set(s) > first for e in s)
+    _, projected = _check_pruned_search(monkeypatch, f, ORIGIN_FAMILY, 1)
+    assert projected == [f0]
 
 
-# -x1^2 - 2*x0*x1 + x1*x2 = x1*(x2 - x1 - 2*x0), at squared distance 1/6
-PAIR_OF_LINES = HomogeneousForm(2, 2, {(0, 2, 0): -1, (1, 1, 0): -2, (0, 1, 1): 1})
-# x2 -> x1 + x2 cancels x1^2, leaving -2*x0*x1 + x1*x2
-CANCELLING_SHEAR = Frame([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+# -x2^2 - 2*x0*x2 + x1*x2 = x2*(x1 - x2 - 2*x0), at squared distance 1/6
+PAIR_OF_LINES = HomogeneousForm(2, 2, {(0, 0, 2): -1, (1, 0, 1): -2, (0, 1, 1): 1})
+# x1 -> x1 + x2 cancels x2^2, leaving x1*x2 - 2*x0*x2
+CANCELLING_SHEAR = Frame([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
 
 
 def test_a_support_holding_a_witness_is_not_projected(monkeypatch):
-    # the first member's nearest point is the midpoint of (1,1,0) and
-    # (0,1,1), its witness; the shear's support is exactly that witness, a
-    # proper subset of the first support with no point as near xi as the
-    # best (2/3 against 1/6), so only the witness shows it can at most tie
-    f = PAIR_OF_LINES
-    frames = [Frame.identity(3), CANCELLING_SHEAR]
-    first, second = (set(act(g, f).support()) for g in frames)
-    witness = {e for e, _ in torus_index(f).hull_weights}
-    assert second == witness < first
+    # moved by CANCELLING_SHEAR first, the pair of lines has lost x2^2; the
+    # first chain's x1 -> x1 - x2 brings it back, and the identity, in the
+    # second chain, leaves it cancelled.  The first member's nearest point
+    # is the midpoint of (1,0,1) and (0,1,1), its witness; the cancelled
+    # support is exactly that witness, a proper subset of the first
+    # support with no point as near xi as the best (2/3 against 1/6), so
+    # only the witness shows it can at most tie
+    f = act(CANCELLING_SHEAR, PAIR_OF_LINES)
+    first_member = family_members(ORIGIN_FAMILY)[0]
+    first, cancelled = set(act(first_member, f).support()), set(f.support())
+    witness = {e for e, _ in torus_index(act(first_member, f)).hull_weights}
+    assert cancelled == witness < first
     xi = barycenter(2, 2)
-    assert torus_index(f).delta_sq == torus_index(act(frames[1], f)).delta_sq == Fraction(1, 6)
-    assert all(norm_sq(sub(e, xi)) == Fraction(2, 3) for e in second)
-    projected = _count_projections(monkeypatch)
-    assert worst_frame_search(f, frames) == worst_frame_search_oracle(f, frames)
-    assert len(projected) == 1
+    assert torus_index(f).delta_sq == Fraction(1, 6)
+    assert all(norm_sq(sub(e, xi)) == Fraction(2, 3) for e in cancelled)
+    _check_pruned_search(monkeypatch, f, ORIGIN_FAMILY, 1)
 
 
 def test_the_witness_of_a_member_that_is_not_the_best_still_prunes(monkeypatch):
-    # the middle frame moves the pair of lines to x0*x2 (x0 -> x1, x1 -> x0,
-    # x2 -> x0 + 2*x1 + x2), farther from xi, so it becomes the best; the
-    # shear's support holds the first member's witness but not the best's
-    f = PAIR_OF_LINES
-    frames = [Frame.identity(3), Frame([[0, 1, 1], [1, 0, 2], [0, 0, 1]]), CANCELLING_SHEAR]
-    assert act(frames[1], f).support() == ((1, 0, 1),)
-    projected = _count_projections(monkeypatch)
-    frame, cert = worst_frame_search(f, frames)
-    assert (frame, cert) == worst_frame_search_oracle(f, frames)
-    assert frame == frames[1] and cert.delta_sq == Fraction(2, 3)
-    assert not set(act(frames[2], f).support()) >= {e for e, _ in cert.hull_weights}
-    assert len(projected) == 2
+    # x1^2*(x1 - 3*x2) under the shears x1 -> x1 + t*x2, t = -1, 0, 1,
+    # chain by chain: t = -1 spans the segment, with the witness (0,3,0),
+    # (0,1,2); t = 0 is the best, x1^3 - 3*x1^2*x2 with the witness
+    # (0,2,1); t = 1 gives x1^3 - 3*x1*x2^2 - 2*x2^3, whose support holds
+    # the first member's witness but not the best's
+    f = HomogeneousForm(2, 3, {(0, 3, 0): 1, (0, 2, 1): -3})
+    members = family_members(ORIGIN_FAMILY)
+    first, last = act(members[0], f), act(members[-1], f)
+    witness = {e for e, _ in torus_index(first).hull_weights}
+    (frame, cert), _ = _check_pruned_search(monkeypatch, f, ORIGIN_FAMILY, 2)
+    assert act(frame, f) == f and cert.delta_sq == 2 > torus_index(first).delta_sq
+    assert set(last.support()) >= witness
+    assert not set(last.support()) >= {e for e, _ in cert.hull_weights}
 
 
 # x0*x1*x2 + x0*x3^2 + x1^3, a double point at [1:0:0:0]
@@ -651,30 +634,72 @@ R3_CUBIC = HomogeneousForm(3, 3, {(1, 1, 1, 0): 1, (1, 0, 0, 2): 1, (0, 3, 0, 0)
 
 @pytest.mark.parametrize("point, projections", [("1,0,0,0", 7), ("2,1,-1,3", 4)])
 def test_an_r3_family_projects_few_of_its_729_members(monkeypatch, point, projections):
-    frames = default_frames(3, ProjPoint.parse(point), 1)
-    assert len(frames) == 729
-    expected = worst_frame_search_oracle(R3_CUBIC, frames)
-    projected = _count_projections(monkeypatch)
-    frame, cert = worst_frame_search(R3_CUBIC, frames)
-    assert frame is expected[0] and cert == expected[1]
-    assert len(projected) == projections
-
-
-def test_a_frame_with_another_row_0_starts_its_own_chain():
-    # rows 1..r of both frames reduce to (0, 1), but their row 0s differ,
-    # so the second is no Taylor shift of the first: it moves
-    # (x1 - x0)^2, torus semistable as given, to x1^2
-    f = HomogeneousForm(1, 2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
-    frames = [Frame.identity(2), Frame([[1, 1], [0, 1]])]
-    best = worst_frame_search(f, frames)
-    assert best == worst_frame_search_oracle(f, frames)
-    assert best[0] == frames[1] and best[1].delta_sq > 0
+    family = default_frames(3, ProjPoint.parse(point), 1)
+    assert len(family) == 729
+    _check_pruned_search(monkeypatch, R3_CUBIC, family, projections)
 
 
 def test_worst_frame_search_rejects_a_frame_of_the_wrong_size():
     f = HomogeneousForm(1, 2, {(0, 2): 1})
     with pytest.raises(ValueError, match="frame size 3"):
-        worst_frame_search(f, [Frame.identity(2), Frame.identity(3)])
+        worst_frame_search(f, default_frames(2, ProjPoint.origin(2), 0))
+
+
+# ---------------------------------------------------------------- r = 1
+
+def _binary_product(factors):
+    """Coefficients of prod (a*x0 + b*x1)^k over (a, b, k), as exponent terms."""
+    poly = {(0, 0): 1}
+    for a, b, k in factors:
+        for _ in range(k):
+            out = {}
+            for (e0, e1), c in poly.items():
+                out[(e0 + 1, e1)] = out.get((e0 + 1, e1), 0) + a * c
+                out[(e0, e1 + 1)] = out.get((e0, e1 + 1), 0) + b * c
+            poly = out
+    return {e: c for e, c in poly.items() if c}
+
+
+LINEAR_FACTORS = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4)).filter(
+    lambda t: t[0] or t[1]
+)
+
+
+def test_binary_index_oracle_on_the_readme_quintic():
+    f = parse_form("r=1 d=5\n1 2 3\n-3 1 4\n2 0 5\n")
+    assert f.terms == _binary_product([(0, 1, 3), (1, -1, 1), (1, -2, 1)])
+    assert binary_index_oracle(f) == (3, Fraction(1, 2))
+    _, cert = worst_frame_search(f, default_frames(1, ProjPoint.parse("1,0"), 1))
+    assert cert.delta_sq == Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LINEAR_FACTORS, min_size=1, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+           lambda m: m[0] * m[3] != m[1] * m[2]))
+def test_no_frame_moves_a_binary_form_past_its_multiplicity(factors, entries):
+    # torus_index(act(g, f)) <= 2*max(0, m_max - d/2)^2 for every integer
+    # frame g, with m_max from Yun's decomposition of f alone
+    f = HomogeneousForm(1, sum(k for _, _, k in factors), _binary_product(factors))
+    m_max, bound = binary_index_oracle(f)
+    assert m_max == max(multiplicity_at(f, ProjPoint((b, -a))) for a, b, _ in factors)
+    g = Frame([entries[:2], entries[2:]])
+    assert torus_index(act(g, f)).delta_sq <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(LINEAR_FACTORS, st.lists(LINEAR_FACTORS, max_size=2), st.integers(0, 10**6))
+def test_the_frame_search_attains_the_bound_above_half_the_degree(root, rest, seed):
+    # a point of multiplicity m > d/2 is the only one, and the family
+    # around it moves it to [1:0], where the support stops at x0^(d-m)
+    a, b, _ = root
+    d_rest = sum(k for _, _, k in rest)
+    m = d_rest + 1 + random.Random(seed).randint(0, 2)
+    f = HomogeneousForm(1, m + d_rest, _binary_product([(a, b, m)] + list(rest)))
+    m_max, bound = binary_index_oracle(f)
+    assert m_max >= m > f.d / 2 and bound > 0
+    _, cert = worst_frame_search(f, default_frames(1, ProjPoint((b, -a)), 1))
+    assert cert.delta_sq == bound
 
 
 # ---------------------------------------------------------------- labels
