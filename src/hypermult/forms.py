@@ -370,24 +370,25 @@ def _substitute(rows: Matrix, poly: IntPoly) -> IntPoly:
     return {e: c for e, c in acc.items() if c != 0}
 
 
-def _taylor_shift(poly: IntPoly, i: int, s: int) -> IntPoly:
-    """Substitute x_0 -> x_0 + s*x_i into integer coefficients.
+def _taylor_shift(poly: IntPoly, j: int, i: int, s: int) -> IntPoly:
+    """Substitute x_j -> x_j + s*x_i, for i != j, into integer coefficients.
 
-    This is act by the frame I + s*e_i*e_0^T.  Terms that agree off x_0
-    and x_i form a binary form p(x_0, x_i) of one degree t, and the shift
-    is the univariate Taylor shift p(T) -> p(T + s) of its coefficients
-    in T = x_0, done by Horner's scheme: at most t(t+1)/2 steps
-    c_k += s*c_{k+1}, with no binomials or powers of s (von zur Gathen and
-    Gerhard, "Fast algorithms for Taylor shifts and certain difference
-    equations", 1997).  Zero terms are dropped.
+    This is act by the transvection I + s*e_i*e_j^T.  Terms that agree off
+    x_j and x_i form a binary form p(x_j, x_i) of one degree t, and the
+    shift is the univariate Taylor shift p(T) -> p(T + s) of its
+    coefficients in T = x_j, done by Horner's scheme: at most t(t+1)/2
+    steps c_k += s*c_{k+1}, with no binomials or powers of s (von zur
+    Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
+    difference equations", 1997).  Zero terms are dropped.
     """
+    lo, hi = sorted((i, j))
     groups: Dict[ExponentVector, List[int]] = {}
     for e, c in poly.items():
-        rest = (0,) + e[1:i] + (0,) + e[i + 1:]
+        rest = e[:lo] + (0,) + e[lo + 1:hi] + (0,) + e[hi + 1:]
         coeffs = groups.get(rest)
         if coeffs is None:
-            coeffs = groups[rest] = [0] * (e[0] + e[i] + 1)
-        coeffs[e[0]] = c
+            coeffs = groups[rest] = [0] * (e[j] + e[i] + 1)
+        coeffs[e[j]] = c
     out: IntPoly = {}
     for rest, c in groups.items():
         top = max(k for k, x in enumerate(c) if x)
@@ -398,7 +399,7 @@ def _taylor_shift(poly: IntPoly, i: int, s: int) -> IntPoly:
         for k, x in enumerate(c):
             if x:
                 e = list(rest)
-                e[0], e[i] = k, t - k
+                e[j], e[i] = k, t - k
                 out[tuple(e)] = x
     return out
 

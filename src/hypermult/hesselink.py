@@ -32,9 +32,10 @@ paying for every member:
   member's nearest point, so their hull is exactly as near xi as its
   support, no nearer than the best.  A larger set has a hull at least as
   near xi, so such a member can at most tie the best;
-- it walks the family chain by chain: members whose entries off column 0
-  agree move f by Taylor shifts of one another, so it takes one full
-  substitution per setting off column 0, (2b+1)^(r(r-1)/2) of them.
+- it moves f by the mover once, with act, and reaches every member from
+  there by transvections x_j -> x_j + s*x_i: Taylor shifts of the
+  integer numerators, walking the members that differ only in column 0
+  by one shift per entry that changes.
 """
 
 from __future__ import annotations
@@ -46,21 +47,21 @@ from itertools import product
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import Matrix, norm_sq
+from ._linalg import norm_sq
 from .forms import (
     ExponentVector,
     Frame,
     HomogeneousForm,
     ProjPoint,
-    _substitute,
     _taylor_shift,
+    act,
     frame_moving_to_origin,
 )
 from .statepoly import (
     InstabilityCertificate, OneParamSubgroup, check_dim, class_rep, torus_index
 )
 
-MAX_FRAMES = 4096  # largest family default_frames builds
+MAX_FRAMES = 4096  # largest frame family
 MAX_PAIRS = 2**16  # most band pairs pair_minima lists
 
 
@@ -225,15 +226,27 @@ class StratumLabel:
 class FrameFamily:
     """L * mover for each lower unipotent L with entries in -budget..budget.
 
-    Column 0 varies fastest, the last row's entry fastest of all.
+    Column 0 varies fastest, the last row's entry fastest of all.  A
+    negative budget or more than MAX_FRAMES members raises ValueError.
     """
 
     mover: Frame
     budget: int
 
+    def __post_init__(self) -> None:
+        _check_budget(self.mover.size - 1, self.budget)
+
     def __len__(self) -> int:
         r = self.mover.size - 1
         return (2 * self.budget + 1) ** (r * (r + 1) // 2)
+
+
+def _check_budget(r: int, budget: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    # a base >= 3 exceeds MAX_FRAMES by its bit length, so cap the power there
+    if budget and (2 * budget + 1) ** min(r * (r + 1) // 2, MAX_FRAMES.bit_length()) > MAX_FRAMES:
+        raise ValueError(f"budget {budget} at r={r} gives more than {MAX_FRAMES} frames")
 
 
 def default_frames(r: int, p: ProjPoint, budget: int) -> FrameFamily:
@@ -248,14 +261,9 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> FrameFamily:
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(r, budget)
     if len(p.coords) != r + 1:
         raise ValueError("point dimension must be r+1")
-    slots = r * (r + 1) // 2
-    # a base >= 3 exceeds MAX_FRAMES by its bit length, so cap the power there
-    if budget and (2 * budget + 1) ** min(slots, MAX_FRAMES.bit_length()) > MAX_FRAMES:
-        raise ValueError(f"budget {budget} at r={r} gives more than {MAX_FRAMES} frames")
     check_dim(r + 1)
     return FrameFamily(frame_moving_to_origin(p), budget)
 
@@ -281,42 +289,42 @@ def worst_frame_search(
       P's support, so it is exactly as near xi as that support: no nearer
       than the best.  Such a member can at most tie, and the best is
       replaced only by a strictly larger delta_sq.
-    - The chain walk.  With base = L * mover for one setting off column
-      0, the member of column-0 entries s_i is T * base, T = I + sum s_i
-      e_i e_0^T: base with s_i * row 0 added to row i.  So act(T * base, f)
-      is act(base, f) after the Taylor shifts x_0 -> x_0 + s_i*x_i,
-      integer additions on the numerators over f's denominator: one full
-      substitution per chain, then a shift per entry that changes.
+    - The transvection walk.  act(A * B, f) = act(A, act(B, f)), and L is
+      C * R_2 * ... * R_r, with C = I + sum L[i][0] e_i e_0^T and R_i the
+      rest of row i.  So base = act(mover, f), once per search, meets the
+      transvections x_j -> x_j + L[i][j]*x_i of R_r first and those of C
+      last; members that differ only in column 0 then follow one another
+      by one Taylor shift per entry that changes, all integer additions
+      on the numerators over base's denominator.
 
     Memory is one moved form and the at most r+1 exponent vectors of each
     projected member's witness; only the winner becomes a Frame.
     """
     n = f.r + 1
-    if family.mover.size != n:
-        raise ValueError(f"frame size {family.mover.size} does not match r+1 = {n}")
+    base = act(family.mover, f)
     settings = range(-family.budget, family.budget + 1)
     lower = [(i, j) for i in range(1, n) for j in range(1, i)]
     witnesses: List[FrozenSet[ExponentVector]] = []
-    best: Optional[Tuple[Matrix, Tuple[int, ...], InstabilityCertificate]] = None
+    best: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], InstabilityCertificate]] = None
     for fill in product(settings, repeat=len(lower)):
-        unipotent = [[int(i == j) for j in range(n)] for i in range(n)]
-        for (i, j), value in zip(lower, fill):
-            unipotent[i][j] = value
-        base = _linalg.mat_mul(unipotent, family.mover.rows)
+        moved = base.nums
+        for (i, j), s in zip(reversed(lower), reversed(fill)):
+            if s:
+                moved = _taylor_shift(moved, j, i, s)
         before = (0,) * f.r
-        moved = _substitute(base, f.nums)
         for shifts in product(settings, repeat=f.r):
             for i, (s, s0) in enumerate(zip(shifts, before), 1):
                 if s != s0:
-                    moved = _taylor_shift(moved, i, s - s0)
+                    moved = _taylor_shift(moved, 0, i, s - s0)
             before = shifts
             if any(moved.keys() >= w for w in witnesses):
                 continue
-            cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, f.den))
+            cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, base.den))
             witnesses.append(frozenset(e for e, _ in cert.hull_weights))
             if best is None or cert.delta_sq > best[2].delta_sq:
-                best = (base, shifts, cert)
-    base, shifts, cert = best
-    head = base[0]
-    rows = [head] + [[x + s * h for x, h in zip(row, head)] for row, s in zip(base[1:], shifts)]
-    return Frame(rows), cert
+                best = (fill, shifts, cert)
+    fill, shifts, cert = best
+    unipotent = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (i, j), value in zip(lower + [(i, 0) for i in range(1, n)], fill + shifts):
+        unipotent[i][j] = value
+    return Frame(_linalg.mat_mul(unipotent, family.mover.rows)), cert

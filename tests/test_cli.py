@@ -17,11 +17,13 @@ from hypermult import (
     HomogeneousForm,
     ProjPoint,
     StratumLabel,
+    act,
     bound_check,
     classify_at_origin,
     default_frames,
     l_squared,
     parse_form,
+    point_image,
     separation_threshold,
     torus_index,
     verify_theorem_main,
@@ -32,7 +34,8 @@ from hypermult.forms import MAX_DEN_BITS, Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.statepoly import MAX_DIM
 from hypermult.cli import run
-from oracle import family_members, worst_frame_search_oracle
+from oracle import binary_index_oracle, family_members, worst_frame_search_oracle
+from workload_digest import load_workloads
 
 CUBIC_TEXT = "r=2 d=3\n1 1 1 1\n1 0 3 0\n"
 SQUARE_TEXT = "r=1 d=2\n1 0 2\n"
@@ -423,6 +426,33 @@ def test_bound_fails_without_a_maximal_candidate(capsys, square_file):
     payload = json.loads(out)
     assert code == 1
     assert payload["within"] is False
+
+
+def test_bound_attains_the_binary_index_on_the_benchmark_forms(capsys, tmp_path):
+    # at r=1 the largest delta_sq over all frames is 2*max(0, m_max - d/2)^2,
+    # and every r=1 bound-frames form has one root of multiplicity m > d/2.
+    # The workload's anchors are all coordinate points, where the form is
+    # already worst, so each form is also asked after a move off them.
+    bound_frames = load_workloads().WORKLOADS["bound-frames"]
+    path = tmp_path / "binary.form"
+    seen = 0
+    for seed in (1, 2, 3):
+        for req in bound_frames(seed):
+            form = parse_form(req.form_text)
+            if form.r != 1:
+                continue
+            m_max, delta_sq = binary_index_oracle(form)
+            point = ProjPoint.parse(req.extra[0].removeprefix("--point="))
+            for g in (Frame.identity(2), Frame([[2, 1], [1, 1]])):
+                path.write_text(act(g, form).to_text())
+                at = "--point=" + ",".join(map(str, point_image(g, point).primitive()))
+                code, out, err = invoke(capsys, "bound", "--input", str(path), at, *req.extra[1:])
+                assert code == 0, err
+                payload = json.loads(out)
+                assert m_max == payload["max_mult"] == req.expect["m"]
+                assert Fraction(payload["label"]["delta_sq"]) == delta_sq
+            seen += 1
+    assert seen == 297
 
 
 def test_bound_rejects_semistable_forms(capsys, tmp_path):

@@ -358,19 +358,20 @@ def test_act_matches_the_fraction_substitution(case):
     assert all(type(c) is Fraction for c in ours.terms.values())
 
 
-def _shear(r, i, s):
-    """The frame I + s*e_i*e_0^T, which substitutes x_0 -> x_0 + s*x_i."""
+def _shear(r, j, i, s):
+    """The transvection I + s*e_i*e_j^T, which substitutes x_j -> x_j + s*x_i."""
     rows = [[int(a == b) for b in range(r + 1)] for a in range(r + 1)]
-    rows[i][0] = s
+    rows[i][j] = s
     return Frame(rows)
 
 
 @st.composite
 def shift_cases(draw):
-    """A form with exponents up to 40, a variable 1..r and a shift -3..3."""
+    """A form with exponents up to 40, variables j != i in 0..r and a shift -3..3."""
     r = draw(st.integers(1, 4))
     d = draw(st.integers(1, 40))
-    i = draw(st.integers(1, r))
+    j = draw(st.integers(0, r))
+    i = draw(st.sampled_from([k for k in range(r + 1) if k != j]))
     s = draw(st.integers(-3, 3))
     rng = random.Random(draw(st.integers(0, 10**6)))
     dens = [1] if draw(st.booleans()) else [1, 2, 3, 7, 2**40]
@@ -381,18 +382,19 @@ def shift_cases(draw):
     base = HomogeneousForm(r, d, terms)
     # the shift by s undoes act by -s, so most terms of f cancel
     undo = draw(st.booleans())
-    return (act(_shear(r, i, -s), base) if undo else base), i, s, base if undo else None
+    return (act(_shear(r, j, i, -s), base) if undo else base), j, i, s, base if undo else None
 
 
 @settings(max_examples=200, deadline=None)
 @given(shift_cases())
-@example((HomogeneousForm(1, 3, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}), 1, -1, None))
+@example((HomogeneousForm(1, 3, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}), 0, 1, -1, None))
+@example((HomogeneousForm(2, 3, {(1, 0, 2): 1, (0, 3, 0): -2}), 2, 1, 3, None))
 def test_taylor_shift_is_act_by_a_shear(case):
-    f, i, s, undone = case
-    shifted = _taylor_shift(f.nums, i, s)
+    f, j, i, s, undone = case
+    shifted = _taylor_shift(f.nums, j, i, s)
     assert 0 not in shifted.values()
     moved = HomogeneousForm._from_ints(f.r, f.d, shifted, f.den)
-    assert moved == act(_shear(f.r, i, s), f)
+    assert moved == act(_shear(f.r, j, i, s), f)
     if undone is not None:
         assert moved == undone
 
@@ -416,7 +418,8 @@ def test_every_constructor_holds_a_form_in_lowest_terms(case, n, s, seed):
     rng = random.Random(seed)
     parsed = parse_form(_as_rows(f, rng))
     assert parsed == f
-    shifted = _taylor_shift(f.nums, rng.randint(1, f.r), s)
+    j, i = rng.sample(range(f.r + 1), 2)
+    shifted = _taylor_shift(f.nums, j, i, s)
     built = [
         f,
         parsed,

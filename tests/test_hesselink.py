@@ -421,6 +421,17 @@ def test_default_frames_refuse_large_families_before_building(monkeypatch):
         default_frames(MAX_DIM - 1, ProjPoint.origin(MAX_DIM - 1), 0)
 
 
+def test_a_family_built_directly_is_checked_like_default_frames():
+    mover = frame_moving_to_origin(ProjPoint.parse("1,2,1,0"))
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        FrameFamily(mover, -1)
+    # 21^6 members at r=3, budget 10
+    too_many = f"budget 10 at r=3 gives more than {hesselink.MAX_FRAMES} frames"
+    with pytest.raises(ValueError, match=too_many):
+        FrameFamily(mover, 10)
+    assert len(FrameFamily(mover, 1)) == 729
+
+
 @pytest.mark.parametrize("r, terms", [
     # cuspidal plane cubic x0*x1^2 + x2^3
     (2, {(1, 2, 0): 1, (0, 0, 3): 1}),
@@ -500,30 +511,35 @@ def test_worst_frame_search_matches_the_plain_loop_on_a_whole_r3_family():
     f = act(random_unimodular_frame(rng, 4), HomogeneousForm(3, 3, {(1, 1, 0, 1): 1, (0, 0, 3, 0): -2}))
     family = default_frames(3, random_point(rng, 3), 1)
     assert worst_frame_search(f, family) == worst_frame_search_oracle(f, family_members(family))
+    # a family whose winner changes if the rows off column 0 are applied
+    # from the top down, which is act by R_3 * R_2 in place of R_2 * R_3
+    rng = random.Random(31)
+    f = random_form(rng, 3, 3)
+    family = default_frames(3, random_point(rng, 3), 1)
+    assert worst_frame_search(f, family) == worst_frame_search_oracle(f, family_members(family))
 
 
-def _count_substitutions(monkeypatch):
-    calls = []
-    substitute = hesselink._substitute
-
-    def counted(rows, poly):
-        calls.append(rows)
-        return substitute(rows, poly)
-
-    monkeypatch.setattr(hesselink, "_substitute", counted)
-    return calls
-
-
-@pytest.mark.parametrize("r, budget, chains", [(1, 3, 1), (2, 1, 3), (2, 2, 5), (3, 1, 27)])
-def test_a_family_takes_one_substitution_per_chain(monkeypatch, r, budget, chains):
-    # members that differ only in column 0 are Taylor shifts of one another
+@pytest.mark.parametrize("r, budget", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_a_search_takes_one_substitution(monkeypatch, r, budget):
+    # act moves f by the mover, and every member is reached from there by
+    # transvections: the projected forms are moves of f by members, in order
     rng = random.Random(71 + r)
     f = random_form(rng, r, 3)
     family = default_frames(r, random_point(rng, r), budget)
-    calls = _count_substitutions(monkeypatch)
+    images = [act(g, f) for g in family_members(family)]
+    calls = []
+    moved = hesselink.act
+
+    def counted(g, form):
+        calls.append(g)
+        return moved(g, form)
+
+    monkeypatch.setattr(hesselink, "act", counted)
+    projected = _count_projections(monkeypatch)
     worst_frame_search(f, family)
-    assert chains == (2 * budget + 1) ** (r * (r - 1) // 2)
-    assert len(calls) == chains
+    assert calls == [family.mover]
+    order = [images.index(form) for form in projected]
+    assert order == sorted(set(order))
 
 
 def _count_projections(monkeypatch):
