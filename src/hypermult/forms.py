@@ -327,53 +327,12 @@ class ProjPoint:
         return "[" + ":".join(str(x) for x in self.coords) + "]"
 
 
-def _unit_exp(n: int, j: int) -> ExponentVector:
-    return tuple(int(i == j) for i in range(n))
-
-
-def _poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    out: IntPoly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _substitute(rows: Matrix, poly: IntPoly) -> IntPoly:
-    """Substitute x_i -> sum_j rows[j][i] x_j into integer coefficients.
-
-    The integer core of act: no Fractions in or out, zero terms dropped.
-    """
-    n = len(rows)
-    # powers[i][k] = (image of x_i)^k for each exponent k of x_i in poly,
-    # built by one multiplication per power up to the largest
-    powers: List[Dict[int, IntPoly]] = []
-    for i in range(n):
-        image = {_unit_exp(n, j): rows[j][i] for j in range(n) if rows[j][i] != 0}
-        wanted = {e[i] for e in poly}
-        power: IntPoly = {(0,) * n: 1}
-        table = {}
-        for k in range(1, max(wanted) + 1):
-            power = _poly_mul(power, image)
-            if k in wanted:
-                table[k] = power
-        powers.append(table)
-    acc: IntPoly = {}
-    for e, coeff in poly.items():
-        term = {(0,) * n: coeff}
-        for i, ei in enumerate(e):
-            if ei:
-                term = _poly_mul(term, powers[i][ei])
-        for key, value in term.items():
-            acc[key] = acc.get(key, 0) + value
-    return {e: c for e, c in acc.items() if c != 0}
-
-
 def _taylor_shift(poly: IntPoly, j: int, i: int, s: int) -> IntPoly:
     """Substitute x_j -> x_j + s*x_i, for i != j, into integer coefficients.
 
-    This is act by the transvection I + s*e_i*e_j^T.  Terms that agree off
+    This is act by the transvection I + s*e_i*e_j^T, the one kernel every
+    change of coordinates runs on: act reduces any frame to these shifts,
+    and the frame search walks its family by them.  Terms that agree off
     x_j and x_i form a binary form p(x_j, x_i) of one degree t, and the
     shift is the univariate Taylor shift p(T) -> p(T + s) of its
     coefficients in T = x_j, done by Horner's scheme: at most t(t+1)/2
@@ -405,15 +364,44 @@ def _taylor_shift(poly: IntPoly, j: int, i: int, s: int) -> IntPoly:
 
 
 def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
-    """Substitute x_i -> sum_j g[j][i] x_j into f.
+    """Substitute x_i -> sum_j g[j][i] x_j into f, by Taylor shifts alone.
 
-    The frame is integral, so the substitution runs on f's integer
-    numerators and the result keeps f's denominator until it is reduced.
+    For any column operation C, act(g, f) = act(g*C, act(C^-1, f)).  From
+    the last row up, Euclid's column operations on columns 0..i clear row i
+    left of the diagonal: each col_j -= k*col_p moves f by x_j -> x_j +
+    k*x_p, and a gcd left of the diagonal swaps its column, and so its
+    variable, with column i.  What is left is upper triangular, x_i ->
+    g[i][i]*x_i + sum_{j<i} g[j][i]*x_j, applied for i = 0, 1, .., r as the
+    shifts and then the scaling.  The frame is integral, so all of it runs
+    on f's integer numerators and the result keeps f's denominator until it
+    is reduced.
     """
     n = f.r + 1
     if g.size != n:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
-    return HomogeneousForm._from_ints(f.r, f.d, _substitute(g.rows, f.nums), f.den)
+    cols = [list(col) for col in zip(*g.rows)]  # cols[j][m] = g[m][j]
+    poly = f.nums
+    for i in range(n - 1, -1, -1):
+        live = [j for j in range(i + 1) if cols[j][i]]
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            for j in live:
+                if j != p:
+                    k = cols[j][i] // cols[p][i]
+                    cols[j] = [a - k * b for a, b in zip(cols[j], cols[p])]
+                    poly = _taylor_shift(poly, j, p, k)
+            live = [j for j in live if cols[j][i]]
+        p = live[0]
+        if p != i:
+            cols[p], cols[i] = cols[i], cols[p]
+            poly = {e[:p] + (e[i],) + e[p + 1:i] + (e[p],) + e[i + 1:]: c for e, c in poly.items()}
+    for i in range(n):
+        for j in range(i):
+            if cols[i][j]:
+                poly = _taylor_shift(poly, i, j, cols[i][j])
+        if cols[i][i] != 1:
+            poly = {e: c * cols[i][i] ** e[i] for e, c in poly.items()}
+    return HomogeneousForm._from_ints(f.r, f.d, poly, f.den)
 
 
 def point_image(g: Frame, p: ProjPoint) -> ProjPoint:
@@ -433,19 +421,25 @@ def _unimodular_completion(v: Sequence[int]) -> List[List[int]]:
     Runs the Euclidean algorithm on v by column operations while applying
     the inverse operations as row operations to an identity accumulator;
     the accumulator ends up inverse to the reduction, so its first row
-    recovers v exactly.
+    recovers v exactly.  A swap or a negation flips the accumulator's
+    determinant and an addmul keeps it, so its sign is known without one.
     """
     n = len(v)
     work = list(v)
     acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    sign = 1
 
     def swap(a: int, b: int) -> None:
+        nonlocal sign
         work[a], work[b] = work[b], work[a]
         acc[a], acc[b] = acc[b], acc[a]
+        sign = -sign
 
     def negate(a: int) -> None:
+        nonlocal sign
         work[a] = -work[a]
         acc[a] = [-x for x in acc[a]]
+        sign = -sign
 
     def addmul(dst: int, src: int, k: int) -> None:
         # column op work[dst] += k*work[src]; inverse row op on the accumulator
@@ -469,7 +463,7 @@ def _unimodular_completion(v: Sequence[int]) -> List[List[int]]:
                 addmul(i, pivot, -(work[i] // work[pivot]))
     if work[0] != 1:
         raise ValueError(f"vector {list(v)!r} is not primitive")
-    if _linalg.det(acc) == -1:
+    if sign == -1:
         acc[-1] = [-x for x in acc[-1]]
     return acc
 

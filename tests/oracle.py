@@ -15,9 +15,12 @@ the worst-frame search moves and projects every frame, with neither the
 chain walk nor the pruning.  The largest multiplicity of a binary form,
 and with it the largest torus index the paper's relation allows at r = 1,
 comes from Yun's squarefree decomposition over Q.  Determinants, point images and the substitution action are
-computed over Fractions, by Gaussian elimination and the exact inverse,
-where the library runs fraction-free on integer frames.  Form files are
-read field by field, where the library reads a row with one match.
+computed over Fractions, by Gaussian elimination, the exact inverse and
+products of the substituted linear forms, where the library runs
+fraction-free on integer frames and reduces every frame to Taylor shifts;
+a single shift is expanded by the binomial theorem, where the library runs
+Horner's scheme.  Form files are read field by field, where the library
+reads a row with one match.
 """
 
 from __future__ import annotations
@@ -225,6 +228,18 @@ def act_oracle(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
                 poly = mul(poly, images[i])
         for key, value in poly.items():
             acc[key] = acc.get(key, Fraction(0)) + value
+    return HomogeneousForm(f.r, f.d, {e: c for e, c in acc.items() if c != 0})
+
+
+def shear_oracle(f: HomogeneousForm, j: int, i: int, s: int) -> HomogeneousForm:
+    """Substitute x_j -> x_j + s*x_i, expanding each power by the binomial theorem."""
+    acc: Dict[Tuple[int, ...], Fraction] = {}
+    for e, coeff in f.terms.items():
+        for k in range(e[j] + 1):
+            key = list(e)
+            key[j], key[i] = k, e[i] + e[j] - k
+            key = tuple(key)
+            acc[key] = acc.get(key, Fraction(0)) + coeff * math.comb(e[j], k) * s ** (e[j] - k)
     return HomogeneousForm(f.r, f.d, {e: c for e, c in acc.items() if c != 0})
 
 

@@ -29,7 +29,7 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import classifier, cli, hesselink, serialize
+from hypermult import classifier, cli, forms, hesselink, serialize
 from hypermult.forms import MAX_DEN_BITS, Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.statepoly import MAX_DIM
@@ -601,6 +601,7 @@ def test_more_coordinates_than_max_dim_exit_2_at_once(capsys, tmp_path, command)
 @pytest.mark.parametrize("command", [
     ("classify", "--point", "1,1" + ",0" * 199),
     ("bound", "--point", "1,1" + ",0" * 199, "--budget", "0"),
+    ("mult", "--point", "1,1" + ",0" * 199),
 ])
 def test_a_point_on_more_coordinates_than_max_dim_exits_2_before_the_move(
     capsys, monkeypatch, tmp_path, command
@@ -611,7 +612,7 @@ def test_a_point_on_more_coordinates_than_max_dim_exits_2_before_the_move(
     def no_move(*args):
         raise AssertionError("the form was moved")
 
-    for module in (classifier, hesselink):
+    for module in (classifier, hesselink, forms):
         monkeypatch.setattr(module, "frame_moving_to_origin", no_move)
     monkeypatch.setattr(classifier, "act", no_move)
     code, out, err = invoke(capsys, command[0], "--input", str(path), *command[1:])

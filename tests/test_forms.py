@@ -31,6 +31,7 @@ from oracle import (
     random_form,
     random_point,
     random_unimodular_frame,
+    shear_oracle,
 )
 
 
@@ -318,20 +319,25 @@ def test_frame_holds_ints_and_rejects_fractional_entries():
 
 
 @st.composite
-def int_frames(draw, n):
+def int_frames(draw, n, entries=st.integers(-3, 3)):
     """Random invertible integer n x n frames, unimodular or not."""
     rows = draw(
         st.lists(
-            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
         ).filter(lambda a: _linalg.det(a) != 0)
     )
     return Frame(rows)
 
 
+# small entries, and large ones for which Euclid takes several rounds with
+# large quotients
+WIDE_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
 @st.composite
 def forms_with_frames(draw):
     """A form with integer or rational coefficients and a frame to act by."""
-    r = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 4))
     d = draw(st.integers(1, 4))
     rng = random.Random(draw(st.integers(0, 10**6)))
     dens = [1] if draw(st.booleans()) else [1, 2, 3, 7, 2**40]
@@ -339,10 +345,13 @@ def forms_with_frames(draw):
     for _ in range(draw(st.integers(1, 5))):
         num = draw(st.integers(-50, 50).filter(bool))
         terms[random_exponent(rng, r, d)] = Fraction(num, draw(st.sampled_from(dens)))
-    return HomogeneousForm(r, d, terms), draw(int_frames(r + 1))
+    return HomogeneousForm(r, d, terms), draw(int_frames(r + 1, WIDE_ENTRIES))
 
 
 RATIONAL_CUBIC = HomogeneousForm(1, 3, {(2, 1): Fraction(1, 3), (0, 3): Fraction(-2, 5)})
+TERNARY_CUBIC = HomogeneousForm(
+    2, 3, {(2, 1, 0): Fraction(1, 3), (0, 1, 2): -2, (1, 1, 1): 5, (0, 0, 3): 1}
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,6 +359,11 @@ RATIONAL_CUBIC = HomogeneousForm(1, 3, {(2, 1): Fraction(1, 3), (0, 3): Fraction
 @example((RATIONAL_CUBIC, Frame([[2, 0], [0, 2]])))
 @example((RATIONAL_CUBIC, Frame([[-3, 0], [0, 5]])))
 @example((RATIONAL_CUBIC, Frame([[2, 1], [0, 2]])))
+# a zero diagonal forces a swap of columns, and so of variables
+@example((RATIONAL_CUBIC, Frame([[0, 1], [1, 0]])))
+@example((TERNARY_CUBIC, Frame([[0, 1, 0], [0, 0, 1], [1, 0, 0]])))
+@example((RATIONAL_CUBIC, Frame([[2, 1], [0, -3]])))  # negative, non-unit diagonal
+@example((RATIONAL_CUBIC, Frame([[1, 0], [21, 13]])))  # several Euclid rounds
 def test_act_matches_the_fraction_substitution(case):
     f, g = case
     ours = act(g, f)
@@ -394,7 +408,7 @@ def test_taylor_shift_is_act_by_a_shear(case):
     shifted = _taylor_shift(f.nums, j, i, s)
     assert 0 not in shifted.values()
     moved = HomogeneousForm._from_ints(f.r, f.d, shifted, f.den)
-    assert moved == act(_shear(f.r, j, i, s), f)
+    assert moved == shear_oracle(f, j, i, s)
     if undone is not None:
         assert moved == undone
 
