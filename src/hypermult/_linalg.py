@@ -5,10 +5,13 @@ integers, so every matrix computation runs on ints through one Bareiss
 fraction-free elimination: `det` and `solve_consistent` share it.  Vectors
 of points are tuples of Fractions, hashable and safe to reuse as dict keys;
 `dot` and `norm_sq` also take integer vectors and then return integers.
+`primitive` is the one place a rational vector becomes a primitive integer
+vector, as a projective point and a one-parameter subgroup both need.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
@@ -35,6 +38,14 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def norm_sq(u: Sequence[Fraction]) -> Fraction:
     return dot(u, u)
+
+
+def primitive(v: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
+    """(lam, c): the primitive integer vector lam = c * v, c > 0, of a nonzero v."""
+    lcm = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (lcm // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints), Fraction(lcm, g)
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:

@@ -71,17 +71,16 @@ class ClassificationReport:
 
 def _resolve_n(r: int, d: int, n: Union[int, str]) -> Tuple[int, int]:
     threshold = separation_threshold(r, d)
-    if isinstance(n, str):
-        if n != "auto":
-            raise ValueError(f"N must be an integer or 'auto', got {_quote(n)}")
+    if n == "auto":
         return threshold, threshold
-    value = int(n)
-    if value < threshold:
+    if type(n) is not int:  # int(5.9) would quietly classify at N = 5
+        raise ValueError(f"N must be an integer or 'auto', got {_quote(str(n))}")
+    if n < threshold:
         raise ValueError(
-            f"N={value} is below the separation threshold {threshold} for "
+            f"N={n} is below the separation threshold {threshold} for "
             f"r={r}, d={d}; bands may overlap, refusing to classify"
         )
-    return value, threshold
+    return n, threshold
 
 
 def classify_at_origin(

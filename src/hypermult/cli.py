@@ -34,6 +34,7 @@ from .forms import (
     _quote,
     destabilize,
     multiplicity_at,
+    parse_coords,
     parse_form,
 )
 from .hesselink import (
@@ -212,7 +213,7 @@ def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
         )
     if n == "auto":
         n = separation_threshold(args.r, args.d)
-    point = ProjPoint.parse(args.point).coords
+    point = parse_coords(args.point)  # a point of the exponent hyperplane, zero allowed
     # checked before the barycenter, whose r+1 entries only the header bounds
     if len(point) != args.r + 1:
         raise ValueError("point dimension must be r+1")

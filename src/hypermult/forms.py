@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -279,11 +279,20 @@ class Frame:
         return len(self.rows)
 
 
+def parse_coords(text: str) -> Vector:
+    """Comma-separated rationals p or p/q, zeros included; ValueError names a bad point."""
+    try:
+        return tuple(Fraction(*_read_rational(c.strip())) for c in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad point {_quote(text)}: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """Point of projective r-space; equality is up to a nonzero scalar."""
+    """Projective point; == and hash compare its primitive, computed once."""
 
     coords: Vector
+    _primitive: Tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coords = _linalg.vec(self.coords)
@@ -291,7 +300,11 @@ class ProjPoint:
             raise ValueError("projective point needs at least two coordinates")
         if all(x == 0 for x in coords):
             raise ValueError("projective point cannot be the zero vector")
+        prim, _ = _linalg.primitive(coords)
+        if next(x for x in prim if x) < 0:
+            prim = tuple(-x for x in prim)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_primitive", prim)
 
     @classmethod
     def origin(cls, r: int) -> "ProjPoint":
@@ -299,29 +312,23 @@ class ProjPoint:
 
     @classmethod
     def parse(cls, text: str) -> "ProjPoint":
+        coords = parse_coords(text)
         try:
-            return cls(tuple(Fraction(*_read_rational(c.strip())) for c in text.split(",")))
+            return cls(coords)
         except ValueError as exc:
             raise ValueError(f"bad point {_quote(text)}: {exc}") from exc
 
     def primitive(self) -> Tuple[int, ...]:
         """Canonical integer representative: gcd 1, first nonzero entry positive."""
-        lcm = math.lcm(*(x.denominator for x in self.coords))
-        ints = [int(x * lcm) for x in self.coords]
-        g = math.gcd(*ints)
-        ints = [x // g for x in ints]
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        return tuple(ints)
+        return self._primitive
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.primitive() == other.primitive()
+        return self._primitive == other._primitive
 
     def __hash__(self) -> int:
-        return hash(self.primitive())
+        return hash(self._primitive)
 
     def __str__(self) -> str:
         return "[" + ":".join(str(x) for x in self.coords) + "]"

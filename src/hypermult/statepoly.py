@@ -189,11 +189,6 @@ def _min_norm_point(
     raise RuntimeError("projection did not terminate; this should be impossible")
 
 
-def _exact(p: Sequence) -> Tuple:
-    """The point with every non-int coordinate made a Fraction."""
-    return tuple(x if isinstance(x, int) else Fraction(x) for x in p)
-
-
 def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
     """Exact nearest point of the convex hull of points to the target t.
 
@@ -213,7 +208,7 @@ def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
     s = math.lcm(*(c.denominator for c in target))
     ints = set(map(type, chain.from_iterable(pts))) == {int}
     if not ints:
-        pts = [_exact(p) for p in pts]
+        pts = [_linalg.vec(p) for p in pts]
         s = math.lcm(s, *(c.denominator for p in pts for c in p))
     if not all(map(lt, pts, islice(pts, 1, None))):
         pts = sorted(set(pts))
@@ -241,15 +236,6 @@ def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
         (_linalg.vec(pts[j]), Fraction(w, den)) for j, w in sorted(zip(corral, weights))
     )
     return ProjectionResult(q=q, dist_sq=Fraction(xx, scale * scale), hull_weights=witness)
-
-
-def _primitive_direction(w: Vector) -> Tuple[Tuple[int, ...], Fraction]:
-    """Primitive integer vector lam = c * w with c > 0, returned as (lam, c)."""
-    lcm = math.lcm(*(x.denominator for x in w))
-    ints = [int(x * lcm) for x in w]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    return tuple(ints), Fraction(lcm, g)
 
 
 @dataclass(frozen=True)
@@ -280,7 +266,7 @@ def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
     w = sub(projection.q, xi)
     lam, scale = None, None
     if projection.dist_sq != 0:
-        direction, scale = _primitive_direction(w)
+        direction, scale = _linalg.primitive(w)
         lam = OneParamSubgroup(direction)
     witness = tuple(
         (tuple(int(x) for x in p), c) for p, c in projection.hull_weights

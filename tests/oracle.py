@@ -8,7 +8,8 @@ with Gauss-Jordan solves instead of the library's integer core, band
 geometry comes from vector distances to the barycenter instead of the
 closed forms, the band of a point from a scan of every band instead of the
 two-test interval argument, the scale of a certificate from lam and w
-instead of the projection's lcm, the frame family keeps the permutations
+instead of the projection's lcm, a primitive integer vector from Fraction
+products instead of the library's integer scaling, the frame family keeps the permutations
 of coordinates 1..r that the library drops, the frame family is listed as
 one Frame per member where the library keeps a mover and a budget, and
 the worst-frame search moves and projects every frame, with neither the
@@ -461,6 +462,14 @@ def scale_oracle(cert) -> Optional[Fraction]:
         return None
     i = next(i for i, b in enumerate(cert.w) if b != 0)
     return Fraction(cert.lam.weights[i]) / cert.w[i]
+
+
+def primitive_oracle(v: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
+    """(lam, c) with lam = c * v primitive and c > 0, by Fraction products."""
+    lcm = math.lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(x * lcm) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints), Fraction(lcm, g)
 
 
 def _unipotents(n: int, budget: int):

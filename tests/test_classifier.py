@@ -57,6 +57,15 @@ def test_classify_rejects_bad_N_strings():
         classify_at_origin(NODAL_CUBIC, "later")
 
 
+@pytest.mark.parametrize("n", [5.9, Fraction(11, 2), Fraction(8), 8.0, True])
+def test_N_must_be_an_int(n):
+    binary_cubic = HomogeneousForm(1, 3, {(1, 2): Fraction(1)})  # threshold 4
+    with pytest.raises(ValueError, match="N must be an integer or 'auto'"):
+        classify_at_origin(binary_cubic, n)
+    with pytest.raises(ValueError, match="N must be an integer or 'auto'"):
+        verify_theorem_main(1, 3, n, 1, 0)
+
+
 def test_classify_without_a_unique_band_lists_every_band(monkeypatch):
     # unreachable at N >= threshold, so forced: the report falls back to d+1 rows
     monkeypatch.setattr(classifier, "unique_band", lambda *args: None)

@@ -212,6 +212,21 @@ def test_bands_refuses_a_huge_listing_before_any_row(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_bands_takes_any_point_of_the_hyperplane_even_zero(capsys, cubic_file):
+    # the exponent-space point is not projective: the zero vector is one
+    code, out, _ = invoke(capsys, "bands", "-r", "1", "-d", "2", "--point", "0,0")
+    payload = json.loads(out)
+    assert code == 0 and payload["point"] == ["0", "0"]
+    assert [entry["contains"] for entry in payload["memberships"]] == [False] * 3
+    code, out, err = invoke(capsys, "bands", "-r", "1", "-d", "2", "--point", "0,1.5")
+    assert (code, out) == (2, "") and err.startswith("error: bad point '0,1.5': ")
+    # the projective points of the other commands still refuse zero
+    for cmd in ("mult", "classify", "bound"):
+        code, out, err = invoke(capsys, cmd, "--input", cubic_file, "--point", "0,0,0")
+        assert (code, out) == (2, "")
+        assert err == "error: bad point '0,0,0': projective point cannot be the zero vector\n"
+
+
 def test_bands_checks_the_point_before_the_barycenter(capsys, monkeypatch):
     calls = []
 

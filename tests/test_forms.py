@@ -600,3 +600,21 @@ def test_projective_equality_up_to_scale():
     assert ProjPoint.parse("1,2") != ProjPoint.parse("2,1")
     with pytest.raises(ValueError):
         ProjPoint.parse("0,0")
+
+
+def test_a_point_normalizes_once(monkeypatch):
+    other = ProjPoint.parse("-2,4,6")
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return primitive(v)
+
+    primitive = _linalg.primitive
+    monkeypatch.setattr(_linalg, "primitive", counted)
+    p = ProjPoint.parse("1/2,-1,-3/2")
+    assert frame_moving_to_origin(p).rows[0] == (1, -2, -3)
+    assert multiplicity_at(parse_form("r=2 d=2\n3 1 0 1\n1 0 0 2\n"), p) == 1
+    assert p == other and hash(p) == hash(other) and {p, other} == {p}
+    assert p.primitive() == (1, -2, -3)
+    assert len(calls) == 1

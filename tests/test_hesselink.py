@@ -432,6 +432,15 @@ def test_a_family_built_directly_is_checked_like_default_frames():
     assert len(FrameFamily(mover, 1)) == 729
 
 
+@pytest.mark.parametrize("budget", [1.5, 1.0, Fraction(1), True])
+def test_a_budget_must_be_an_int(budget):
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        default_frames(1, ProjPoint.origin(1), budget)
+    mover = frame_moving_to_origin(ProjPoint.origin(1))
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        FrameFamily(mover, budget)
+
+
 @pytest.mark.parametrize("r, terms", [
     # cuspidal plane cubic x0*x1^2 + x2^3
     (2, {(1, 2, 0): 1, (0, 0, 3): 1}),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypermult import (
     HomogeneousForm,
     OneParamSubgroup,
+    ProjPoint,
     barycenter,
     class_rep,
     gen_corpus,
@@ -23,6 +24,7 @@ from oracle import (
     enum_nearest,
     min_norm_point,
     nearest_point_oracle,
+    primitive_oracle,
     random_convex_combination,
     random_exponent,
     random_form,
@@ -461,3 +463,33 @@ def test_nearest_point_refuses_more_than_max_dim_coordinates():
         nearest_point(points, [Fraction(1, n)] * n)
     inside = nearest_point([p[1:] for p in points[1:]], [Fraction(1, n - 1)] * (n - 1))
     assert inside.dist_sq == 0
+
+
+# --------------------------------------------------- primitive integer vectors
+
+BIG = 10**40
+PRIMITIVE_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-BIG, BIG).map(Fraction),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 6, 3**20, 2**64])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PRIMITIVE_ENTRY, min_size=1, max_size=6).filter(any))
+def test_primitive_matches_the_fraction_route(v):
+    lam, c = primitive_oracle(v)
+    assert _linalg.primitive(v) == (lam, c)
+    assert c > 0 and math.gcd(*lam) == 1
+    if len(v) >= 2:
+        sign = 1 if next(x for x in lam if x) > 0 else -1
+        assert ProjPoint(v).primitive() == tuple(sign * x for x in lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 10**6))
+def test_torus_index_direction_matches_the_fraction_route(r, d, seed):
+    cert = torus_index(random_form(random.Random(seed), r, d))
+    if cert.lam is not None:
+        assert (cert.lam.weights, cert.scale) == primitive_oracle(cert.w)
