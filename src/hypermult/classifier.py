@@ -25,9 +25,8 @@ from .forms import (
     HomogeneousForm,
     ProjPoint,
     _quote,
-    act,
     destabilize,
-    frame_moving_to_origin,
+    move_to_origin,
     multiplicity_at,
     multiplicity_at_origin,
 )
@@ -38,7 +37,7 @@ from .hesselink import (
     separation_threshold,
     unique_band,
 )
-from .statepoly import InstabilityCertificate, check_dim, torus_index
+from .statepoly import InstabilityCertificate, torus_index
 
 MAX_CORPUS = 2**18  # most forms x (r+1) a corpus or a verify run generates
 
@@ -125,11 +124,7 @@ def classify_at(
     f: HomogeneousForm, p: ProjPoint, n: Union[int, str] = "auto"
 ) -> ClassificationReport:
     """Classify the multiplicity of f at an arbitrary rational point."""
-    if len(p.coords) != f.r + 1:
-        raise ValueError("point dimension must be r+1")
-    check_dim(f.r + 1)  # refuse before moving the form, not in torus_index after
-    moved = act(frame_moving_to_origin(p), f)
-    return classify_at_origin(moved, n)
+    return classify_at_origin(move_to_origin(f, p), n)
 
 
 @dataclass(frozen=True)

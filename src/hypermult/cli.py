@@ -46,7 +46,7 @@ from .hesselink import (
     separation_threshold,
     worst_frame_search,
 )
-from .statepoly import barycenter, check_dim, torus_index
+from .statepoly import barycenter, torus_index
 from ._linalg import norm_sq, sub
 
 
@@ -151,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_mult(args: argparse.Namespace) -> Tuple[int, object]:
     form = _read_form(args.input)
     point = ProjPoint.parse(args.point)
-    if len(point.coords) != form.r + 1:
-        raise ValueError("point dimension must be r+1")
-    check_dim(form.r + 1)  # building and applying the frame grow about cubically in r
     m = multiplicity_at(form, point)
     if args.json:
         return 0, {"r": form.r, "d": form.d, "point": point.coords, "m": m}

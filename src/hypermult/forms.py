@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NoReturn, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import Matrix, Vector
@@ -136,9 +136,16 @@ _EXPONENT = re.compile(r"[0-9]+")
 # a whole row: coefficient p or p/q, then the exponents; \s is the Unicode
 # whitespace that str.split() splits on, so a row this matches splits into
 # the same fields
-_ROW = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?((?:\s+[0-9]+)+)")
+_ROW = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?((?:\s+[0-9]+)+)")
 
 MAX_DEN_BITS = 16384  # longest common denominator of a parsed form, in bits
+MAX_DIM = 33  # most coordinates a point is moved or projected on
+
+
+def check_dim(n: int) -> None:
+    """Refuse a move or a projection on n coordinates unless 0 < n <= MAX_DIM."""
+    if not 0 < n <= MAX_DIM:
+        raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {n}")
 
 
 def _read_rational(text: str) -> Tuple[int, int]:
@@ -161,11 +168,12 @@ def _read_rational(text: str) -> Tuple[int, int]:
     return p, q
 
 
-def _read_row(line: str, r: int) -> Tuple[ExponentVector, int, int]:
-    """(exponents, p, q) of one payload row, each field checked on its own.
+def _reject_row(line: str, r: int) -> NoReturn:
+    """Raise the FormParseError that says what is wrong with a payload row.
 
-    parse_form reads a row with one _ROW match; a row that does not match
-    comes here for the FormParseError that says what is wrong with it.
+    parse_form reads a row with one _ROW match; a row that does not match,
+    has the wrong number of fields or has more digits than int() converts
+    comes here, and every such row fails one of these checks of its fields.
     """
     fields = line.split()
     if len(fields) != r + 2:
@@ -177,10 +185,10 @@ def _read_row(line: str, r: int) -> Tuple[ExponentVector, int, int]:
     if not all(_EXPONENT.fullmatch(x) for x in fields[1:]):
         raise FormParseError(f"bad exponent in row {_quote(line)}: digits 0-9 only")
     try:
-        expo = tuple(int(x) for x in fields[1:])
+        tuple(int(x) for x in fields[1:])
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"too many digits in row {_quote(line)}") from exc
-    return expo, p, q
+    raise AssertionError(f"row {_quote(line)} was rejected but its fields all pass")
 
 
 def parse_form(text: str) -> HomogeneousForm:
@@ -213,19 +221,13 @@ def parse_form(text: str) -> HomogeneousForm:
     rows: List[Tuple[ExponentVector, int, int]] = []
     for line in payload[1:]:
         match = _ROW.fullmatch(line)
-        if match:
-            num, q_text, exponents = match.groups()
-            fields = exponents.split()
-            if len(fields) == r + 1:
-                try:
-                    p, q = int(num), int(q_text) if q_text else 1
-                    expo = tuple(map(int, fields))
-                except ValueError:  # more digits than int() converts
-                    q = 0
-                if q:
-                    rows.append((expo, p, q))
-                    continue
-        rows.append(_read_row(line, r))
+        fields = match[3].split() if match else ()
+        if len(fields) != r + 1:
+            _reject_row(line, r)
+        try:
+            rows.append((tuple(map(int, fields)), int(match[1]), int(match[2] or 1)))
+        except ValueError:  # more digits than int() converts
+            _reject_row(line, r)
     # one row at a time, and no further once past the limit, so a file of
     # many distinct large denominators costs no more than the limit allows
     den = 1
@@ -246,12 +248,15 @@ def parse_form(text: str) -> HomogeneousForm:
 
 
 def _int_entry(x: object) -> int:
-    """x as an int; ValueError unless it is an integer, such as Fraction(2)."""
+    """x as an int; ValueError unless it is an integer, such as Fraction(2).
+
+    Frame entries and weights are read here, where int() would truncate 1.5.
+    """
     if type(x) is int:
         return x
     q = Fraction(x)
     if q.denominator != 1:
-        raise ValueError(f"frame entry {x} is not an integer")
+        raise ValueError(f"{_quote(str(x))} is not an integer")
     return q.numerator
 
 
@@ -428,49 +433,32 @@ def _unimodular_completion(v: Sequence[int]) -> List[List[int]]:
     Runs the Euclidean algorithm on v by column operations while applying
     the inverse operations as row operations to an identity accumulator;
     the accumulator ends up inverse to the reduction, so its first row
-    recovers v exactly.  A swap or a negation flips the accumulator's
-    determinant and an addmul keeps it, so its sign is known without one.
+    recovers v once the row of the gcd 1 is swapped to the top.  A negation
+    or that swap flips its determinant, so the sign is known without one.
     """
     n = len(v)
     work = list(v)
     acc = [[int(i == j) for j in range(n)] for i in range(n)]
     sign = 1
-
-    def swap(a: int, b: int) -> None:
-        nonlocal sign
-        work[a], work[b] = work[b], work[a]
-        acc[a], acc[b] = acc[b], acc[a]
-        sign = -sign
-
-    def negate(a: int) -> None:
-        nonlocal sign
-        work[a] = -work[a]
-        acc[a] = [-x for x in acc[a]]
-        sign = -sign
-
-    def addmul(dst: int, src: int, k: int) -> None:
-        # column op work[dst] += k*work[src]; inverse row op on the accumulator
-        work[dst] += k * work[src]
-        acc[src] = [x - k * y for x, y in zip(acc[src], acc[dst])]
-
     while True:
-        nonzero = [i for i in range(n) if work[i] != 0]
-        if len(nonzero) == 1:
-            idx = nonzero[0]
-            if idx != 0:
-                swap(0, idx)
-            if work[0] < 0:
-                negate(0)
-            break
+        nonzero = [i for i in range(n) if work[i]]
         pivot = min(nonzero, key=lambda i: abs(work[i]))
         if work[pivot] < 0:
-            negate(pivot)
+            work[pivot] = -work[pivot]
+            acc[pivot] = [-x for x in acc[pivot]]
+            sign = -sign
+        if len(nonzero) == 1:
+            break
         for i in nonzero:
             if i != pivot:
-                addmul(i, pivot, -(work[i] // work[pivot]))
-    if work[0] != 1:
-        raise ValueError(f"vector {list(v)!r} is not primitive")
-    if sign == -1:
+                # column op work[i] -= k*work[pivot]; inverse row op on acc
+                k = work[i] // work[pivot]
+                work[i] -= k * work[pivot]
+                acc[pivot] = [x + k * y for x, y in zip(acc[pivot], acc[i])]
+    if pivot:
+        acc[0], acc[pivot] = acc[pivot], acc[0]
+        sign = -sign
+    if sign < 0:
         acc[-1] = [-x for x in acc[-1]]
     return acc
 
@@ -479,8 +467,10 @@ def frame_moving_to_origin(p: ProjPoint) -> Frame:
     """Unimodular integer frame g with point_image(g, p) = [1:0:...:0].
 
     Returns the identity when p already is the distinguished coordinate
-    point, so multiplicity queries at the origin stay literal.
+    point, so multiplicity queries at the origin stay literal.  More than
+    MAX_DIM coordinates raise ValueError before anything is built.
     """
+    check_dim(len(p.coords))
     prim = p.primitive()
     rows = _unimodular_completion(prim)
     frame = Frame(rows)
@@ -494,15 +484,22 @@ def multiplicity_at_origin(f: HomogeneousForm) -> int:
     return f.d - max(e[0] for e in f.nums)
 
 
-def multiplicity_at(f: HomogeneousForm, p: ProjPoint) -> int:
-    """Multiplicity of f = 0 at p, via a frame moving p to the origin."""
+def move_to_origin(f: HomogeneousForm, p: ProjPoint) -> HomogeneousForm:
+    """act(frame_moving_to_origin(p), f), once p is checked to have r+1 coordinates."""
     if len(p.coords) != f.r + 1:
         raise ValueError("point dimension must be r+1")
-    return multiplicity_at_origin(act(frame_moving_to_origin(p), f))
+    return act(frame_moving_to_origin(p), f)
+
+
+def multiplicity_at(f: HomogeneousForm, p: ProjPoint) -> int:
+    """Multiplicity of f = 0 at p, via a frame moving p to the origin."""
+    return multiplicity_at_origin(move_to_origin(f, p))
 
 
 def destabilize(f: HomogeneousForm, n: int) -> HomogeneousForm:
     """Multiply by (x_1 * ... * x_r)^n: translate the support by (0, n, .., n)."""
+    if type(n) is not int:
+        raise ValueError(f"destabilization exponent must be an integer, got {n!r:.40}")
     if n < 0:
         raise ValueError("destabilization exponent must be nonnegative")
     if n == 0:

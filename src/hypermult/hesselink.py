@@ -57,9 +57,7 @@ from .forms import (
     act,
     frame_moving_to_origin,
 )
-from .statepoly import (
-    InstabilityCertificate, OneParamSubgroup, check_dim, class_rep, torus_index
-)
+from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
 
 MAX_FRAMES = 4096  # largest frame family
 MAX_PAIRS = 2**16  # most band pairs pair_minima lists
@@ -75,6 +73,9 @@ class BandParams:
     m: int
 
     def __post_init__(self) -> None:
+        for name, value in zip("r d N m".split(), (self.r, self.d, self.N, self.m)):
+            if type(value) is not int:  # 4.5 would pass every comparison below
+                raise ValueError(f"{name} must be an integer, got {value!r:.40}")
         if self.r < 1 or self.d < 1:
             raise ValueError("need r >= 1 and d >= 1")
         if self.N < 0:
@@ -125,6 +126,8 @@ def unique_band(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:
     if big_n <= d:
         raise ValueError(f"need N > d for the band interval, got N={big_n}, d={d}")
     point = _linalg.vec(y)
+    if len(point) != r + 1:  # checked before y_0 is read
+        raise ValueError("point dimension must be r+1")
     # a y_0 above d fails the cap at m = 0 too
     top = max(0, min(d, d - math.ceil(point[0])))
     if not band_contains(point, r, d, big_n, top):
@@ -139,6 +142,7 @@ def separation_gap(r: int, d: int, m: int, m_prime: int, big_n: int) -> Fraction
     if not 0 <= m < m_prime <= d:
         raise ValueError("need 0 <= m < m' <= d")
     BandParams(r, d, big_n, m)
+    BandParams(r, d, big_n, m_prime)
     gap0 = (d - m_prime) ** 2 - (d - m) ** 2 + Fraction(m_prime**2, r) - m * m
     return gap0 + 2 * (m_prime - m) * big_n
 
@@ -258,15 +262,14 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> FrameFamily:
     unipotent, which fixes [1:0:...:0].  Permuting coordinates 1..r on top
     would only permute the support, changing neither delta_sq nor the
     sorted label, so the family has none.  A family larger than MAX_FRAMES
-    or of more than statepoly.MAX_DIM coordinates raises ValueError before
-    the mover is built.
+    raises ValueError before the mover is built, and a point of more than
+    forms.MAX_DIM coordinates before frame_moving_to_origin builds it.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     _check_budget(r, budget)
     if len(p.coords) != r + 1:
         raise ValueError("point dimension must be r+1")
-    check_dim(r + 1)
     return FrameFamily(frame_moving_to_origin(p), budget)
 
 

@@ -38,7 +38,8 @@ it is binary: there is no tolerance anywhere.
 
 A corral can grow to as many points as there are coordinates, and each
 step solves its Gram system afresh, so nearest_point refuses points of more
-than MAX_DIM coordinates before the search starts.
+than forms.MAX_DIM coordinates before the search starts, with the check
+forms.frame_moving_to_origin makes before a form is moved.
 """
 
 from __future__ import annotations
@@ -52,17 +53,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
 from ._linalg import Vector, dot, norm_sq, sub
-from .forms import ExponentVector, HomogeneousForm
+from .forms import MAX_DIM, ExponentVector, HomogeneousForm, _int_entry, check_dim
 
 HullWeights = Tuple[Tuple[Vector, Fraction], ...]
-
-MAX_DIM = 33  # most coordinates nearest_point takes; see the module docstring
-
-
-def check_dim(n: int) -> None:
-    """Refuse a projection onto n coordinates unless 0 < n <= MAX_DIM."""
-    if not 0 < n <= MAX_DIM:
-        raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {n}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class OneParamSubgroup:
     weights: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(int(x) for x in self.weights)
+        w = tuple(_int_entry(x) for x in self.weights)
         if len(w) < 2:
             raise ValueError("need at least two weights")
         if all(x == 0 for x in w):
@@ -290,7 +283,7 @@ def mu_weight(f: HomogeneousForm, a: Union[OneParamSubgroup, Sequence[int]]) -> 
     if isinstance(a, OneParamSubgroup):
         vec = a.weights
     else:
-        vec = tuple(int(x) for x in a)
+        vec = tuple(_int_entry(x) for x in a)
     if len(vec) != f.r + 1:
         raise ValueError("weight vector length must be r+1")
     if all(x == 0 for x in vec):

@@ -9,7 +9,10 @@ geometry comes from vector distances to the barycenter instead of the
 closed forms, the band of a point from a scan of every band instead of the
 two-test interval argument, the scale of a certificate from lam and w
 instead of the projection's lcm, a primitive integer vector from Fraction
-products instead of the library's integer scaling, the frame family keeps the permutations
+products instead of the library's integer scaling, the unimodular
+completion with its swap, negation and addmul steps as closures over a
+nonlocal sign, where the library negates the pivot in place and swaps
+once at the end, the frame family keeps the permutations
 of coordinates 1..r that the library drops, the frame family is listed as
 one Frame per member where the library keeps a mover and a budget, and
 the worst-frame search moves and projects every frame, with neither the
@@ -470,6 +473,61 @@ def primitive_oracle(v: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
     ints = [int(x * lcm) for x in v]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints), Fraction(lcm, g)
+
+
+def unimodular_completion_oracle(v: Sequence[int]) -> List[List[int]]:
+    """Integer matrix with determinant 1 whose first row is the primitive v.
+
+    Runs the Euclidean algorithm on v by column operations while applying
+    the inverse operations as row operations to an identity accumulator;
+    the accumulator ends up inverse to the reduction, so its first row
+    recovers v exactly.  A swap or a negation flips the accumulator's
+    determinant and an addmul keeps it, so its sign is known without one.
+    Each step is a closure over the work vector, the accumulator and a
+    nonlocal sign, and a vector left with a gcd other than 1 is refused.
+    """
+    n = len(v)
+    work = list(v)
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    sign = 1
+
+    def swap(a: int, b: int) -> None:
+        nonlocal sign
+        work[a], work[b] = work[b], work[a]
+        acc[a], acc[b] = acc[b], acc[a]
+        sign = -sign
+
+    def negate(a: int) -> None:
+        nonlocal sign
+        work[a] = -work[a]
+        acc[a] = [-x for x in acc[a]]
+        sign = -sign
+
+    def addmul(dst: int, src: int, k: int) -> None:
+        # column op work[dst] += k*work[src]; inverse row op on the accumulator
+        work[dst] += k * work[src]
+        acc[src] = [x - k * y for x, y in zip(acc[src], acc[dst])]
+
+    while True:
+        nonzero = [i for i in range(n) if work[i] != 0]
+        if len(nonzero) == 1:
+            idx = nonzero[0]
+            if idx != 0:
+                swap(0, idx)
+            if work[0] < 0:
+                negate(0)
+            break
+        pivot = min(nonzero, key=lambda i: abs(work[i]))
+        if work[pivot] < 0:
+            negate(pivot)
+        for i in nonzero:
+            if i != pivot:
+                addmul(i, pivot, -(work[i] // work[pivot]))
+    if work[0] != 1:
+        raise ValueError(f"vector {list(v)!r} is not primitive")
+    if sign == -1:
+        acc[-1] = [-x for x in acc[-1]]
+    return acc
 
 
 def _unipotents(n: int, budget: int):

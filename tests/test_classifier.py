@@ -9,6 +9,7 @@ import pytest
 
 from hypermult import (
     HomogeneousForm,
+    OneParamSubgroup,
     ProjPoint,
     StratumLabel,
     act,
@@ -27,7 +28,7 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import classifier
+from hypermult import classifier, forms
 from oracle import random_form, random_point, random_unimodular_frame
 
 NODAL_CUBIC = HomogeneousForm(2, 3, {(1, 1, 1): Fraction(1), (0, 3, 0): Fraction(1)})
@@ -119,6 +120,30 @@ def test_classify_at_matches_direct_multiplicity_on_random_input():
         report = classify_at(f, p, "auto")
         assert report.agreed
         assert report.m_band == multiplicity_at(f, p)
+
+
+def test_every_move_to_a_point_refuses_more_than_max_dim_coordinates(monkeypatch):
+    n = forms.MAX_DIM + 1
+    simplex = HomogeneousForm(n - 1, 2, {tuple(2 * (j == i) for j in range(n)): 1 for i in range(n)})
+    point = ProjPoint((1, 1) + (0,) * (n - 2))
+    weights = (1,) + (0,) * (n - 2) + (-1,)
+    label = StratumLabel(OneParamSubgroup(weights), Fraction(2), Fraction(1))
+
+    def no_move(*args):
+        raise AssertionError("the point was moved")
+
+    monkeypatch.setattr(forms, "_unimodular_completion", no_move)
+    monkeypatch.setattr(forms, "act", no_move)
+    calls = [
+        lambda: frame_moving_to_origin(point),
+        lambda: multiplicity_at(simplex, point),
+        lambda: classify_at(simplex, point),
+        lambda: default_frames(n - 1, point, 0),
+        lambda: bound_check(simplex, label, [point]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"1 to {forms.MAX_DIM} coordinates, got {n}"):
+            call()
 
 
 # ---------------------------------------------------------------- corpus

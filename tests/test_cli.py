@@ -627,9 +627,9 @@ def test_a_point_on_more_coordinates_than_max_dim_exits_2_before_the_move(
     def no_move(*args):
         raise AssertionError("the form was moved")
 
-    for module in (classifier, hesselink, forms):
-        monkeypatch.setattr(module, "frame_moving_to_origin", no_move)
-    monkeypatch.setattr(classifier, "act", no_move)
+    # frame_moving_to_origin itself refuses, so patch what it and the move call
+    monkeypatch.setattr(forms, "_unimodular_completion", no_move)
+    monkeypatch.setattr(forms, "act", no_move)
     code, out, err = invoke(capsys, command[0], "--input", str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err == f"error: projection takes 1 to {MAX_DIM} coordinates, got 201\n"

@@ -21,7 +21,7 @@ from hypermult import (
     point_image,
 )
 from hypermult import _linalg
-from hypermult.forms import MAX_DEN_BITS, _taylor_shift
+from hypermult.forms import MAX_DEN_BITS, _taylor_shift, _unimodular_completion
 from oracle import (
     act_oracle,
     mult_oracle,
@@ -32,6 +32,7 @@ from oracle import (
     random_point,
     random_unimodular_frame,
     shear_oracle,
+    unimodular_completion_oracle,
 )
 
 
@@ -214,6 +215,8 @@ def _parse_outcome(parse, text):
 @example("r=1 d=2\n1\t2\u20030\n-3/4 1 1 # x\n")
 @example(f"r=1 d=2\n1/{TOO_LONG} 2 0\n")
 @example(f"r=1 d=2\n1 2 {TOO_LONG}\n")
+@example("r=1 d=2\n1/00 2 0\n")
+@example("r=1 d=2\n-1/007 2 0\n1/7 2 0\n3 0 2\n")
 def test_parse_form_equals_the_field_by_field_reader(text):
     assert _parse_outcome(parse_form, text) == _parse_outcome(parse_form_oracle, text)
 
@@ -506,6 +509,24 @@ def test_mover_is_unimodular_and_moves_the_point():
         assert g.rows[0] == p.primitive()
 
 
+ENTRY = st.one_of(
+    st.just(0), st.integers(-5, 5), st.integers(-10**9, 10**9), st.integers(-2**80, 2**80)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ENTRY, min_size=2, max_size=6).filter(any))
+@example([0, 0, -1])
+@example([6, 10, 15])
+@example([0, -7, 0, 3, 0])
+def test_completion_equals_the_closure_oracle(v):
+    g = math.gcd(*v)
+    prim = [x // g for x in v]
+    rows = _unimodular_completion(prim)
+    assert rows == unimodular_completion_oracle(prim)
+    assert rows[0] == prim and _linalg.det(rows) == 1
+
+
 def test_mover_handles_rational_coordinates():
     p = ProjPoint.parse("1/2,1/3,0")
     g = frame_moving_to_origin(p)
@@ -570,6 +591,14 @@ def test_destabilize_edge_cases():
     assert destabilize(f, 0) == f
     with pytest.raises(ValueError):
         destabilize(f, -1)
+
+
+@pytest.mark.parametrize("n", [1.5, Fraction(3, 2), 2.0, "2"])
+def test_destabilize_refuses_a_non_integer_exponent(n):
+    # 1.5 used to fail on a misleading exponent-vector message
+    f = HomogeneousForm(1, 2, {(1, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="destabilization exponent must be an integer"):
+        destabilize(f, n)
 
 
 def test_destabilize_multiplicity_additivity():

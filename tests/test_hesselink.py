@@ -31,7 +31,7 @@ from hypermult import (
     torus_index,
     worst_frame_search,
 )
-from hypermult import _linalg, hesselink
+from hypermult import _linalg, forms, hesselink
 from hypermult.hesselink import unique_band
 from hypermult.statepoly import MAX_DIM
 from hypermult._linalg import norm_sq, sub, vec
@@ -406,10 +406,11 @@ def test_default_frames_take_one_det_per_member(monkeypatch, r, point, budget):
 
 
 def test_default_frames_refuse_large_families_before_building(monkeypatch):
-    def no_build(p):
+    def no_build(v):
         raise AssertionError("the family was started")
 
-    monkeypatch.setattr(hesselink, "frame_moving_to_origin", no_build)
+    # frame_moving_to_origin itself refuses, so patch the completion it builds
+    monkeypatch.setattr(forms, "_unimodular_completion", no_build)
     for r, budget in [(4, 1), (3, 2), (1, hesselink.MAX_FRAMES), (2, 10**50), (60, 1)]:
         with pytest.raises(ValueError, match="frames"):
             default_frames(r, ProjPoint.origin(r), budget)
@@ -759,3 +760,30 @@ def test_band_params_validation():
     with pytest.raises(ValueError):
         BandParams(1, 0, 3, 0)
     assert BandParams(1, 2, 3, 1).m == 1
+
+
+NON_INT_BAND_PARAMETERS = {
+    "BandParams_float": lambda: BandParams(1, 2, 3.0, 1),
+    "BandParams_bool": lambda: BandParams(True, 2, 3, 1),
+    "band_contains": lambda: band_contains((1, 2), 1, 2, Fraction(9, 2), 0),  # was False
+    "unique_band": lambda: unique_band((1, 2), 1, 2, 4.5),  # was None
+    "l_squared": lambda: l_squared(1, 2, 4.5, 0),  # was TypeError
+    "separation_gap": lambda: separation_gap(1, 2, 0, 1, 4.5),
+    "separation_gap_m_prime": lambda: separation_gap(1, 2, 0, 1.5, 5),  # was TypeError
+    "separation_threshold": lambda: separation_threshold(1.5, 2),  # was TypeError
+    "pair_minima": lambda: pair_minima(1, 2.0),  # was TypeError
+    "gen_corpus": lambda: gen_corpus(1, 2, 1.0, 1, 0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_BAND_PARAMETERS.values(), ids=NON_INT_BAND_PARAMETERS)
+def test_band_parameters_must_be_ints(call):
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call()
+
+
+def test_unique_band_checks_the_dimension_before_reading_y0():
+    with pytest.raises(ValueError, match="point dimension must be r\\+1"):
+        unique_band((), 1, 2, 4)  # was IndexError
+    with pytest.raises(ValueError, match="point dimension must be r\\+1"):
+        unique_band((1, 2, 3), 1, 2, 4)

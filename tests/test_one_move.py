@@ -1,0 +1,55 @@
+"""A form is moved to a point in one place, and the dimension limit is checked in two.
+
+`forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
+coordinates before it builds anything, and `forms.move_to_origin` is the
+one composition act(frame_moving_to_origin(p), f).  A caller that repeats
+either would be a second place to keep in step with the first.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hypermult"
+
+
+def _name(func: ast.expr) -> str:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def _calls():
+    """(module, enclosing function, call) for every call in the library."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                found.append((module, where, child))
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert found, "no calls seen: the source path is wrong"
+    return found
+
+
+def test_only_the_mover_and_the_projection_check_the_dimension():
+    sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "check_dim"}
+    assert sites == {("forms", "frame_moving_to_origin"), ("statepoly", "nearest_point")}
+
+
+def test_only_move_to_origin_applies_the_mover():
+    sites = {
+        (module, where)
+        for module, where, call in _calls()
+        if _name(call.func) == "act"
+        and any(isinstance(a, ast.Call) and _name(a.func) == "frame_moving_to_origin"
+                for a in call.args)
+    }
+    assert sites == {("forms", "move_to_origin")}

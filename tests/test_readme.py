@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from hypermult import classifier, forms, hesselink, statepoly
+from hypermult import classifier, forms, hesselink
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,7 +28,7 @@ LIMITS = {
     ),
     "classifier.MAX_CORPUS": lambda: f"a corpus above {_power_of_two(classifier.MAX_CORPUS)},",
     "forms.MAX_DEN_BITS": lambda: f"`forms.MAX_DEN_BITS` = {forms.MAX_DEN_BITS:,} bits",
-    "statepoly.MAX_DIM": lambda: f"`statepoly.MAX_DIM` = {statepoly.MAX_DIM} variables",
+    "forms.MAX_DIM": lambda: f"`forms.MAX_DIM` = {forms.MAX_DIM} variables",
 }
 
 

@@ -437,6 +437,18 @@ def test_mu_weight_rejects_bad_vectors():
         mu_weight(f, (1, -1, 0))
 
 
+def test_weights_are_refused_not_truncated():
+    # int() would read each of these as (1, -1)
+    f = HomogeneousForm(1, 2, {(1, 1): Fraction(1)})
+    for weights in [(1.5, -1.5), (Fraction(3, 2), Fraction(-3, 2)), (1.7, -1.7)]:
+        with pytest.raises(ValueError, match="is not an integer"):
+            OneParamSubgroup(weights)
+        with pytest.raises(ValueError, match="is not an integer"):
+            mu_weight(f, list(weights))
+    assert OneParamSubgroup((Fraction(1), -1.0)).weights == (1, -1)
+    assert mu_weight(f, (Fraction(2), -2.0)) == mu_weight(f, (2, -2)) == 0
+
+
 # ---------------------------------------------------------------- 1-PS class
 
 def test_class_rep_sorts_descending():
