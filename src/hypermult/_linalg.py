@@ -2,9 +2,9 @@
 
 Frames are integer matrices, and the projection core scales its problems to
 integers, so every matrix computation runs on ints through one Bareiss
-fraction-free elimination: `det` and `solve_consistent` share it.  Vectors
-of points are tuples of Fractions, hashable and safe to reuse as dict keys;
-`dot` and `norm_sq` also take integer vectors and then return integers.
+fraction-free elimination: `det` and `solve_consistent` share it.  Rational
+vectors, such as a projection target, are tuples of Fractions; `dot` and
+`norm_sq` also take integer vectors and then return integers.
 `primitive` is the one place a rational vector becomes a primitive integer
 vector, as a projective point and a one-parameter subgroup both need.
 """

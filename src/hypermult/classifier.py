@@ -25,6 +25,7 @@ from .forms import (
     HomogeneousForm,
     ProjPoint,
     _quote,
+    check_ints,
     destabilize,
     move_to_origin,
     multiplicity_at,
@@ -191,6 +192,7 @@ def gen_corpus(
     More than MAX_CORPUS forms x (r+1) raise ValueError before any is made.
     """
     BandParams(r, d, 0, m)
+    check_ints(count=count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     _check_corpus_size(count, r)
@@ -255,8 +257,9 @@ def verify_theorem_main(
     """Classify a corpus for every m in 0..d and tally band/direct agreement.
 
     The output is deterministic for fixed arguments regardless of jobs.  A
-    jobs below 1, or more than MAX_CORPUS forms x (r+1) over all m, raise
-    ValueError before any form is made."""
+    count or jobs that is not an int, a jobs below 1, or more than MAX_CORPUS
+    forms x (r+1) over all m raise ValueError before any form is made."""
+    check_ints(count=count, jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     big_n, threshold = _resolve_n(r, d, n)

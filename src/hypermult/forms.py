@@ -75,6 +75,7 @@ class HomogeneousForm:
         Every form is built here, and this is the only place its
         invariants are checked; the result is reduced to lowest terms.
         """
+        check_ints(r=r, d=d)
         if r < 1:
             raise ValueError("need at least two variables (r >= 1)")
         if d < 1:
@@ -140,6 +141,13 @@ _ROW = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?((?:\s+[0-9]+)+)")
 
 MAX_DEN_BITS = 16384  # longest common denominator of a parsed form, in bits
 MAX_DIM = 33  # most coordinates a point is moved or projected on
+
+
+def check_ints(**values: object) -> None:
+    """Refuse any value that is not an int: 4.5 would pass every comparison."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r:.40}")
 
 
 def check_dim(n: int) -> None:
@@ -513,6 +521,7 @@ def destabilize(f: HomogeneousForm, n: int) -> HomogeneousForm:
 
 def destabilizing_factor(r: int, n: int) -> HomogeneousForm:
     """The coordinate product (x_1 * ... * x_r)^n as a form of degree r*n."""
+    check_ints(r=r, n=n)
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
     return HomogeneousForm(r, r * n, {(0,) + (n,) * r: 1})

@@ -55,6 +55,7 @@ from .forms import (
     ProjPoint,
     _taylor_shift,
     act,
+    check_ints,
     frame_moving_to_origin,
 )
 from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
@@ -73,9 +74,7 @@ class BandParams:
     m: int
 
     def __post_init__(self) -> None:
-        for name, value in zip("r d N m".split(), (self.r, self.d, self.N, self.m)):
-            if type(value) is not int:  # 4.5 would pass every comparison below
-                raise ValueError(f"{name} must be an integer, got {value!r:.40}")
+        check_ints(r=self.r, d=self.d, N=self.N, m=self.m)
         if self.r < 1 or self.d < 1:
             raise ValueError("need r >= 1 and d >= 1")
         if self.N < 0:

@@ -16,30 +16,22 @@ pairing identities
 so mu(f, lambda) / ||lambda|| equals the distance itself.
 
 Projection is Wolfe's minimum-norm-point algorithm over affinely
-independent subsets of the support (corrals), run in integers.
-nearest_point scales once: with s the lcm of every denominator in the
-points and the target, V_j = s*p_j - s*t are integer vectors.  When every
-coordinate of the points is an int, as in the support torus_index passes,
-s comes from the target alone (for torus_index s divides r+1) and the V_j
-are built in int arithmetic, without a Fraction per coordinate.  The
-iterate is X/D, an integer vector over one positive denominator that the
-corral weights share, and each Gram (KKT) system is solved by Bareiss
-fraction-free elimination.  Scaling by a positive number preserves every
-comparison and tie-break, so the corrals and weights are exactly those of
-the same search over Fractions.  Each major step pairs the iterate with
-every V_j in one pass over the vectors laid end to end.
+independent subsets of the integer points (corrals), run in integers: with
+s the lcm of the target's denominators (a divisor of r+1 for torus_index),
+V_j = s*p_j - s*t are integer vectors, the iterate is X/D over one positive
+denominator that the corral weights share, and each Gram (KKT) system is
+solved by Bareiss fraction-free elimination.  Scaling by a positive number
+preserves every comparison and tie-break, so the corrals and weights are
+exactly those of the same search over Fractions.
 
-Every result is checked before it is returned, in integers: the weights
-are positive, sum to D and rebuild X, and (X.V_j)*D >= |X|^2 holds for every
-j, which is the optimality inequality <t - q, v - q> <= 0 for all support
-points v.  Only then are q = t + X/(D*s), delta_sq = |X|^2/(D*s)^2 and the
-weights made Fractions.  That check is the only one a certificate gets, and
-it is binary: there is no tolerance anywhere.
-
-A corral can grow to as many points as there are coordinates, and each
-step solves its Gram system afresh, so nearest_point refuses points of more
-than forms.MAX_DIM coordinates before the search starts, with the check
-forms.frame_moving_to_origin makes before a form is moved.
+Every result is checked once, in integers, before it is returned: the
+weights are positive, sum to D and rebuild X, and (X.V_j)*D >= |X|^2 for
+every j, which is the optimality inequality <t - q, v - q> <= 0 for all
+points v.  Only then are q, delta_sq and the weights made Fractions; the
+witness keeps the integer points.  There is no tolerance anywhere.  A
+corral can grow to one point per coordinate, each step solving its Gram
+system afresh, so points of more than forms.MAX_DIM coordinates are refused
+before the search, as forms.frame_moving_to_origin refuses them.
 """
 
 from __future__ import annotations
@@ -53,9 +45,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
 from ._linalg import Vector, dot, norm_sq, sub
-from .forms import MAX_DIM, ExponentVector, HomogeneousForm, _int_entry, check_dim
+from .forms import MAX_DIM, ExponentVector, HomogeneousForm, _int_entry, check_dim, check_ints
 
-HullWeights = Tuple[Tuple[Vector, Fraction], ...]
+HullWeights = Tuple[Tuple[ExponentVector, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -83,6 +75,7 @@ class OneParamSubgroup:
 
 def barycenter(r: int, d: int) -> Vector:
     """Barycenter d/(r+1) * (1, ..., 1) of the degree-d exponent simplex."""
+    check_ints(r=r, d=d)
     if r < 1 or d < 1:
         raise ValueError("need r >= 1 and d >= 1")
     return (Fraction(d, r + 1),) * (r + 1)
@@ -182,36 +175,31 @@ def _min_norm_point(
     raise RuntimeError("projection did not terminate; this should be impossible")
 
 
-def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
-    """Exact nearest point of the convex hull of points to the target t.
+def nearest_point(points: Iterable[Sequence[int]], t: Sequence) -> ProjectionResult:
+    """Exact nearest point of the convex hull of integer points to the target t.
 
     The returned witness satisfies q = sum(weight * point) with positive
-    weights summing to one, and the optimality inequality
-    <t - q, v - q> <= 0 holds for every input point v; all of this is
-    verified before returning, and nowhere else.  Points of more than
+    weights summing to one, over the points as int tuples, and the
+    optimality inequality <t - q, v - q> <= 0 holds for every input point
+    v; all of this is verified before returning, and nowhere else.  A
+    coordinate that is not an integer, such as 1/2, and points of more than
     MAX_DIM coordinates are refused with ValueError before the search.
     """
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("cannot project onto an empty point set")
+    if set(map(type, chain.from_iterable(pts))) != {int}:
+        pts = [tuple(map(_int_entry, p)) for p in pts]
     target = _linalg.vec(t)
     if any(len(p) != len(target) for p in pts):
         raise ValueError("point dimension does not match the target")
     check_dim(len(target))
-    s = math.lcm(*(c.denominator for c in target))
-    ints = set(map(type, chain.from_iterable(pts))) == {int}
-    if not ints:
-        pts = [_linalg.vec(p) for p in pts]
-        s = math.lcm(s, *(c.denominator for p in pts for c in p))
     if not all(map(lt, pts, islice(pts, 1, None))):
         pts = sorted(set(pts))
+    s = math.lcm(*(c.denominator for c in target))
     st = [c.numerator * (s // c.denominator) for c in target]
-    if ints:
-        # integer points, such as a support: s came from the target alone
-        scaled = map(sub_op, map(s.__mul__, chain.from_iterable(pts)), cycle(st))
-        vecs = list(zip(*[scaled] * len(st)))
-    else:
-        vecs = [tuple(int(c * s) - b for c, b in zip(p, st)) for p in pts]
+    scaled = map(sub_op, map(s.__mul__, chain.from_iterable(pts)), cycle(st))
+    vecs = list(zip(*[scaled] * len(st)))
     x, corral, weights, den = _min_norm_point(vecs)
     if any(w <= 0 for w in weights):
         raise AssertionError("hull weights must be positive")
@@ -225,9 +213,7 @@ def nearest_point(points: Iterable[Sequence], t: Sequence) -> ProjectionResult:
         raise AssertionError("projection certificate failed")
     scale = den * s
     q = tuple(Fraction(b * den + c, scale) for b, c in zip(st, x))
-    witness = tuple(
-        (_linalg.vec(pts[j]), Fraction(w, den)) for j, w in sorted(zip(corral, weights))
-    )
+    witness = tuple((pts[j], Fraction(w, den)) for j, w in sorted(zip(corral, weights)))
     return ProjectionResult(q=q, dist_sq=Fraction(xx, scale * scale), hull_weights=witness)
 
 
@@ -249,7 +235,7 @@ class InstabilityCertificate:
     delta_sq: Fraction
     lam: Optional[OneParamSubgroup]
     scale: Optional[Fraction]
-    hull_weights: Tuple[Tuple[ExponentVector, Fraction], ...]
+    hull_weights: HullWeights
 
 
 def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
@@ -261,16 +247,13 @@ def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
     if projection.dist_sq != 0:
         direction, scale = _linalg.primitive(w)
         lam = OneParamSubgroup(direction)
-    witness = tuple(
-        (tuple(int(x) for x in p), c) for p, c in projection.hull_weights
-    )
     return InstabilityCertificate(
         q=projection.q,
         w=w,
         delta_sq=projection.dist_sq,
         lam=lam,
         scale=scale,
-        hull_weights=witness,
+        hull_weights=projection.hull_weights,
     )
 
 

@@ -179,6 +179,24 @@ def test_gen_corpus_validation():
 
 
 @pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: gen_corpus(1, 2, 1, 1.5, 0), "count"),
+        (lambda: verify_theorem_main(1, 2, "auto", 1.5, 0), "count"),
+        (lambda: verify_theorem_main(1, 2, "auto", 2, 0, jobs=1.5), "jobs"),
+    ],
+    ids=["gen_corpus-count", "verify-count", "verify-jobs"],
+)
+def test_corpus_counts_must_be_integers(monkeypatch, make, name):
+    def no_form(*args):
+        raise AssertionError("a form was made before the arguments were checked")
+
+    monkeypatch.setattr(classifier, "HomogeneousForm", no_form)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
+        make()
+
+
+@pytest.mark.parametrize(
     "make, size",
     [
         (lambda: gen_corpus(2, 3, 1, 4, seed=0), 4 * 3),

@@ -621,6 +621,18 @@ def test_destabilizing_factor_shape():
         destabilizing_factor(1, 0)
 
 
+@pytest.mark.parametrize("r, n, name", [(1, 1.5, "n"), (1, Fraction(2), "n"), (2.0, 1, "r")])
+def test_destabilizing_factor_refuses_non_integers(r, n, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        destabilizing_factor(r, n)
+
+
+@pytest.mark.parametrize("r, d, name", [(1, 2.0, "d"), (1.0, 2, "r"), (1, Fraction(2), "d")])
+def test_a_form_refuses_a_non_integer_r_or_d(r, d, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        HomogeneousForm(r, d, {(1, 1): 1})
+
+
 # ---------------------------------------------------------------- points
 
 def test_projective_equality_up_to_scale():

@@ -46,6 +46,10 @@ def test_barycenter_values():
     assert barycenter(2, 2) == (Fraction(2, 3),) * 3
     with pytest.raises(ValueError):
         barycenter(0, 2)
+    with pytest.raises(ValueError, match="r must be an integer, got 1.5"):
+        barycenter(1.5, 2)
+    with pytest.raises(ValueError, match="d must be an integer, got 2.0"):
+        barycenter(1, 2.0)
 
 
 # ---------------------------------------------------------------- projection
@@ -134,14 +138,14 @@ TARGET_COORD = st.one_of(
 
 
 @st.composite
-def projection_inputs(draw):
-    """(points, target): up to 40 points in dimension 1..6, integer or rational.
+def projection_inputs(draw, coords=(INTEGER, RATIONAL)):
+    """(points, target): up to 40 points in dimension 1..6, coordinates from coords.
 
     The point sets are free, drawn from a small pool (duplicates), or lattice
     points on a line or a plane (collinear, coplanar).
     """
     dim = draw(st.integers(1, 6))
-    coord = draw(st.sampled_from([INTEGER, RATIONAL]))
+    coord = draw(st.sampled_from(coords))
     point = st.tuples(*[coord] * dim)
     kind = draw(st.sampled_from(["free", "duplicates", "collinear", "coplanar"]))
     n = draw(st.integers(1, 40))
@@ -174,19 +178,45 @@ def corpus_inputs(draw):
 
 
 def _typed(res):
-    """Every number of a ProjectionResult paired with its type."""
+    """Every number of a ProjectionResult paired with its type, witness points as given."""
     return (
         [(type(c), c) for c in res.q],
         (type(res.dist_sq), res.dist_sq),
-        [([(type(c), c) for c in p], (type(w), w)) for p, w in res.hull_weights],
+        [(p, (type(w), w)) for p, w in res.hull_weights],
     )
 
 
+def _int_points(res):
+    return all(type(p) is tuple and set(map(type, p)) == {int} for p, _ in res.hull_weights)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(projection_inputs(), corpus_inputs()))
+@given(st.one_of(projection_inputs((INTEGER,)), corpus_inputs()))
 def test_nearest_point_equals_the_fraction_route(case):
     points, t = case
-    assert _typed(nearest_point(points, t)) == _typed(nearest_point_oracle(points, t))
+    res = nearest_point(points, t)
+    assert _typed(res) == _typed(nearest_point_oracle(points, t))
+    assert _int_points(res)
+
+
+def test_nearest_point_refuses_rational_points():
+    t = (Fraction(1), Fraction(1))
+    for bad in [(Fraction(1, 2), Fraction(3, 2)), (0.5, 1.5), ("1/2", "3/2")]:
+        with pytest.raises(ValueError, match="is not an integer"):
+            nearest_point([(0, 2), bad], t)
+    # integer-valued Fractions are read as the integers they are
+    res = nearest_point([(Fraction(2), Fraction(0)), (Fraction(0), 2)], (Fraction(3), Fraction(-1)))
+    assert res.hull_weights == (((2, 0), Fraction(1)),)
+    assert _int_points(res)
+
+
+def test_torus_index_witness_holds_support_points_as_ints():
+    rng = random.Random(21)
+    for _ in range(60):
+        f = random_form(rng, rng.choice([1, 2, 3]), rng.randint(1, 5))
+        cert = torus_index(f)
+        assert {p for p, _ in cert.hull_weights} <= set(f.support())
+        assert _int_points(cert)
 
 
 @settings(max_examples=150, deadline=None)
