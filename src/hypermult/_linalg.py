@@ -4,9 +4,9 @@ Frames are integer matrices, and the projection core scales its problems to
 integers, so every matrix computation runs on ints through one Bareiss
 fraction-free elimination: `det` and `solve_consistent` share it.  Rational
 vectors, such as a projection target, are tuples of Fractions; `dot` and
-`norm_sq` also take integer vectors and then return integers.
-`primitive` is the one place a rational vector becomes a primitive integer
-vector, as a projective point and a one-parameter subgroup both need.
+`norm_sq` also take integer vectors and then return integers.  `scaled` is
+the one place a rational vector becomes integers over a common denominator,
+which `primitive` divides by their gcd for points and one-parameter groups.
 """
 
 from __future__ import annotations
@@ -40,12 +40,17 @@ def norm_sq(u: Sequence[Fraction]) -> Fraction:
     return dot(u, u)
 
 
+def scaled(v: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(ints, s): s the lcm of the denominators of v and ints = s * v, as ints."""
+    s = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (s // x.denominator) for x in v], s
+
+
 def primitive(v: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
     """(lam, c): the primitive integer vector lam = c * v, c > 0, of a nonzero v."""
-    lcm = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (lcm // x.denominator) for x in v]
+    ints, s = scaled(v)
     g = math.gcd(*ints)
-    return tuple(x // g for x in ints), Fraction(lcm, g)
+    return tuple(x // g for x in ints), Fraction(s, g)
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:

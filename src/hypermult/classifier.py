@@ -192,7 +192,7 @@ def gen_corpus(
     More than MAX_CORPUS forms x (r+1) raise ValueError before any is made.
     """
     BandParams(r, d, 0, m)
-    check_ints(count=count)
+    check_ints(count=count, seed=seed)
     if count < 0:
         raise ValueError("count must be nonnegative")
     _check_corpus_size(count, r)
@@ -257,9 +257,9 @@ def verify_theorem_main(
     """Classify a corpus for every m in 0..d and tally band/direct agreement.
 
     The output is deterministic for fixed arguments regardless of jobs.  A
-    count or jobs that is not an int, a jobs below 1, or more than MAX_CORPUS
-    forms x (r+1) over all m raise ValueError before any form is made."""
-    check_ints(count=count, jobs=jobs)
+    non-int count, seed or jobs, a jobs below 1, or more than MAX_CORPUS forms
+    x (r+1) over all m raise ValueError before any form is made."""
+    check_ints(count=count, seed=seed, jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     big_n, threshold = _resolve_n(r, d, n)

@@ -63,9 +63,8 @@ class HomogeneousForm:
 
     def __init__(self, r: int, d: int, terms: Mapping[Sequence[int], object]) -> None:
         """The form sum of terms[e] * x^e, each terms[e] what Fraction() takes."""
-        coeffs = {tuple(e): Fraction(c) for e, c in terms.items()}
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        nums = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        ints, den = _linalg.scaled([Fraction(c) for c in terms.values()])
+        nums = dict(zip(map(tuple, terms), ints))
         self.__dict__.update(HomogeneousForm._from_ints(r, d, nums, den).__dict__)
 
     @classmethod

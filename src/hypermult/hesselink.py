@@ -10,10 +10,12 @@ N + m/r) the nearest.  The band of m and the gap of a pair m < m' are
     l_squared = |xi - v_m|^2,    gap = |xi - z_m'|^2 - l_squared(m).
 
 On the hyperplane |y - xi|^2 = |y|^2 - D^2/(r+1), so all of it is closed
-form, with no barycenter:
+form, with no barycenter, and band_contains tests y in integers, on the
+n = s*y that _linalg.scaled makes of it, s the lcm of its denominators:
 
     l_squared = (d-m)^2 + (m+N)^2 + (r-1)*N^2 - D^2/(r+1)
-    y in B_m needs |y|^2 <= (d-m)^2 + (m+N)^2 + (r-1)*N^2
+    y in B_m iff n >= 0, sum(n) = D*s, n_0 <= (d-m)*s and
+                 |n|^2 <= ((d-m)^2 + (m+N)^2 + (r-1)*N^2) * s^2
     gap = (d-m')^2 - (d-m)^2 + m'^2/r - m^2 + 2*(m'-m)*N
 
 The gap is linear in N with slope 2(m' - m) > 0, so each pair has a least
@@ -98,17 +100,12 @@ def l_squared(r: int, d: int, big_n: int, m: int) -> Fraction:
 def band_contains(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
     """Membership of y in the band B_m inside the degree d + r*N simplex."""
     BandParams(r, d, big_n, m)
-    point = _linalg.vec(y)
-    if len(point) != r + 1:
+    n, s = _linalg.scaled(_linalg.vec(y))
+    if len(n) != r + 1:
         raise ValueError("point dimension must be r+1")
-    if any(x < 0 for x in point):
+    if min(n) < 0 or sum(n) != (d + r * big_n) * s or n[0] > (d - m) * s:
         return False
-    if sum(point, Fraction(0)) != d + r * big_n:
-        return False
-    if point[0] > d - m:
-        return False
-    # both sides of |xi - y|^2 <= l_squared carry the same -D^2/(r+1)
-    return norm_sq(point) <= _vertex_norm_sq(r, d, big_n, m)
+    return norm_sq(n) <= _vertex_norm_sq(r, d, big_n, m) * s * s
 
 
 def unique_band(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:
@@ -124,14 +121,13 @@ def unique_band(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:
     """
     if big_n <= d:
         raise ValueError(f"need N > d for the band interval, got N={big_n}, d={d}")
-    point = _linalg.vec(y)
-    if len(point) != r + 1:  # checked before y_0 is read
+    if len(y) != r + 1:  # checked before y_0 is read
         raise ValueError("point dimension must be r+1")
     # a y_0 above d fails the cap at m = 0 too
-    top = max(0, min(d, d - math.ceil(point[0])))
-    if not band_contains(point, r, d, big_n, top):
+    top = max(0, min(d, d - math.ceil(Fraction(y[0]))))
+    if not band_contains(y, r, d, big_n, top):
         return None
-    if top > 0 and band_contains(point, r, d, big_n, top - 1):
+    if top > 0 and band_contains(y, r, d, big_n, top - 1):
         return None
     return top
 

@@ -17,12 +17,12 @@ so mu(f, lambda) / ||lambda|| equals the distance itself.
 
 Projection is Wolfe's minimum-norm-point algorithm over affinely
 independent subsets of the integer points (corrals), run in integers: with
-s the lcm of the target's denominators (a divisor of r+1 for torus_index),
-V_j = s*p_j - s*t are integer vectors, the iterate is X/D over one positive
-denominator that the corral weights share, and each Gram (KKT) system is
-solved by Bareiss fraction-free elimination.  Scaling by a positive number
-preserves every comparison and tie-break, so the corrals and weights are
-exactly those of the same search over Fractions.
+the target t scaled by _linalg.scaled to integers over s (a divisor of r+1
+for torus_index), V_j = s*p_j - s*t are integer vectors, the iterate is
+X/D over one positive denominator that the corral weights share, and each
+Gram (KKT) system is solved by Bareiss fraction-free elimination.  Scaling
+by a positive number preserves every comparison and tie-break, so the
+corrals and weights are exactly those of the same search over Fractions.
 
 Every result is checked once, in integers, before it is returned: the
 weights are positive, sum to D and rebuild X, and (X.V_j)*D >= |X|^2 for
@@ -196,8 +196,7 @@ def nearest_point(points: Iterable[Sequence[int]], t: Sequence) -> ProjectionRes
     check_dim(len(target))
     if not all(map(lt, pts, islice(pts, 1, None))):
         pts = sorted(set(pts))
-    s = math.lcm(*(c.denominator for c in target))
-    st = [c.numerator * (s // c.denominator) for c in target]
+    st, s = _linalg.scaled(target)
     scaled = map(sub_op, map(s.__mul__, chain.from_iterable(pts)), cycle(st))
     vecs = list(zip(*[scaled] * len(st)))
     x, corral, weights, den = _min_norm_point(vecs)

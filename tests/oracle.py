@@ -1,30 +1,31 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths they check: multiplicity comes from
-an affine dehomogenization instead of frames, projections come from
-either subset enumeration or random convex combinations instead of the
-active-set search, or from the same Wolfe search run in Fraction arithmetic
-with Gauss-Jordan solves instead of the library's integer core, band
-geometry comes from vector distances to the barycenter instead of the
-closed forms, the band of a point from a scan of every band instead of the
-two-test interval argument, the scale of a certificate from lam and w
-instead of the projection's lcm, a primitive integer vector from Fraction
-products instead of the library's integer scaling, the unimodular
-completion with its swap, negation and addmul steps as closures over a
-nonlocal sign, where the library negates the pivot in place and swaps
-once at the end, the frame family keeps the permutations
-of coordinates 1..r that the library drops, the frame family is listed as
-one Frame per member where the library keeps a mover and a budget, and
-the worst-frame search moves and projects every frame, with neither the
-chain walk nor the pruning.  The largest multiplicity of a binary form,
-and with it the largest torus index the paper's relation allows at r = 1,
-comes from Yun's squarefree decomposition over Q.  Determinants, point images and the substitution action are
-computed over Fractions, by Gaussian elimination, the exact inverse and
-products of the substituted linear forms, where the library runs
-fraction-free on integer frames and reduces every frame to Taylor shifts;
-a single shift is expanded by the binomial theorem, where the library runs
-Horner's scheme.  Form files are read field by field, where the library
-reads a row with one match.
+an affine dehomogenization instead of frames, projections come from either
+subset enumeration or random convex combinations instead of the active-set
+search, or from the same Wolfe search run in Fraction arithmetic with
+Gauss-Jordan solves instead of the library's integer core, band geometry
+comes from vector distances to the barycenter instead of the closed forms,
+or from the closed forms in Fractions where the library tests band
+membership in integers scaled once, the band of a point from a scan of
+every band instead of the two-test interval argument, the scale of a
+certificate from lam and w instead of the projection's lcm, a primitive
+integer vector from Fraction products instead of the library's integer
+scaling, the unimodular completion with its swap, negation and addmul steps
+as closures over a nonlocal sign, where the library negates the pivot in
+place and swaps once at the end, the frame family keeps the permutations of
+coordinates 1..r that the library drops, the frame family is listed as one
+Frame per member where the library keeps a mover and a budget, and the
+worst-frame search moves and projects every frame, with neither the chain
+walk nor the pruning.  The largest multiplicity of a binary form, and with
+it the largest torus index the paper's relation allows at r = 1, comes from
+Yun's squarefree decomposition over Q.  Determinants, point images and the
+substitution action are computed over Fractions, by Gaussian elimination,
+the exact inverse and products of the substituted linear forms, where the
+library runs fraction-free on integer frames and reduces every frame to
+Taylor shifts; a single shift is expanded by the binomial theorem, where
+the library runs Horner's scheme.  Form files are read field by field,
+where the library reads a row with one match.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from hypermult import (
     torus_index,
 )
 from hypermult.forms import _quote
+from hypermult.hesselink import BandParams, _vertex_norm_sq
 from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
 
 Matrix = Sequence[Sequence[Fraction]]
@@ -448,6 +450,22 @@ def band_contains_oracle(y: Sequence, r: int, d: int, big_n: int, m: int) -> boo
         return False
     xi = barycenter(r, d + r * big_n)
     return norm_sq(sub(xi, point)) <= l_squared_oracle(r, d, big_n, m)
+
+
+def band_contains_fraction_oracle(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
+    """Band membership on the closed form, tested in Fractions."""
+    BandParams(r, d, big_n, m)
+    point = vec(y)
+    if len(point) != r + 1:
+        raise ValueError("point dimension must be r+1")
+    if any(x < 0 for x in point):
+        return False
+    if sum(point, Fraction(0)) != d + r * big_n:
+        return False
+    if point[0] > d - m:
+        return False
+    # both sides of |xi - y|^2 <= l_squared carry the same -D^2/(r+1)
+    return norm_sq(point) <= _vertex_norm_sq(r, d, big_n, m)
 
 
 def unique_band_oracle(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:

@@ -196,6 +196,26 @@ def test_corpus_counts_must_be_integers(monkeypatch, make, name):
         make()
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "x"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: gen_corpus(1, 3, 1, 2, seed),
+        lambda seed: verify_theorem_main(1, 2, "auto", 1, seed),
+    ],
+    ids=["gen_corpus", "verify"],
+)
+def test_corpus_seed_must_be_an_int(monkeypatch, make, seed):
+    # True would seed the corpus as the string "True", not as 1, and 1.5
+    # would come back in the summary as a JSON float
+    def no_form(*args):
+        raise AssertionError("a form was made before the seed was checked")
+
+    monkeypatch.setattr(classifier, "HomogeneousForm", no_form)
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        make(seed)
+
+
 @pytest.mark.parametrize(
     "make, size",
     [

@@ -36,6 +36,7 @@ from hypermult.hesselink import unique_band
 from hypermult.statepoly import MAX_DIM
 from hypermult._linalg import norm_sq, sub, vec
 from oracle import (
+    band_contains_fraction_oracle,
     band_contains_oracle,
     binary_index_oracle,
     family_members,
@@ -231,6 +232,53 @@ def test_closed_forms_match_the_vector_route(r, d, big_n, data):
             assert band_contains(y, r, d, big_n, m) == band_contains_oracle(
                 y, r, d, big_n, m
             )
+
+
+@st.composite
+def boundary_points(draw, r, d, big_n):
+    """A point over a denominator s up to 10**40 that sits on a boundary of
+    the band tests, or one step of 1/s past it.
+
+    Either a point of the segment from z_m toward v_m, so y_0 is exactly
+    the cap d - m, the radius is met exactly at t = 1 (v_m itself), and
+    coordinates 1..r are permuted; or free numerators over s summing to
+    D*s, zero and negative entries included.  Sometimes y_0 moves along
+    the hyperplane by 1/s, and sometimes one coordinate moves by 1/s so the
+    sum is off by exactly that."""
+    s = draw(st.integers(1, 10**40))
+    degree = d + r * big_n
+    m = draw(st.integers(0, d))
+    if draw(st.booleans()):
+        t = Fraction(draw(st.one_of(st.just(s), st.integers(0, 2 * s))), s)
+        z = [Fraction(d - m)] + [big_n + Fraction(m, r)] * r
+        v = [Fraction(d - m), Fraction(m + big_n)] + [Fraction(big_n)] * (r - 1)
+        point = [a + t * (b - a) for a, b in zip(z, v)]
+        perm = draw(st.permutations(range(1, r + 1)))
+        point = [point[0]] + [point[i] for i in perm]
+    else:
+        entry = st.one_of(st.just(0), st.integers(-s, degree * s))
+        nums = draw(st.lists(entry, min_size=r, max_size=r))
+        point = [Fraction(n, s) for n in nums + [degree * s - sum(nums)]]
+    step = Fraction(draw(st.sampled_from([-1, 1])), s)
+    kind = draw(st.sampled_from(["on", "cap", "sum"]))
+    if kind == "cap":
+        point[0] += step
+        point[draw(st.integers(1, r))] -= step
+    elif kind == "sum":
+        point[draw(st.integers(0, r))] += step
+    return point
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 20), st.data())
+def test_integer_band_test_matches_both_fraction_routes(r, d, big_n, data):
+    y = data.draw(boundary_points(r, d, big_n))
+    for m in range(d + 1):
+        inside = band_contains(y, r, d, big_n, m)
+        assert inside == band_contains_fraction_oracle(y, r, d, big_n, m)
+        assert inside == band_contains_oracle(y, r, d, big_n, m)
+    if big_n > d:
+        assert unique_band(y, r, d, big_n) == unique_band_oracle(y, r, d, big_n)
 
 
 # ---------------------------------------------------------------- band pick

@@ -1,9 +1,13 @@
-"""A form is moved to a point in one place, and the dimension limit is checked in two.
+"""A form is moved to a point in one place, the dimension limit is checked
+in two, and a rational vector is scaled to integers in one.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
 coordinates before it builds anything, and `forms.move_to_origin` is the
-one composition act(frame_moving_to_origin(p), f).  A caller that repeats
-either would be a second place to keep in step with the first.
+one composition act(frame_moving_to_origin(p), f).  `_linalg.scaled`
+multiplies a rational vector by the lcm of its denominators; only
+`forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.  A
+caller that repeats any of these would be a second place to keep in step
+with the first.
 """
 
 import ast
@@ -53,3 +57,8 @@ def test_only_move_to_origin_applies_the_mover():
                 for a in call.args)
     }
     assert sites == {("forms", "move_to_origin")}
+
+
+def test_only_scaled_and_the_parser_take_an_lcm():
+    sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "lcm"}
+    assert sites == {("_linalg", "scaled"), ("forms", "parse_form")}

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypermult import (
     HomogeneousForm,
@@ -527,6 +527,23 @@ def test_primitive_matches_the_fraction_route(v):
     if len(v) >= 2:
         sign = 1 if next(x for x in lam if x) > 0 else -1
         assert ProjPoint(v).primitive() == tuple(sign * x for x in lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(PRIMITIVE_ENTRY, st.integers(-BIG, BIG)), max_size=6))
+@example([])
+@example([Fraction(0), Fraction(0)])  # bands --point 0,0 scales this vector
+def test_scaled_turns_a_rational_vector_into_integers(v):
+    ints, s = _linalg.scaled(v)
+    assert type(s) is int and all(type(x) is int for x in ints)
+    assert ints == [s * x for x in v]
+    # s is the lcm of the denominators: a common multiple whose cofactors
+    # s / q share no factor, since any shared one could be divided out
+    assert all(s % Fraction(x).denominator == 0 for x in v)
+    if v:
+        assert math.gcd(*(s // Fraction(x).denominator for x in v)) == 1
+    else:
+        assert s == 1
 
 
 @settings(max_examples=100, deadline=None)
