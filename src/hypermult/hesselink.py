@@ -37,7 +37,14 @@ paying for every member:
 - it moves f by the mover once, with act, and reaches every member from
   there by transvections x_j -> x_j + s*x_i: Taylor shifts of the
   integer numerators, walking the members that differ only in column 0
-  by one shift per entry that changes.
+  (a chain) by one shift per entry that changes;
+- it leaves a chain after a projection whose witness lies wholly at the
+  top x0-degree of the moved form, d minus the multiplicity at the
+  anchor, and skips, with no shift at all, every later chain whose
+  support holds such a witness before its column 0 is shifted.  No shift
+  x0 -> x0 + s*x_i changes a term of the top x0-degree, and the shifts
+  off column 0 keep every x0-degree, so every member of the chain holds
+  that witness and would be pruned.
 """
 
 from __future__ import annotations
@@ -100,7 +107,10 @@ def l_squared(r: int, d: int, big_n: int, m: int) -> Fraction:
 def band_contains(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
     """Membership of y in the band B_m inside the degree d + r*N simplex."""
     BandParams(r, d, big_n, m)
-    n, s = _linalg.scaled(_linalg.vec(y))
+    # ints and Fractions, such as a certificate's q, pass as they are
+    if not set(map(type, y)) <= {int, Fraction}:
+        y = _linalg.vec(y)
+    n, s = _linalg.scaled(y)
     if len(n) != r + 1:
         raise ValueError("point dimension must be r+1")
     if min(n) < 0 or sum(n) != (d + r * big_n) * s or n[0] > (d - m) * s:
@@ -278,7 +288,7 @@ def worst_frame_search(
     never proves optimality.
 
     The result is that of projecting act(g, f) for every member g in
-    order, but two exact shortcuts avoid most of that work:
+    order, but three exact shortcuts avoid most of that work:
 
     - Pruning, by one rule: delta_sq is the squared distance from xi to
       the hull of the moved support, so a member's delta_sq is at most
@@ -296,21 +306,39 @@ def worst_frame_search(
       last; members that differ only in column 0 then follow one another
       by one Taylor shift per entry that changes, all integer additions
       on the numerators over base's denominator.
+    - Chains ended at the top x0-degree.  Let top be the largest x0
+      exponent of base, d minus the multiplicity at the anchor.  A
+      transvection x0 -> x0 + s*x_i of C never changes a coefficient of
+      x0-degree top, since every term it adds has a lower x0-degree, and
+      those of R_2 ... R_r keep every x0-degree.  So the members of one
+      chain share their terms of x0-degree top with the chain's form
+      before C.  A witness wholly at top, once projected, is held by
+      every later member of its chain, which the walk then leaves, and
+      a later chain whose form before C holds such a witness is skipped
+      with no shift of column 0.  Both only drop members the first rule
+      prunes, so the projections are the same, in the same order.  At
+      r = 1 with the anchor's multiplicity above d/2, every support point
+      lies below xi_0 = d/2, so the witness is the one support point at
+      top and the search projects only the first member.
 
     Memory is one moved form and the at most r+1 exponent vectors of each
     projected member's witness; only the winner becomes a Frame.
     """
     n = f.r + 1
     base = act(family.mover, f)
+    top = max(e[0] for e in base.nums)
     settings = range(-family.budget, family.budget + 1)
     lower = [(i, j) for i in range(1, n) for j in range(1, i)]
     witnesses: List[FrozenSet[ExponentVector]] = []
+    at_top: List[FrozenSet[ExponentVector]] = []  # witnesses wholly at x0-degree top
     best: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], InstabilityCertificate]] = None
     for fill in product(settings, repeat=len(lower)):
         moved = base.nums
         for (i, j), s in zip(reversed(lower), reversed(fill)):
             if s:
                 moved = _taylor_shift(moved, j, i, s)
+        if any(moved.keys() >= w for w in at_top):
+            continue
         before = (0,) * f.r
         for shifts in product(settings, repeat=f.r):
             for i, (s, s0) in enumerate(zip(shifts, before), 1):
@@ -320,9 +348,13 @@ def worst_frame_search(
             if any(moved.keys() >= w for w in witnesses):
                 continue
             cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, base.den))
-            witnesses.append(frozenset(e for e, _ in cert.hull_weights))
+            witness = frozenset(e for e, _ in cert.hull_weights)
+            witnesses.append(witness)
             if best is None or cert.delta_sq > best[2].delta_sq:
                 best = (fill, shifts, cert)
+            if all(e[0] == top for e in witness):
+                at_top.append(witness)
+                break
     fill, shifts, cert = best
     unipotent = [[int(i == j) for j in range(n)] for i in range(n)]
     for (i, j), value in zip(lower + [(i, 0) for i in range(1, n)], fill + shifts):

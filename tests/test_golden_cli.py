@@ -33,6 +33,8 @@ FORMS = {
     "quartic": "r=1 d=4\n1 4 0\n1 3 1\n-3 2 2\n-5 1 3\n-2 0 4\n",
     # x0*x1*x2 + x0*x3^2 + x1^3, a double point at [1:0:0:0]
     "r3cubic": "r=3 d=3\n1 1 1 1 0\n1 1 0 0 2\n1 0 3 0 0\n",
+    # the plane cone x1^3 + x2^3, a triple point at [1:0:0]
+    "cone": "r=2 d=3\n1 0 3 0\n1 0 0 3\n",
 }
 
 # name -> (argv with {form} placeholders, exit code)
@@ -47,6 +49,7 @@ CASES = {
     "bound_within": (["bound", "--input", "{square}", "--point", "1,0"], 0),
     "bound_frames": (["bound", "--input", "{quartic}", "--point", "1,-1", "--point", "1,0", "--budget", "1"], 0),
     "bound_outside": (["bound", "--input", "{square}", "--point", "1,1"], 1),
+    "bound_cone": (["bound", "--input", "{cone}", "--point", "1,0,0", "--budget", "2"], 0),
     "bound_r3": (["bound", "--input", "{r3cubic}", "--point", "2,1,-1,3", "--budget", "1"], 1),
     "bound_semistable": (["bound", "--input", "{semistable}", "--point", "1,0"], 2),
     "bands": (["bands", "-r", "2", "-d", "3", "--N", "4", "--point", "1,7,4"], 0),

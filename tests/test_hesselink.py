@@ -564,6 +564,65 @@ def test_worst_frame_search_matches_the_plain_loop(case):
     assert worst_frame_search(f, family) == worst_frame_search_oracle(f, family_members(family))
 
 
+@st.composite
+def high_multiplicity_cases(draw):
+    """A form, a point p of multiplicity m > r*d/(r+1) on it, and the family at p.
+
+    The form is g moving one whose x0-degrees stop at d - m, with a term
+    there, so the family's mover brings p back to [1:0:...:0] and every
+    moved form's top x0-degree is d - m.  p lies off the coordinate points.
+    """
+    r = draw(st.integers(1, 3))
+    budget = draw(st.integers(0, 1 if r == 3 else 2))
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(r * d // (r + 1) + 1, d))
+    den = draw(st.sampled_from([1, 2, 3, 7, 2**40]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    terms = {}
+    for e0 in [d - m] + [rng.randint(0, d - m) for _ in range(rng.randint(0, 3))]:
+        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+        terms[(e0,) + random_exponent(rng, r - 1, d - e0)] = coeff
+    # a lower unipotent with entries in the budget fixes [1:0:...:0], and a
+    # member undoes it, so the moved forms of a chain may lose terms
+    lower = Frame([[int(i == j) or (rng.randint(-budget, budget) if j < i else 0)
+                    for j in range(r + 1)] for i in range(r + 1)])
+    while True:
+        g = random_unimodular_frame(rng, r + 1)
+        p = point_image(g, ProjPoint.origin(r))
+        if sum(map(bool, p.coords)) >= 2:
+            break
+    f = act(g, act(lower, HomogeneousForm(r, d, terms)))
+    return f, p, m, default_frames(r, p, budget)
+
+
+def _pruned_loop_projections(f, family):
+    """The moved forms the plain loop with the witness rule projects, in order."""
+    witnesses, projected = [], []
+    for g in family_members(family):
+        moved = act(g, f)
+        if any(set(moved.support()) >= w for w in witnesses):
+            continue
+        projected.append(moved)
+        witnesses.append({e for e, _ in torus_index(moved).hull_weights})
+    return projected
+
+
+@settings(max_examples=40, deadline=None)
+@given(high_multiplicity_cases())
+def test_worst_frame_search_matches_the_plain_loop_at_a_point_of_high_multiplicity(case):
+    # where witnesses lie wholly at the top x0-degree, whole chains of the
+    # walk are skipped; the frame and certificate stay the plain loop's,
+    # and the projections those of the plain loop with the witness rule
+    f, p, m, family = case
+    assert multiplicity_at(f, p) == m
+    expected = _pruned_loop_projections(f, family)
+    with pytest.MonkeyPatch.context() as patch:
+        projected = _count_projections(patch)
+        best = worst_frame_search(f, family)
+    assert best == worst_frame_search_oracle(f, family_members(family))
+    assert projected == expected
+
+
 def test_worst_frame_search_matches_the_plain_loop_on_a_whole_r3_family():
     rng = random.Random(67)
     f = act(random_unimodular_frame(rng, 4), HomogeneousForm(3, 3, {(1, 1, 0, 1): 1, (0, 0, 3, 0): -2}))
@@ -713,6 +772,55 @@ def test_an_r3_family_projects_few_of_its_729_members(monkeypatch, point, projec
     _check_pruned_search(monkeypatch, R3_CUBIC, family, projections)
 
 
+def _count_shifts(monkeypatch):
+    shifts = []
+    shift = hesselink._taylor_shift
+
+    def counted(poly, j, i, s):
+        shifts.append((j, i, s))
+        return shift(poly, j, i, s)
+
+    monkeypatch.setattr(hesselink, "_taylor_shift", counted)
+    return shifts
+
+
+# the plane cone x1^3 + x2^3, a triple point at [1:0:0]
+CONE = HomogeneousForm(2, 3, {(0, 3, 0): 1, (0, 0, 3): 1})
+# the README quintic x1^3 (x0 - x1)(x0 - 2 x1), a triple point at [1:0]
+QUINTIC = HomogeneousForm(1, 5, {(2, 3): 1, (1, 4): -3, (0, 5): 2})
+# frames moving both off their points, to [1:-1:0] and [1:-1]
+CONE_MOVE = Frame([[2, 1, 0], [1, 1, 0], [0, 1, 1]])
+QUINTIC_MOVE = Frame([[2, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("f, family, shifts", [
+    # walking every member takes 38 shifts.  The chain x1 -> x1 - x2 gives
+    # x1^3 - 3*x1^2*x2 + 3*x1*x2^2, whose witness (0,2,1), (0,1,2) lies at
+    # x0-degree 0, the top, so the chain ends after its first member: one
+    # shift for the chain, two for the column.  The identity chain lacks
+    # (0,2,1) and ends the same way after two shifts, with the witness
+    # (0,3,0), (0,0,3); the chain x1 -> x1 + x2 holds both witnesses, so
+    # its one shift is the last
+    (CONE, default_frames(2, ProjPoint.origin(2), 1), 6),
+    # walking all 7 members takes 7 shifts; the first member's witness
+    # lies at x0-degree 2, the top, so the search stops after one
+    (QUINTIC, default_frames(1, ProjPoint.parse("1,0"), 3), 1),
+    # the same forms moved: the top x0-degree is that of the form moved
+    # back by the mover, not of the form given; walking every member takes
+    # 38 and 7 shifts again
+    (act(CONE_MOVE, CONE), default_frames(2, ProjPoint.parse("1,-1,0"), 1), 4),
+    (act(QUINTIC_MOVE, QUINTIC), default_frames(1, ProjPoint.parse("1,-1"), 3), 1),
+])
+def test_a_witness_at_the_top_x0_degree_ends_its_chain(monkeypatch, f, family, shifts):
+    # the search projects what the plain loop with the witness rule
+    # projects, in the same order, and shifts only up to the last of them
+    expected = _pruned_loop_projections(f, family)
+    taken = _count_shifts(monkeypatch)
+    _, projected = _check_pruned_search(monkeypatch, f, family, len(expected))
+    assert projected == expected
+    assert len(taken) == shifts
+
+
 def test_worst_frame_search_rejects_a_frame_of_the_wrong_size():
     f = HomogeneousForm(1, 2, {(0, 2): 1})
     with pytest.raises(ValueError, match="frame size 3"):
@@ -772,8 +880,12 @@ def test_the_frame_search_attains_the_bound_above_half_the_degree(root, rest, se
     f = HomogeneousForm(1, m + d_rest, _binary_product([(a, b, m)] + list(rest)))
     m_max, bound = binary_index_oracle(f)
     assert m_max >= m > f.d / 2 and bound > 0
-    _, cert = worst_frame_search(f, default_frames(1, ProjPoint((b, -a)), 1))
+    with pytest.MonkeyPatch.context() as patch:
+        projected = _count_projections(patch)
+        _, cert = worst_frame_search(f, default_frames(1, ProjPoint((b, -a)), 1))
     assert cert.delta_sq == bound
+    # the first member's witness is the one support point at x0^(d-m)
+    assert len(projected) == 1
 
 
 # ---------------------------------------------------------------- labels
