@@ -6,9 +6,14 @@ verification, 2 for usage and parse errors.  Report-style subcommands
 subcommands (mult, threshold, destab, gen) print plain text unless --json
 asks otherwise.  Rationals in JSON are "p/q" strings, never floats.
 
-Each subcommand is declared once in build_parser and handled by a _cmd_*
+Each subcommand is declared once, in COMMANDS, and handled by a _cmd_*
 function that returns (exit code, out), where a str out is written as it is
 and anything else as serialize.dumps(out) plus a newline, by run alone.
+
+run builds a new parser on every call, and only the subcommands named in
+its argv get their arguments: the others are registered by name and help
+alone.  So no parser state crosses calls, and a process that runs one
+command pays for one command's arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import argparse
 import re
 import sys
 from dataclasses import asdict
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import hesselink, serialize
 from .classifier import (
@@ -79,73 +84,6 @@ def _parse_n(text: str) -> object:
     if n < 0:
         raise ValueError(f"--N must be nonnegative, got {_quote(text)}")
     return n
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hypermult",
-        description="Exact instability data and multiplicity classification "
-        "for projective hypersurfaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    shared = {
-        "-r": dict(type=_integer, required=True, help="projective dimension"),
-        "-d": dict(type=_integer, required=True, help="degree"),
-        "--N": dict(default="auto", help="destabilization exponent or 'auto'"),
-        "--input": dict(required=True, help="form file"),
-        "--json": dict(action="store_true", help="emit JSON"),
-    }
-
-    def command(name: str, handler, help: str, *flags: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        for flag in flags:
-            p.add_argument(flag, **shared[flag])
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("mult", _cmd_mult, "multiplicity of a form at a point", "--input", "--json")
-    p.add_argument("--point", required=True, help="comma separated rationals")
-
-    command("index", _cmd_index, "torus instability certificate of a form",
-            "--input", "--json")
-
-    p = command("destab", _cmd_destab, "multiply by (x_1...x_r)^N", "--input", "--json")
-    p.add_argument("--N", required=True, help="destabilization exponent")
-
-    command("threshold", _cmd_threshold, "band separation threshold", "-r", "-d", "--json")
-
-    p = command("bands", _cmd_bands, "band membership of a rational point",
-                "-r", "-d", "--N", "--json")
-    p.add_argument("--point", required=True, help="comma separated rationals")
-    p.add_argument("--m", type=_integer, default=None, help="test only this band")
-
-    p = command("classify", _cmd_classify, "band classification at a point",
-                "--N", "--input", "--json")
-    p.add_argument("--point", default=None, help="defaults to [1:0:...:0]")
-
-    p = command("verify", _cmd_verify, "corpus agreement run over all m",
-                "-r", "-d", "--N", "--json")
-    p.add_argument("--count", type=_integer, default=25, help="forms per m")
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--jobs", type=_integer, default=1, help="worker processes")
-
-    p = command("gen", _cmd_gen, "emit corpus forms in the form file format",
-                "-r", "-d", "--json")
-    p.add_argument("--m", type=_integer, required=True, help="multiplicity at the origin")
-    p.add_argument("--count", type=_integer, default=1)
-    p.add_argument("--seed", type=_integer, default=0)
-
-    p = command("bound", _cmd_bound, "multiplicity bounds from a frame search",
-                "--input", "--json")
-    p.add_argument(
-        "--point",
-        action="append",
-        required=True,
-        help="candidate point, repeatable; the first is also the search anchor",
-    )
-    p.add_argument("--budget", type=_integer, default=1, help="unipotent entry range")
-
-    return parser
 
 
 def _cmd_mult(args: argparse.Namespace) -> Tuple[int, object]:
@@ -286,26 +224,110 @@ def _cmd_bound(args: argparse.Namespace) -> Tuple[int, object]:
     return (0 if result.within else 1), payload
 
 
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], Tuple[int, object]]
+    help: str
+    shared: Tuple[str, ...]  # keys of _SHARED, added first
+    own: Dict[str, dict]  # flag -> add_argument keywords
+
+
+_SHARED = {
+    "-r": dict(type=_integer, required=True, help="projective dimension"),
+    "-d": dict(type=_integer, required=True, help="degree"),
+    "--N": dict(default="auto", help="destabilization exponent or 'auto'"),
+    "--input": dict(required=True, help="form file"),
+    "--json": dict(action="store_true", help="emit JSON"),
+}
+
+COMMANDS = {
+    "mult": Command(_cmd_mult, "multiplicity of a form at a point", ("--input", "--json"), {
+        "--point": dict(required=True, help="comma separated rationals"),
+    }),
+    "index": Command(_cmd_index, "torus instability certificate of a form",
+                     ("--input", "--json"), {}),
+    "destab": Command(_cmd_destab, "multiply by (x_1...x_r)^N", ("--input", "--json"), {
+        "--N": dict(required=True, help="destabilization exponent"),
+    }),
+    "threshold": Command(_cmd_threshold, "band separation threshold", ("-r", "-d", "--json"), {}),
+    "bands": Command(_cmd_bands, "band membership of a rational point",
+                     ("-r", "-d", "--N", "--json"), {
+        "--point": dict(required=True, help="comma separated rationals"),
+        "--m": dict(type=_integer, default=None, help="test only this band"),
+    }),
+    "classify": Command(_cmd_classify, "band classification at a point",
+                        ("--N", "--input", "--json"), {
+        "--point": dict(default=None, help="defaults to [1:0:...:0]"),
+    }),
+    "verify": Command(_cmd_verify, "corpus agreement run over all m",
+                      ("-r", "-d", "--N", "--json"), {
+        "--count": dict(type=_integer, default=25, help="forms per m"),
+        "--seed": dict(type=_integer, default=0),
+        "--jobs": dict(type=_integer, default=1, help="worker processes"),
+    }),
+    "gen": Command(_cmd_gen, "emit corpus forms in the form file format",
+                   ("-r", "-d", "--json"), {
+        "--m": dict(type=_integer, required=True, help="multiplicity at the origin"),
+        "--count": dict(type=_integer, default=1),
+        "--seed": dict(type=_integer, default=0),
+    }),
+    "bound": Command(_cmd_bound, "multiplicity bounds from a frame search",
+                     ("--input", "--json"), {
+        "--point": dict(
+            action="append",
+            required=True,
+            help="candidate point, repeatable; the first is also the search anchor",
+        ),
+        "--budget": dict(type=_integer, default=1, help="unipotent entry range"),
+    }),
+}
+
+
+def build_parser(names: Collection[str]) -> argparse.ArgumentParser:
+    """A parser with every subcommand, where those in names get their arguments.
+
+    argparse selects a subcommand only by an argv token equal to its name,
+    so with the argv as names every subcommand it can select is complete.
+    The usage line, --help and an invalid choice read only names and helps.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hypermult",
+        description="Exact instability data and multiplicity classification "
+        "for projective hypersurfaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name in names:
+            for flag in command.shared:
+                p.add_argument(flag, **_SHARED[flag])
+            for flag, options in command.own.items():
+                p.add_argument(flag, **options)
+            p.set_defaults(handler=command.handler)
+    return parser
+
+
 def _attach_point_values(argv: Sequence[str]) -> List[str]:
-    """Rewrite each `--point <v>` as `--point=<v>`.
+    """Rewrite each `--point <v>` as `--point=<v>`, and each `--p <v>` to `--poin <v>` alike.
 
     argparse takes a separate value starting with '-' (as in `-1,2,3`) for
     an unknown option; attached with '=' it is always read as the value.
+    argparse expands each prefix from `--p` on to `--point`, the one option
+    of any subcommand that starts with `--p`.
     """
     out: List[str] = []
     args = iter(argv)
     for arg in args:
-        if arg == "--point":
+        if len(arg) > 2 and "--point".startswith(arg):
             value = next(args, None)
             if value is not None:
-                arg = f"--point={value}"
+                arg = f"{arg}={value}"
         out.append(arg)
     return out
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     argv = _attach_point_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

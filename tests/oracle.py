@@ -25,7 +25,9 @@ the exact inverse and products of the substituted linear forms, where the
 library runs fraction-free on integer frames and reduces every frame to
 Taylor shifts; a single shift is expanded by the binomial theorem, where
 the library runs Horner's scheme.  Form files are read field by field,
-where the library reads a row with one match.
+where the library reads a row with one match.  The CLI parser gives every
+subcommand its arguments, where the library gives them only to the
+subcommands its argv names.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +51,7 @@ from hypermult import (
     frame_moving_to_origin,
     torus_index,
 )
+from hypermult import cli, serialize
 from hypermult.forms import _quote
 from hypermult.hesselink import BandParams, _vertex_norm_sq
 from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
@@ -685,3 +689,21 @@ def binary_index_oracle(f: HomogeneousForm) -> Tuple[int, Fraction]:
     finite = max((i for i, a in enumerate(parts, 1) if len(a) > 1), default=0)
     m_max = max(f.d - (len(chart) - 1), finite)
     return m_max, 2 * max(Fraction(0), m_max - Fraction(f.d, 2)) ** 2
+
+
+def run_every_subcommand_oracle(argv: Sequence[str]) -> int:
+    """cli.run on a parser whose every subcommand has all of its arguments."""
+    argv = cli._attach_point_values(argv)
+    parser = cli.build_parser(cli.COMMANDS)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    try:
+        code, out = args.handler(args)
+        text = out if isinstance(out, str) else serialize.dumps(out) + "\n"
+    except (FormParseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
+    return code

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -34,7 +35,12 @@ from hypermult.forms import MAX_DEN_BITS, Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.statepoly import MAX_DIM
 from hypermult.cli import run
-from oracle import binary_index_oracle, family_members, worst_frame_search_oracle
+from oracle import (
+    binary_index_oracle,
+    family_members,
+    run_every_subcommand_oracle,
+    worst_frame_search_oracle,
+)
 from workload_digest import load_workloads
 
 CUBIC_TEXT = "r=2 d=3\n1 1 1 1\n1 0 3 0\n"
@@ -493,6 +499,26 @@ def test_point_with_a_negative_leading_coordinate(
     assert invoke(capsys, *attached)[:2] == (code, out)
 
 
+@pytest.mark.parametrize("prefix", ["--p", "--po", "--poi", "--poin"])
+@pytest.mark.parametrize(
+    "base, points",
+    [
+        (["mult", "--input", "{cubic}"], ["-1,0,0"]),
+        (["bands", "-r", "1", "-d", "2", "--m", "1"], ["-1,3"]),
+        (["bound", "--input", "{square}"], ["-1,0", "-1,2"]),
+    ],
+    ids=["mult", "bands", "bound"],
+)
+def test_a_prefix_of_point_takes_a_negative_value_as_point_does(
+    capsys, cubic_file, square_file, prefix, base, points
+):
+    # argparse expands the prefix to --point, so it takes its value the same way
+    base = [arg.format(cubic=cubic_file, square=square_file) for arg in base]
+    code, out, err = invoke(capsys, *base, *(arg for p in points for arg in (prefix, p)))
+    assert code == 0, err
+    assert invoke(capsys, *base, *(f"--point={p}" for p in points))[:2] == (code, out)
+
+
 # ---------------------------------------------------------------- errors
 
 def test_parse_errors_exit_2(capsys, tmp_path):
@@ -732,13 +758,84 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["mult", "index", "destab", "threshold", "bands", "classify", "verify", "gen", "bound"],
-)
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
 def test_each_subcommand_has_help(capsys, name):
     code, out, _ = invoke(capsys, name, "--help")
     assert code == 0 and out.startswith(f"usage: hypermult {name} ")
+
+
+def test_a_request_adds_only_its_own_subcommands_arguments(monkeypatch, capsys, cubic_file):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    assert invoke(capsys, "classify", "--input", cubic_file)[0] == 0
+    # one -h for the top parser and one for each of the nine subparsers,
+    # then classify's own four
+    assert len(added) == 14
+    assert [a for a in added if a != ("-h", "--help")] == [
+        ("--N",), ("--input",), ("--json",), ("--point",)
+    ]
+
+
+ARGV_VALUES = [
+    "0", "1", "-1", "x", "auto", "1,0", "-1,2", "1,0,0", "1/2", "",
+    "{cubic}", "{square}", "{missing}",
+]
+ARGV_TOKENS = st.sampled_from([
+    *cli.COMMANDS, "nonsense",
+    *sorted({flag for c in cli.COMMANDS.values() for flag in (*c.shared, *c.own)}),
+    "-h", "--help", "--", "-", "--foo", "--p", "--poin", "--inp", "--j", "--co",
+    "--point=1,0", "--json=1", *ARGV_VALUES,
+])
+# a value each flag accepts, so that some drawn requests reach their handler
+GOOD_VALUES = {
+    "-r": "1", "-d": "2", "--N": "auto", "--input": "{square}", "--point": "1,0",
+    "--m": "1", "--count": "1", "--seed": "0", "--jobs": "1", "--budget": "1",
+}
+
+
+@st.composite
+def argvs(draw):
+    """Any tokens, or a subcommand with most of its flags, then any tokens."""
+    if draw(st.booleans()):
+        return draw(st.lists(ARGV_TOKENS, max_size=8))
+
+    def tokens():
+        return [] if draw(THREE_IN_FOUR) else draw(st.lists(ARGV_TOKENS, max_size=3))
+
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = [*tokens(), name]
+    command = cli.COMMANDS[name]
+    for flag in (*command.shared, *command.own):
+        if draw(THREE_IN_FOUR):
+            argv.append(flag)
+            if flag != "--json":
+                argv.append(draw(st.sampled_from([GOOD_VALUES[flag]] * 3 + ARGV_VALUES)))
+    return argv + tokens()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_run_reads_argv_as_a_parser_with_every_subcommand_built(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"missing": os.path.join(tmp, "missing.form")}
+        for name, text in (("cubic", CUBIC_TEXT), ("square", SQUARE_TEXT)):
+            paths[name] = os.path.join(tmp, f"{name}.form")
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        argv = [arg.format(**paths) for arg in argv]
+        results = []
+        for route in (run, run_every_subcommand_oracle):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = route(list(argv))
+            results.append((code, out.getvalue(), err.getvalue()))
+    assert results[0] == results[1], argv
 
 
 def test_module_entry_point():

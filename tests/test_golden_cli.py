@@ -1,9 +1,12 @@
 """Golden stdout of every subcommand: exact bytes and exit codes.
 
 Each case runs `hypermult.cli.run` in-process on fixed small inputs and
-compares stdout with `tests/golden/<name>.out` byte for byte.  Refactors of
-the library must leave every file here unchanged.  After an intended change
-of the output, rewrite the files with
+compares stdout with `tests/golden/<name>.out` byte for byte.  The usage
+cases (help, usage errors, argv that argparse reads in an unusual order)
+pin exit code, stdout and stderr together in `tests/golden/usage.json`,
+at an 80-column terminal.  Refactors of the library must leave every file
+here unchanged.  After an intended change of the output, rewrite the files
+with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -12,11 +15,13 @@ and review the diff.
 
 import contextlib
 import io
+import json
+import os
 import pathlib
 
 import pytest
 
-from hypermult.cli import run
+from hypermult.cli import COMMANDS, run
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -65,6 +70,22 @@ CASES = {
     "gen_text": (["gen", "-r", "1", "-d", "4", "--m", "2", "--count", "2", "--seed", "3"], 0),
 }
 
+# name -> argv; none of them reads its --input, so "F" need not exist
+USAGE_CASES = {
+    "no_arguments": [],
+    "short_help": ["-h"],
+    "long_help": ["--help"],
+    "unknown_command": ["nonsense"],
+    "unknown_option_before_command": ["--foo", "classify", "--input", "F"],
+    "dash_before_command": ["-", "classify"],
+    "help_before_command": ["-h", "classify"],
+    "missing_required_option": ["threshold", "-r", "1"],
+    "option_of_another_command": ["classify", "--input", "F", "-r", "1"],
+    "bad_integer": ["bound", "--input", "F", "--point", "1,0", "--budget", "x"],
+    **{f"help_{name}": [name, "--help"] for name in COMMANDS},
+}
+USAGE_COLUMNS = "80"  # argparse wraps help and usage to the terminal width
+
 
 def write_forms(directory: pathlib.Path) -> dict:
     paths = {}
@@ -83,6 +104,13 @@ def run_case(name: str, paths: dict) -> tuple:
     return code, out.getvalue()
 
 
+def run_usage_case(name: str) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(USAGE_CASES[name]))
+    return [code, out.getvalue(), err.getvalue()]
+
+
 @pytest.fixture
 def form_paths(tmp_path):
     return write_forms(tmp_path)
@@ -93,6 +121,13 @@ def test_golden_stdout(name, form_paths):
     code, out = run_case(name, form_paths)
     assert code == CASES[name][1]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_exit_code_stdout_and_stderr(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
+    expected = json.loads((GOLDEN / "usage.json").read_text())
+    assert run_usage_case(name) == expected[name]
 
 
 def test_golden_stdout_repeats_in_one_process(form_paths):
@@ -130,3 +165,7 @@ if __name__ == "__main__":
     for name, (code, out) in sorted(results.items()):
         (GOLDEN / f"{name}.out").write_text(out)
         print(f"{name}: exit {code} (expected {CASES[name][1]})")
+    os.environ["COLUMNS"] = USAGE_COLUMNS
+    usage = {name: run_usage_case(name) for name in sorted(USAGE_CASES)}
+    (GOLDEN / "usage.json").write_text(json.dumps(usage, indent=1) + "\n")
+    print(f"usage.json: {len(usage)} cases")
