@@ -11,9 +11,10 @@ function that returns (exit code, out), where a str out is written as it is
 and anything else as serialize.dumps(out) plus a newline, by run alone.
 
 run builds a new parser on every call, and only the subcommands named in
-its argv get their arguments: the others are registered by name and help
-alone.  So no parser state crosses calls, and a process that runs one
-command pays for one command's arguments.
+its argv get their arguments and their own -h: the others are registered
+by name and help alone, with no arguments and no -h.  So no parser state
+crosses calls, and a process that runs one command pays for one command's
+arguments.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ COMMANDS = {
 
 
 def build_parser(names: Collection[str]) -> argparse.ArgumentParser:
-    """A parser with every subcommand, where those in names get their arguments.
+    """A parser with every subcommand, where those in names get their arguments and -h.
 
     argparse selects a subcommand only by an argv token equal to its name,
     so with the argv as names every subcommand it can select is complete.
@@ -296,7 +297,7 @@ def build_parser(names: Collection[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, add_help=name in names)
         if name in names:
             for flag in command.shared:
                 p.add_argument(flag, **_SHARED[flag])

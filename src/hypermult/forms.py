@@ -283,6 +283,13 @@ class Frame:
             raise ValueError("frame must be invertible")
 
     @classmethod
+    def _unchecked(cls, rows: Sequence[Sequence[int]]) -> "Frame":
+        """The frame of int rows invertible by construction, with no check or det."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "rows", tuple(map(tuple, rows)))
+        return frame
+
+    @classmethod
     def identity(cls, n: int) -> "Frame":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -479,8 +486,7 @@ def frame_moving_to_origin(p: ProjPoint) -> Frame:
     """
     check_dim(len(p.coords))
     prim = p.primitive()
-    rows = _unimodular_completion(prim)
-    frame = Frame(rows)
+    frame = Frame._unchecked(_unimodular_completion(prim))
     if frame.rows[0] != prim:
         raise AssertionError("completion lost the primitive vector")
     return frame

@@ -359,4 +359,5 @@ def worst_frame_search(
     unipotent = [[int(i == j) for j in range(n)] for i in range(n)]
     for (i, j), value in zip(lower + [(i, 0) for i in range(1, n)], fill + shifts):
         unipotent[i][j] = value
-    return Frame(_linalg.mat_mul(unipotent, family.mover.rows)), cert
+    # an int matrix with det(unipotent * mover) = det(mover), which Frame checked
+    return Frame._unchecked(_linalg.mat_mul(unipotent, family.mover.rows)), cert

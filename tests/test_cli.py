@@ -12,7 +12,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypermult import (
     HomogeneousForm,
@@ -764,22 +764,35 @@ def test_each_subcommand_has_help(capsys, name):
     assert code == 0 and out.startswith(f"usage: hypermult {name} ")
 
 
-def test_a_request_adds_only_its_own_subcommands_arguments(monkeypatch, capsys, cubic_file):
-    added = []
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_request_adds_only_its_own_subcommands_arguments(monkeypatch, capsys, square_file, name):
+    added, subparsers = [], {}
     add_argument = argparse._ActionsContainer.add_argument
+    add_parser = argparse._SubParsersAction.add_parser
 
     def counting(self, *args, **kwargs):
         added.append(args)
         return add_argument(self, *args, **kwargs)
 
+    def recording(self, sub_name, **kwargs):
+        subparsers[sub_name] = add_parser(self, sub_name, **kwargs)
+        return subparsers[sub_name]
+
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-    assert invoke(capsys, "classify", "--input", cubic_file)[0] == 0
-    # one -h for the top parser and one for each of the nine subparsers,
-    # then classify's own four
-    assert len(added) == 14
-    assert [a for a in added if a != ("-h", "--help")] == [
-        ("--N",), ("--input",), ("--json",), ("--point",)
-    ]
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    command = cli.COMMANDS[name]
+    values = {**GOOD_VALUES, "--input": square_file, "--N": "2" if name == "destab" else "auto"}
+    argv = [name]
+    for flag in (*command.shared, *command.own):
+        argv += [flag] if flag == "--json" else [flag, values[flag]]
+    assert invoke(capsys, *argv)[0] == 0
+    # one -h for the top parser and one for the named subparser, then its
+    # arguments; the other subparsers are a name and a help line
+    assert added == [("-h", "--help")] * 2 + [(flag,) for flag in (*command.shared, *command.own)]
+    assert list(subparsers) == list(cli.COMMANDS)
+    for sub_name, parser in subparsers.items():
+        assert ("-h" in parser._option_string_actions) == (sub_name == name)
+        assert bool(parser._actions) == (sub_name == name)
 
 
 ARGV_VALUES = [
@@ -821,6 +834,12 @@ def argvs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(argvs())
+# -h, or a subcommand's name, where it selects nothing or comes too late
+@example(["-h", "classify"])
+@example(["nonsense", "-h"])
+@example(["--", "index", "-h"])
+@example(["classify", "--input", "{cubic}", "index", "-h"])
+@example(["bound", "--input", "classify", "-h"])
 def test_run_reads_argv_as_a_parser_with_every_subcommand_built(argv):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"missing": os.path.join(tmp, "missing.form")}
