@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, NoReturn, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import Matrix, Vector
@@ -132,14 +132,10 @@ class HomogeneousForm:
 
 _HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$", re.ASCII)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_EXPONENT = re.compile(r"[0-9]+")
-# a whole row: coefficient p or p/q, then the exponents; \s is the Unicode
-# whitespace that str.split() splits on, so a row this matches splits into
-# the same fields
-_ROW = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?((?:\s+[0-9]+)+)")
 
 MAX_DEN_BITS = 16384  # longest common denominator of a parsed form, in bits
 MAX_DIM = 33  # most coordinates a point is moved or projected on
+MAX_MOVED_TERMS = 2**18  # most possible terms, C(d+r, r), of a form that is shifted
 
 
 def check_ints(**values: object) -> None:
@@ -153,6 +149,14 @@ def check_dim(n: int) -> None:
     """Refuse a move or a projection on n coordinates unless 0 < n <= MAX_DIM."""
     if not 0 < n <= MAX_DIM:
         raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {n}")
+
+
+def check_shiftable(f: HomogeneousForm) -> None:
+    """Refuse to shift f if its C(d+r, r) possible terms exceed MAX_MOVED_TERMS."""
+    if math.comb(f.d + f.r, f.r) > MAX_MOVED_TERMS:
+        raise ValueError(
+            f"a form of r={f.r} and this degree can have over {MAX_MOVED_TERMS:,} terms once moved"
+        )
 
 
 def _read_rational(text: str) -> Tuple[int, int]:
@@ -175,13 +179,8 @@ def _read_rational(text: str) -> Tuple[int, int]:
     return p, q
 
 
-def _reject_row(line: str, r: int) -> NoReturn:
-    """Raise the FormParseError that says what is wrong with a payload row.
-
-    parse_form reads a row with one _ROW match; a row that does not match,
-    has the wrong number of fields or has more digits than int() converts
-    comes here, and every such row fails one of these checks of its fields.
-    """
+def _read_row(line: str, r: int) -> Tuple[ExponentVector, int, int]:
+    """(exponents, p, q) of a payload row, or the FormParseError naming its fault."""
     fields = line.split()
     if len(fields) != r + 2:
         raise FormParseError(f"row {_quote(line)} needs a coefficient and {r + 1} exponents")
@@ -189,13 +188,13 @@ def _reject_row(line: str, r: int) -> NoReturn:
         p, q = _read_rational(fields[0])
     except ValueError as exc:
         raise FormParseError(f"bad coefficient: {exc}") from exc
-    if not all(_EXPONENT.fullmatch(x) for x in fields[1:]):
+    digits = "".join(fields[1:])  # fields are nonempty: all ASCII digits iff each is
+    if not (digits.isascii() and digits.isdigit()):
         raise FormParseError(f"bad exponent in row {_quote(line)}: digits 0-9 only")
     try:
-        tuple(int(x) for x in fields[1:])
+        return tuple(map(int, fields[1:])), p, q
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"too many digits in row {_quote(line)}") from exc
-    raise AssertionError(f"row {_quote(line)} was rejected but its fields all pass")
 
 
 def parse_form(text: str) -> HomogeneousForm:
@@ -204,8 +203,10 @@ def parse_form(text: str) -> HomogeneousForm:
     First payload line is ``r=<int> d=<int>``; every following line is a
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
     exponents.  Header numbers and exponents are ASCII digits 0-9 only.
-    ``#`` starts a comment.  Duplicate exponent rows are summed over the
-    lcm of the row denominators, which may have at most MAX_DEN_BITS bits.
+    ``#`` starts a comment.  One reader, _read_row, splits every row and
+    checks its field count, then its coefficient, then its exponents, each
+    fault its own FormParseError.  Duplicate exponent rows are summed over
+    the lcm of the row denominators, which may have at most MAX_DEN_BITS bits.
     Only this grammar is checked here; the invariants of a form (r, d >= 1,
     a term, exponents summing to d, no rows that cancel) are checked by
     HomogeneousForm._from_ints, whose ValueError is raised again as a
@@ -225,16 +226,7 @@ def parse_form(text: str) -> HomogeneousForm:
         r, d = int(header.group(1)), int(header.group(2))
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
-    rows: List[Tuple[ExponentVector, int, int]] = []
-    for line in payload[1:]:
-        match = _ROW.fullmatch(line)
-        fields = match[3].split() if match else ()
-        if len(fields) != r + 1:
-            _reject_row(line, r)
-        try:
-            rows.append((tuple(map(int, fields)), int(match[1]), int(match[2] or 1)))
-        except ValueError:  # more digits than int() converts
-            _reject_row(line, r)
+    rows = [_read_row(line, r) for line in payload[1:]]
     # one row at a time, and no further once past the limit, so a file of
     # many distinct large denominators costs no more than the limit allows
     den = 1
@@ -400,11 +392,14 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     g[i][i]*x_i + sum_{j<i} g[j][i]*x_j, applied for i = 0, 1, .., r as the
     shifts and then the scaling.  The frame is integral, so all of it runs
     on f's integer numerators and the result keeps f's denominator until it
-    is reduced.
+    is reduced.  A frame that shifts at all is refused by check_shiftable
+    first; one that only permutes and scales is not.
     """
     n = f.r + 1
     if g.size != n:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
+    if any(sum(map(bool, row)) > 1 for row in g.rows):  # else it only permutes and scales
+        check_shiftable(f)
     cols = [list(col) for col in zip(*g.rows)]  # cols[j][m] = g[m][j]
     poly = f.nums
     for i in range(n - 1, -1, -1):

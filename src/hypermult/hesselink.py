@@ -65,6 +65,7 @@ from .forms import (
     _taylor_shift,
     act,
     check_ints,
+    check_shiftable,
     frame_moving_to_origin,
 )
 from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
@@ -181,8 +182,8 @@ def pair_minima(r: int, d: int) -> List[Tuple[int, int, int]]:
 def separation_threshold(r: int, d: int) -> int:
     """Least N with N > d that separates every pair of bands at once.
 
-    Only the pairs (0, 1) and (d-1, d) need checking.  Adjacent pairs
-    suffice, because telescoping gives
+    Only the pair (d-1, d) needs checking.  Adjacent pairs suffice,
+    because telescoping gives
 
         gap(m, m') = sum_{m <= k < m'} gap(k, k+1)
                      + sum_{m < k < m'} (l_squared(k) - |z_k - xi|^2)
@@ -190,11 +191,11 @@ def separation_threshold(r: int, d: int) -> int:
     and on each slice v_k maximizes the distance from xi while z_k
     minimizes it, so the second sum is >= 0.  The least N for (m, m+1) is
     max(0, floor(h(m)) + 1) with h(m) = m^2/2 - (m+1)^2/(2r) - m + d - 1/2,
-    convex in m for r >= 2 and decreasing for r = 1, so its maximum over
-    0 <= m <= d-1 is at m = 0 or m = d-1.
+    convex in m for r >= 2 and decreasing for r = 1, so it is largest at
+    m = d-1 or at m = 0, where it is d, below the floor d + 1.
     """
     BandParams(r, d, 0, 0)
-    return max(d + 1, *(pair_separation_min_N(r, d, m, m + 1) for m in (0, d - 1)))
+    return max(d + 1, pair_separation_min_N(r, d, d - 1, d))
 
 
 @dataclass(frozen=True)
@@ -326,6 +327,8 @@ def worst_frame_search(
     """
     n = f.r + 1
     base = act(family.mover, f)
+    if family.budget:  # the walk shifts even when the mover does not
+        check_shiftable(f)
     top = max(e[0] for e in base.nums)
     settings = range(-family.budget, family.budget + 1)
     lower = [(i, j) for i in range(1, n) for j in range(1, i)]

@@ -24,10 +24,11 @@ substitution action are computed over Fractions, by Gaussian elimination,
 the exact inverse and products of the substituted linear forms, where the
 library runs fraction-free on integer frames and reduces every frame to
 Taylor shifts; a single shift is expanded by the binomial theorem, where
-the library runs Horner's scheme.  Form files are read field by field,
-where the library reads a row with one match.  The CLI parser gives every
-subcommand its arguments, where the library gives them only to the
-subcommands its argv names.
+the library runs Horner's scheme.  Form rows are read with a regex per
+exponent field and no MAX_DEN_BITS stop, where the library tests the joined
+exponents with str methods and stops its lcm at that limit.  The CLI parser
+gives every subcommand its arguments, where the library gives them only to
+the subcommands its argv names.
 """
 
 from __future__ import annotations
@@ -80,10 +81,13 @@ def _read_rational_oracle(text: str) -> Tuple[int, int]:
 
 
 def parse_form_oracle(text: str) -> HomogeneousForm:
-    """parse_form with each field of a row split out and checked on its own.
+    """parse_form with each field of a row checked on its own by a regex.
 
-    No limit on the common denominator: inputs whose lcm stays below
-    MAX_DEN_BITS get the library's answer or its FormParseError message.
+    The library reads each row with the same field order but tests the
+    exponents with str.isascii and str.isdigit on their join, and stops its
+    lcm at MAX_DEN_BITS; this takes the lcm of every row with no limit, so
+    inputs whose lcm stays below MAX_DEN_BITS get the library's answer or
+    its FormParseError message.
     """
     payload: List[str] = []
     for raw in text.splitlines():

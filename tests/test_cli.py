@@ -154,9 +154,9 @@ def test_threshold_refuses_too_many_pairs_at_once(capsys, monkeypatch, extra):
     calls = []
 
     def few_pairs(*args):
-        # the threshold itself takes two pairs; listing would take 5 * 10**17
+        # the threshold itself takes one pair; listing would take 5 * 10**17
         calls.append(args)
-        assert len(calls) <= 2, "the pair list was started"
+        assert len(calls) <= 1, "the pair list was started"
         return least_n(*args)
 
     monkeypatch.setattr(hesselink, "pair_separation_min_N", few_pairs)
@@ -671,6 +671,49 @@ def test_the_largest_simplex_still_projects(capsys, tmp_path):
     assert [h["weight"] for h in payload["hull_weights"]] == [f"1/{MAX_DIM}"] * MAX_DIM
 
 
+# 32 bytes whose Taylor shift would build a list of 10^9 + 1 coefficients
+HUGE_DEGREE_TEXT = "r=1 d=1000000000\n1 1000000000 0\n"
+
+
+def _no_shift(monkeypatch):
+    def no_shift(*args):
+        raise AssertionError("the form was shifted")
+
+    monkeypatch.setattr(forms, "_taylor_shift", no_shift)
+    monkeypatch.setattr(hesselink, "_taylor_shift", no_shift)
+
+
+@pytest.mark.parametrize("command", [
+    ("mult", "--point", "1,1"),
+    ("classify", "--point", "1,1"),
+    ("bound", "--point", "1,0", "--budget", "1"),  # the search shifts at the origin too
+])
+def test_a_move_of_too_many_possible_terms_exits_2_before_any_shift(
+    capsys, monkeypatch, tmp_path, command
+):
+    path = tmp_path / "huge.form"
+    path.write_text(HUGE_DEGREE_TEXT)
+    _no_shift(monkeypatch)
+    code, out, err = invoke(capsys, command[0], "--input", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: a form of r=1 and this degree can have over 262,144 terms once moved\n"
+
+
+@pytest.mark.parametrize("command, code", [
+    (("mult", "--point", "1,0"), 0),
+    (("classify",), 0),
+    (("bound", "--budget", "0", "--point", "1,0"), 1),  # exit 1: "within" is false
+])
+def test_a_request_of_no_shift_answers_a_form_of_any_degree(
+    capsys, monkeypatch, tmp_path, command, code
+):
+    path = tmp_path / "huge.form"
+    path.write_text(HUGE_DEGREE_TEXT)
+    _no_shift(monkeypatch)
+    answer = invoke(capsys, command[0], "--input", str(path), *command[1:])
+    assert (answer[0], answer[2]) == (code, "")
+
+
 # Form text mostly in the grammar, with a quarter of each part drawn from
 # outside it: headers, coefficients (a sign then p or p/q), exponents and
 # --point values.
@@ -681,7 +724,7 @@ RATIONAL_TEXT = st.builds(
     st.one_of(st.none(), st.integers(1, 7)),
 )
 BAD_NUMBERS = ["0", "-0/3", "3/0", "1.5", "1e3", "1_0", "x", "/2", "3/", "--1", "\u0661", ""]
-BAD_EXPONENTS = ["-1", "+2", "1_0", "\u0662", "x", "2.0", "9"]
+BAD_EXPONENTS = ["-1", "+2", "1_0", "\u0662", "\u00b2", "x", "2.0", "9"]
 BAD_HEADERS = ["", "r=1", "d=2 r=1", "r=-1 d=2", "r=0 d=2", "r=1 d=0", "r=1 d=2 x", "r=1 d=x"]
 THREE_IN_FOUR = st.sampled_from((True, True, True, False))
 

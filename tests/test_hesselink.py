@@ -192,8 +192,15 @@ def test_pair_minima_refuses_more_than_max_pairs_before_computing(monkeypatch):
             pair_minima(r, d)
 
 
+def test_the_first_pair_separates_below_the_threshold_floor():
+    # (0, 1) separates from N = d on, so the floor d + 1 dominates it
+    for r in range(1, 40):
+        for d in range(1, 200):
+            assert pair_separation_min_N(r, d, 0, 1) == d, (r, d)
+
+
 def test_threshold_equals_the_all_pairs_maximum():
-    # the threshold checks only the pairs (0, 1) and (d-1, d)
+    # the threshold checks only the pair (d-1, d)
     for r in range(1, 9):
         for d in range(1, 61):
             all_pairs = max([d + 1] + [least for _, _, least in pair_minima(r, d)])

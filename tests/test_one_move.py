@@ -1,13 +1,16 @@
 """A form is moved to a point in one place, the dimension limit is checked
-in two, and a rational vector is scaled to integers in one.
+in two, a rational vector is scaled to integers in one, and a form row has
+one grammar.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
 coordinates before it builds anything, and `forms.move_to_origin` is the
 one composition act(frame_moving_to_origin(p), f).  `_linalg.scaled`
 multiplies a rational vector by the lcm of its denominators; only
-`forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.  A
-caller that repeats any of these would be a second place to keep in step
-with the first.
+`forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.
+`forms._read_row` reads every payload row, and the only compiled patterns
+are the header and the rational coefficient, so a whole-row pattern cannot
+come back beside it.  A caller that repeats any of these would be a second
+place to keep in step with the first.
 """
 
 import ast
@@ -62,3 +65,16 @@ def test_only_move_to_origin_applies_the_mover():
 def test_only_scaled_and_the_parser_take_an_lcm():
     sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "lcm"}
     assert sites == {("_linalg", "scaled"), ("forms", "parse_form")}
+
+
+def test_only_the_header_and_the_rational_are_compiled_patterns():
+    built = [
+        (path.stem, target.id)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and _name(node.value.func) == "compile"
+        for target in node.targets
+    ]
+    calls = [call for _, _, call in _calls() if _name(call.func) == "compile"]
+    assert built == [("forms", "_HEADER"), ("forms", "_RATIONAL")] and len(calls) == 2

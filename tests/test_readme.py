@@ -29,6 +29,10 @@ LIMITS = {
     "classifier.MAX_CORPUS": lambda: f"a corpus above {_power_of_two(classifier.MAX_CORPUS)},",
     "forms.MAX_DEN_BITS": lambda: f"`forms.MAX_DEN_BITS` = {forms.MAX_DEN_BITS:,} bits",
     "forms.MAX_DIM": lambda: f"`forms.MAX_DIM` = {forms.MAX_DIM} variables",
+    "forms.MAX_MOVED_TERMS": lambda: (
+        f"`forms.MAX_MOVED_TERMS` = {forms.MAX_MOVED_TERMS:,}"
+        f" ({_power_of_two(forms.MAX_MOVED_TERMS)})"
+    ),
 }
 
 
