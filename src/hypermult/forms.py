@@ -71,8 +71,9 @@ class HomogeneousForm:
     def _from_ints(cls, r: int, d: int, nums: IntPoly, den: int) -> HomogeneousForm:
         """The form with coefficients nums[e] / den for a positive int den.
 
-        Every form is built here, and this is the only place its
-        invariants are checked; the result is reduced to lowest terms.
+        This is the only place the invariants of a form are checked, and
+        only where outside input enters: parse_form and __init__.  The
+        result is reduced to lowest terms by _unchecked.
         """
         check_ints(r=r, d=d)
         if r < 1:
@@ -90,6 +91,16 @@ class HomogeneousForm:
                 raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
             if sum(e) != d:
                 raise ValueError(f"exponent vector {_quote(str(e))} must sum to degree {d}")
+        return cls._unchecked(r, d, nums, den)
+
+    @classmethod
+    def _unchecked(cls, r: int, d: int, nums: IntPoly, den: int) -> HomogeneousForm:
+        """The form nums[e] / den valid by construction, only reduced to lowest terms.
+
+        act and destabilize build their results here, as Frame._unchecked
+        builds frames: a valid form moved by an invertible integer frame or
+        translated by (0, n, .., n) is again valid.
+        """
         # gcd(den, sum) is nearly always 1 and ends the chain, which alone is
         # quadratic when many terms carry distinct large denominators
         g = math.gcd(den, sum(nums.values()), *nums.values())
@@ -136,6 +147,7 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 MAX_DEN_BITS = 16384  # longest common denominator of a parsed form, in bits
 MAX_DIM = 33  # most coordinates a point is moved or projected on
 MAX_MOVED_TERMS = 2**18  # most possible terms, C(d+r, r), of a form that is shifted
+MAX_SHIFT_WORK = 2**23  # most shifts * d * C(d+r, r) of one move or one frame search
 
 
 def check_ints(**values: object) -> None:
@@ -151,11 +163,26 @@ def check_dim(n: int) -> None:
         raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {n}")
 
 
-def check_shiftable(f: HomogeneousForm) -> None:
-    """Refuse to shift f if its C(d+r, r) possible terms exceed MAX_MOVED_TERMS."""
-    if math.comb(f.d + f.r, f.r) > MAX_MOVED_TERMS:
+def check_shiftable(f: HomogeneousForm, shifts: int = 1) -> None:
+    """Refuse to move f `shifts` times if the work or the output is too large.
+
+    A form of C(d+r, r) possible terms over MAX_MOVED_TERMS is refused
+    first.  One Taylor shift takes at most t(t+1)/2 <= (t+1)*d/2 Horner
+    steps on each group of t+1 possible terms, so d * C(d+r, r) is at least
+    twice its steps, and shifts times that may be at most MAX_SHIFT_WORK.
+    act counts every shift of its move; worst_frame_search counts one per
+    frame, and its walk makes fewer than two.
+    """
+    terms = math.comb(f.d + f.r, f.r)
+    if terms > MAX_MOVED_TERMS:
         raise ValueError(
             f"a form of r={f.r} and this degree can have over {MAX_MOVED_TERMS:,} terms once moved"
+        )
+    if shifts * f.d * terms > MAX_SHIFT_WORK:
+        times = "once" if shifts == 1 else f"{shifts:,} times"
+        raise ValueError(
+            f"moving a form of r={f.r} and this degree {times} may take over "
+            f"{MAX_SHIFT_WORK:,} steps"
         )
 
 
@@ -381,6 +408,40 @@ def _taylor_shift(poly: IntPoly, j: int, i: int, s: int) -> IntPoly:
     return out
 
 
+def _act_steps(g: Frame) -> List[Tuple[str, int, int, int]]:
+    """The substitutions act makes for g, in order, found on g's columns alone.
+
+    ("shift", j, p, k) is x_j -> x_j + k*x_p, ("swap", p, i, 0) swaps x_p
+    and x_i, and ("scale", i, 0, k) is x_i -> k*x_i.  Each step is a few
+    integer operations on g's r+1 columns, so act counts the shifts of a
+    move before it makes any.
+    """
+    n = g.size
+    cols = [list(col) for col in zip(*g.rows)]  # cols[j][m] = g[m][j]
+    steps: List[Tuple[str, int, int, int]] = []
+    for i in range(n - 1, -1, -1):
+        live = [j for j in range(i + 1) if cols[j][i]]
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            for j in live:
+                if j != p:
+                    k = cols[j][i] // cols[p][i]
+                    cols[j] = [a - k * b for a, b in zip(cols[j], cols[p])]
+                    steps.append(("shift", j, p, k))
+            live = [j for j in live if cols[j][i]]
+        p = live[0]
+        if p != i:
+            cols[p], cols[i] = cols[i], cols[p]
+            steps.append(("swap", p, i, 0))
+    for i in range(n):
+        for j in range(i):
+            if cols[i][j]:
+                steps.append(("shift", i, j, cols[i][j]))
+        if cols[i][i] != 1:
+            steps.append(("scale", i, 0, cols[i][i]))
+    return steps
+
+
 def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     """Substitute x_i -> sum_j g[j][i] x_j into f, by Taylor shifts alone.
 
@@ -392,37 +453,29 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     g[i][i]*x_i + sum_{j<i} g[j][i]*x_j, applied for i = 0, 1, .., r as the
     shifts and then the scaling.  The frame is integral, so all of it runs
     on f's integer numerators and the result keeps f's denominator until it
-    is reduced.  A frame that shifts at all is refused by check_shiftable
-    first; one that only permutes and scales is not.
+    is reduced.  The steps are found first, on g alone (_act_steps), and a
+    frame that shifts at all is refused by check_shiftable, counting one
+    shift per Euclid step and per entry left of the diagonal, before the
+    first shift; one that only permutes and scales is not.  The moved form
+    of an invertible frame is valid by construction, so its terms are not
+    checked again: the shifts drop zero terms and keep every degree.
     """
     n = f.r + 1
     if g.size != n:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
-    if any(sum(map(bool, row)) > 1 for row in g.rows):  # else it only permutes and scales
-        check_shiftable(f)
-    cols = [list(col) for col in zip(*g.rows)]  # cols[j][m] = g[m][j]
+    steps = _act_steps(g)
+    shifts = sum(step[0] == "shift" for step in steps)
+    if shifts:
+        check_shiftable(f, shifts)
     poly = f.nums
-    for i in range(n - 1, -1, -1):
-        live = [j for j in range(i + 1) if cols[j][i]]
-        while len(live) > 1:
-            p = min(live, key=lambda j: abs(cols[j][i]))
-            for j in live:
-                if j != p:
-                    k = cols[j][i] // cols[p][i]
-                    cols[j] = [a - k * b for a, b in zip(cols[j], cols[p])]
-                    poly = _taylor_shift(poly, j, p, k)
-            live = [j for j in live if cols[j][i]]
-        p = live[0]
-        if p != i:
-            cols[p], cols[i] = cols[i], cols[p]
-            poly = {e[:p] + (e[i],) + e[p + 1:i] + (e[p],) + e[i + 1:]: c for e, c in poly.items()}
-    for i in range(n):
-        for j in range(i):
-            if cols[i][j]:
-                poly = _taylor_shift(poly, i, j, cols[i][j])
-        if cols[i][i] != 1:
-            poly = {e: c * cols[i][i] ** e[i] for e, c in poly.items()}
-    return HomogeneousForm._from_ints(f.r, f.d, poly, f.den)
+    for kind, i, j, k in steps:
+        if kind == "shift":
+            poly = _taylor_shift(poly, i, j, k)
+        elif kind == "swap":
+            poly = {e[:i] + (e[j],) + e[i + 1:j] + (e[i],) + e[j + 1:]: c for e, c in poly.items()}
+        else:
+            poly = {e: c * k ** e[i] for e, c in poly.items()}
+    return HomogeneousForm._unchecked(f.r, f.d, poly, f.den)
 
 
 def point_image(g: Frame, p: ProjPoint) -> ProjPoint:
@@ -516,7 +569,7 @@ def destabilize(f: HomogeneousForm, n: int) -> HomogeneousForm:
     nums = {
         tuple(a + b for a, b in zip(e, shift)): c for e, c in f.nums.items()
     }
-    return HomogeneousForm._from_ints(f.r, f.d + f.r * n, nums, f.den)
+    return HomogeneousForm._unchecked(f.r, f.d + f.r * n, nums, f.den)
 
 
 def destabilizing_factor(r: int, n: int) -> HomogeneousForm:

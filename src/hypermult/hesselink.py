@@ -20,9 +20,10 @@ n = s*y that _linalg.scaled makes of it, s the lcm of its denominators:
 
 The gap is linear in N with slope 2(m' - m) > 0, so each pair has a least
 separating N and stays separated above it.  The threshold for (r, d) also
-insists on N > d, which the capture argument for destabilized forms needs.
-For N > d the bands holding a point form one interval of m, so
-unique_band finds the band of a point with at most two band tests.
+insists on N > d, which the capture argument for destabilized forms needs;
+it is computed once per (r, d) in a process.  For N > d the bands holding
+a point form one interval of m, so unique_band finds the band of a point
+with at most two band tests.
 
 A frame family is a mover and a budget b: its members are L * mover for
 each lower unipotent L with entries in -b..b.  worst_frame_search returns
@@ -37,7 +38,8 @@ paying for every member:
 - it moves f by the mover once, with act, and reaches every member from
   there by transvections x_j -> x_j + s*x_i: Taylor shifts of the
   integer numerators, walking the members that differ only in column 0
-  (a chain) by one shift per entry that changes;
+  (a chain) by one shift per entry that changes.  A member so moved is
+  valid by construction and projected with no check of its terms;
 - it leaves a chain after a projection whose witness lies wholly at the
   top x0-degree of the moved form, d minus the multiplicity at the
   anchor, and skips, with no shift at all, every later chain whose
@@ -49,6 +51,7 @@ paying for every member:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,6 +182,7 @@ def pair_minima(r: int, d: int) -> List[Tuple[int, int, int]]:
     ]
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def separation_threshold(r: int, d: int) -> int:
     """Least N with N > d that separates every pair of bands at once.
 
@@ -193,6 +197,9 @@ def separation_threshold(r: int, d: int) -> int:
     max(0, floor(h(m)) + 1) with h(m) = m^2/2 - (m+1)^2/(2r) - m + d - 1/2,
     convex in m for r >= 2 and decreasing for r = 1, so it is largest at
     m = d-1 or at m = 0, where it is d, below the floor d + 1.
+
+    Computed once per (r, d) in a process, after the checks: the cache is
+    typed, so True, which equals 1 but is refused, is a key of its own.
     """
     BandParams(r, d, 0, 0)
     return max(d + 1, pair_separation_min_N(r, d, d - 1, d))
@@ -306,7 +313,10 @@ def worst_frame_search(
       transvections x_j -> x_j + L[i][j]*x_i of R_r first and those of C
       last; members that differ only in column 0 then follow one another
       by one Taylor shift per entry that changes, all integer additions
-      on the numerators over base's denominator.
+      on the numerators over base's denominator.  Each member is
+      unimodular, so its numerators are nonzero, of degree d and in
+      lowest terms by construction, and the projected member is built
+      unchecked.
     - Chains ended at the top x0-degree.  Let top be the largest x0
       exponent of base, d minus the multiplicity at the anchor.  A
       transvection x0 -> x0 + s*x_i of C never changes a coefficient of
@@ -323,12 +333,16 @@ def worst_frame_search(
       top and the search projects only the first member.
 
     Memory is one moved form and the at most r+1 exponent vectors of each
-    projected member's witness; only the winner becomes a Frame.
+    projected member's witness; only the winner becomes a Frame.  A
+    family that shifts at all is refused by check_shiftable, counting one
+    shift per member, before the mover is applied, which act checks on its
+    own.  The walk makes fewer than two shifts per member: at most
+    r(r-1)/2 + sum_k (2b+1)^k, k = 1..r, for each chain of (2b+1)^r.
     """
     n = f.r + 1
-    base = act(family.mover, f)
     if family.budget:  # the walk shifts even when the mover does not
-        check_shiftable(f)
+        check_shiftable(f, len(family))
+    base = act(family.mover, f)
     top = max(e[0] for e in base.nums)
     settings = range(-family.budget, family.budget + 1)
     lower = [(i, j) for i in range(1, n) for j in range(1, i)]
@@ -350,7 +364,7 @@ def worst_frame_search(
             before = shifts
             if any(moved.keys() >= w for w in witnesses):
                 continue
-            cert = torus_index(HomogeneousForm._from_ints(f.r, f.d, moved, base.den))
+            cert = torus_index(HomogeneousForm._unchecked(f.r, f.d, moved, base.den))
             witness = frozenset(e for e, _ in cert.hull_weights)
             witnesses.append(witness)
             if best is None or cert.delta_sq > best[2].delta_sq:

@@ -17,9 +17,12 @@ place and swaps once at the end, the frame family keeps the permutations of
 coordinates 1..r that the library drops, the frame family is listed as one
 Frame per member where the library keeps a mover and a budget, and the
 worst-frame search moves and projects every frame, with neither the chain
-walk nor the pruning.  The largest multiplicity of a binary form, and with
-it the largest torus index the paper's relation allows at r = 1, comes from
-Yun's squarefree decomposition over Q.  Determinants, point images and the
+walk nor the pruning.  A classification report takes the certificate of
+the destabilized form, built and projected, where the library projects the
+form's own support against the translated barycenter.  The largest
+multiplicity of a binary form, and with it the largest torus index the
+paper's relation allows at r = 1, comes from Yun's squarefree
+decomposition over Q.  Determinants, point images and the
 substitution action are computed over Fractions, by Gaussian elimination,
 the exact inverse and products of the substituted linear forms, where the
 library runs fraction-free on integer frames and reduces every frame to
@@ -49,12 +52,16 @@ from hypermult import (
     ProjectionResult,
     act,
     barycenter,
+    destabilize,
     frame_moving_to_origin,
+    l_squared,
+    multiplicity_at_origin,
     torus_index,
 )
 from hypermult import cli, serialize
+from hypermult.classifier import BandDiagnostic, ClassificationReport, _resolve_n
 from hypermult.forms import _quote
-from hypermult.hesselink import BandParams, _vertex_norm_sq
+from hypermult.hesselink import BandParams, _vertex_norm_sq, unique_band
 from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
 
 Matrix = Sequence[Sequence[Fraction]]
@@ -483,6 +490,44 @@ def unique_band_oracle(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]
     """
     matches = [m for m in range(d + 1) if band_contains_oracle(y, r, d, big_n, m)]
     return matches[0] if len(matches) == 1 else None
+
+
+def classify_at_origin_oracle(f: HomogeneousForm, n="auto"):
+    """classify_at_origin on the destabilized form: torus_index(destabilize(f, N)).
+
+    The library projects f's support against the translated barycenter and
+    builds no destabilized form; this builds the product and projects its
+    support against the barycenter of degree d + r*N.
+    """
+    big_n, threshold = _resolve_n(f.r, f.d, n)
+    cert = torus_index(destabilize(f, big_n))
+    m_band = unique_band(cert.q, f.r, f.d, big_n)
+    diagnostics = None
+    if m_band is None:
+        diagnostics = tuple(
+            BandDiagnostic(
+                m=m,
+                l_sq=l_squared(f.r, f.d, big_n, m),
+                dist_sq=cert.delta_sq,
+                y0_cap=f.d - m,
+                radius_ok=cert.delta_sq <= l_squared(f.r, f.d, big_n, m),
+                cap_ok=cert.q[0] <= f.d - m,
+            )
+            for m in range(f.d + 1)
+        )
+    m_direct = multiplicity_at_origin(f)
+    return ClassificationReport(
+        r=f.r,
+        d=f.d,
+        N=big_n,
+        threshold_used=threshold,
+        m_band=m_band,
+        m_direct=m_direct,
+        cert=cert,
+        band_params=None if m_band is None else BandParams(f.r, f.d, big_n, m_band),
+        agreed=m_band is not None and m_band == m_direct,
+        diagnostics=diagnostics,
+    )
 
 
 def scale_oracle(cert) -> Optional[Fraction]:

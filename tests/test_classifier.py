@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermult import (
     HomogeneousForm,
@@ -17,6 +18,7 @@ from hypermult import (
     classify_at,
     classify_at_origin,
     default_frames,
+    destabilize,
     frame_moving_to_origin,
     gen_corpus,
     l_squared,
@@ -28,8 +30,14 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import classifier, forms
-from oracle import random_form, random_point, random_unimodular_frame
+from hypermult import classifier, forms, serialize
+from oracle import (
+    classify_at_origin_oracle,
+    random_exponent,
+    random_form,
+    random_point,
+    random_unimodular_frame,
+)
 
 NODAL_CUBIC = HomogeneousForm(2, 3, {(1, 1, 1): Fraction(1), (0, 3, 0): Fraction(1)})
 
@@ -120,6 +128,51 @@ def test_classify_at_matches_direct_multiplicity_on_random_input():
         report = classify_at(f, p, "auto")
         assert report.agreed
         assert report.m_band == multiplicity_at(f, p)
+
+
+@st.composite
+def rational_forms(draw):
+    """A form of r <= 3 and d <= 5 with integer or rational coefficients."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    dens = [1] if draw(st.booleans()) else [1, 2, 3, 7, 2**40]
+    terms = {
+        random_exponent(rng, r, d): Fraction(rng.choice([-9, -2, -1, 1, 3, 8]), rng.choice(dens))
+        for _ in range(draw(st.integers(1, 6)))
+    }
+    f = HomogeneousForm(r, d, terms)
+    if draw(st.booleans()):  # supports off the coordinate axes
+        f = act(random_unimodular_frame(rng, r + 1), f)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_forms(), st.integers(0, 3))
+def test_classify_reads_the_certificate_of_the_destabilized_form(f, above):
+    # every field, and every output byte, equals that of the route that
+    # builds destabilize(f, N) and projects it, at and above the threshold
+    threshold = separation_threshold(f.r, f.d)
+    for n in ["auto", threshold + above]:
+        ours = classify_at_origin(f, n)
+        theirs = classify_at_origin_oracle(f, n)
+        assert ours == theirs
+        assert serialize.dumps(serialize.report_encode(ours)) == serialize.dumps(
+            serialize.report_encode(theirs)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_forms(), st.integers(0, 12))
+def test_torus_index_of_a_shift_is_that_of_the_product(f, n):
+    # at any N >= 0, below the threshold too, with no product form built
+    assert torus_index(f, n) == torus_index(destabilize(f, n))
+
+
+def test_torus_index_refuses_a_shift_that_is_not_a_nonnegative_int():
+    for n in [-1, 1.0, True, Fraction(2)]:
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            torus_index(NODAL_CUBIC, n)
 
 
 def test_every_move_to_a_point_refuses_more_than_max_dim_coordinates(monkeypatch):

@@ -699,6 +699,35 @@ def test_a_move_of_too_many_possible_terms_exits_2_before_any_shift(
     assert err == "error: a form of r=1 and this degree can have over 262,144 terms once moved\n"
 
 
+@pytest.mark.parametrize("text, command, times", [
+    # one shift of d * C(d+r, r) = 16,004,000: 3.35 s before the limit
+    ("r=1 d=4000\n1 4000 0\n1 0 4000\n", ("mult", "--point", "1,1"), "once"),
+    # ten Euclid steps and triangular shifts of 1,001,000 each, one of which fits
+    ("r=1 d=1000\n1 1000 0\n1 0 1000\n", ("classify", "--point", "233,144"), "10 times"),
+    # 21 members of 4,002,000 each: 12.4 s before the limit
+    ("r=1 d=2000\n1 2000 0\n1 1999 1\n", ("bound", "--point", "1,1", "--budget", "10"),
+     "21 times"),
+])
+def test_a_move_of_too_much_shift_work_exits_2_before_any_shift(
+    capsys, monkeypatch, tmp_path, text, command, times
+):
+    path = tmp_path / "long.form"
+    path.write_text(text)
+    _no_shift(monkeypatch)
+    code, out, err = invoke(capsys, command[0], "--input", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: moving a form of r=1 and this degree {times} may take over 8,388,608 steps\n"
+    )
+
+
+def test_the_readme_degree_2000_move_is_still_answered(capsys, tmp_path):
+    # one shift of 2000 * 2001 = 4,002,000 steps, within forms.MAX_SHIFT_WORK
+    path = tmp_path / "long.form"
+    path.write_text("r=1 d=2000\n1 0 2000\n")
+    assert invoke(capsys, "mult", "--input", str(path), "--point", "1,1") == (0, "0\n", "")
+
+
 @pytest.mark.parametrize("command, code", [
     (("mult", "--point", "1,0"), 0),
     (("classify",), 0),

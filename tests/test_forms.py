@@ -21,7 +21,8 @@ from hypermult import (
     point_image,
 )
 from hypermult import _linalg
-from hypermult.forms import MAX_DEN_BITS, _taylor_shift, _unimodular_completion
+from hypermult import forms as forms_module
+from hypermult.forms import MAX_DEN_BITS, MAX_SHIFT_WORK, _taylor_shift, _unimodular_completion
 from oracle import (
     act_oracle,
     mult_oracle,
@@ -423,6 +424,37 @@ def test_act_moves_the_largest_shape_shift_cases_draws():
     assert act(_shear(4, 4, 0, 1), f) == shear_oracle(f, 4, 0, 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(forms_with_frames())
+@example((RATIONAL_CUBIC, Frame([[1, 0], [21, 13]])))  # several Euclid rounds
+def test_act_makes_the_shifts_it_counts(case):
+    f, g = case
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms_module, "_taylor_shift", lambda *a: made.append(a) or _taylor_shift(*a))
+        act(g, f)
+    assert [("shift",) + a[1:] for a in made] == [
+        step for step in forms_module._act_steps(g) if step[0] == "shift"
+    ]
+
+
+def test_act_refuses_a_move_of_many_euclid_steps_before_any_shift(monkeypatch):
+    # eight shifts of d * C(d+1, 1) = 1023 * 1024 steps each fit the limit at d = 1023;
+    # ten do not at d = 1000, though one shift of 1000 * 1001 steps would
+    steps = forms_module._act_steps(frame_moving_to_origin(ProjPoint([89, 55])))
+    assert sum(step[0] == "shift" for step in steps) == 8
+    assert 8 * 1023 * 1024 <= MAX_SHIFT_WORK < 8 * 1024 * 1025
+    forms_module.check_shiftable(HomogeneousForm(1, 1023, {(1023, 0): 1}), 8)
+
+    def no_shift(*args):
+        raise AssertionError("the form was shifted")
+
+    monkeypatch.setattr(forms_module, "_taylor_shift", no_shift)
+    f = HomogeneousForm(1, 1000, {(1000, 0): 1, (0, 1000): 1})
+    with pytest.raises(ValueError, match="10 times may take over 8,388,608 steps"):
+        forms_module.move_to_origin(f, ProjPoint([233, 144]))
+
+
 def _as_rows(f, rng):
     """f in the file format with unreduced coefficients, some split over two rows."""
     lines = [f"r={f.r} d={f.d}"]
@@ -452,6 +484,9 @@ def test_every_constructor_holds_a_form_in_lowest_terms(case, n, s, seed):
         HomogeneousForm._from_ints(f.r, f.d, shifted, f.den),
     ]
     for h in built:
+        # act and destabilize are valid by construction and check nothing:
+        # the checks of _from_ints pass on what they return and change nothing
+        assert HomogeneousForm._from_ints(h.r, h.d, dict(h.nums), h.den) == h
         assert h.den > 0 and math.gcd(h.den, *h.nums.values()) == 1
         assert all(type(c) is int and c != 0 for c in h.nums.values())
         assert HomogeneousForm(h.r, h.d, h.terms) == h

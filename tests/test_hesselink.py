@@ -167,6 +167,22 @@ def test_threshold_frozen_values():
     assert separation_threshold(1, 1) == 2
 
 
+def test_the_threshold_is_computed_once_and_only_for_checked_ints(monkeypatch):
+    separation_threshold.cache_clear()
+    assert separation_threshold(1, 3) == 4
+
+    def no_pair(*args):
+        raise AssertionError("the threshold was computed again")
+
+    monkeypatch.setattr(hesselink, "pair_separation_min_N", no_pair)
+    assert separation_threshold(1, 3) == 4
+    # an untyped cache would take True, Fraction(1) or 1.0 for the key 1
+    for r in [True, Fraction(1), 1.0]:
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            separation_threshold(r, 3)
+    assert separation_threshold.cache_info().currsize == 1
+
+
 def test_threshold_exceeds_degree_and_separates_all_pairs():
     for (r, d) in [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2)]:
         threshold = separation_threshold(r, d)
@@ -560,6 +576,20 @@ def search_cases(draw):
                 e: c / rng.choice([1, 2, 3, 7, 2**40]) for e, c in f.terms.items()
             })
     return f, default_frames(r, random_point(rng, r), budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases())
+def test_every_member_the_search_projects_is_valid_by_construction(case):
+    # the search builds each projected member unchecked; the checks of
+    # _from_ints pass on it and change nothing
+    f, family = case
+    with pytest.MonkeyPatch.context() as patch:
+        projected = _count_projections(patch)
+        worst_frame_search(f, family)
+    assert projected
+    for g in projected:
+        assert HomogeneousForm._from_ints(g.r, g.d, dict(g.nums), g.den) == g
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,8 +9,11 @@ multiplies a rational vector by the lcm of its denominators; only
 `forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.
 `forms._read_row` reads every payload row, and the only compiled patterns
 are the header and the rational coefficient, so a whole-row pattern cannot
-come back beside it.  A caller that repeats any of these would be a second
-place to keep in step with the first.
+come back beside it.  The invariants of a form are checked where outside
+input enters, by `HomogeneousForm._from_ints` from `parse_form` and the
+public constructor; forms the library computes are valid by construction.
+A caller that repeats any of these would be a second place to keep in step
+with the first.
 """
 
 import ast
@@ -78,3 +81,8 @@ def test_only_the_header_and_the_rational_are_compiled_patterns():
     ]
     calls = [call for _, _, call in _calls() if _name(call.func) == "compile"]
     assert built == [("forms", "_HEADER"), ("forms", "_RATIONAL")] and len(calls) == 2
+
+
+def test_only_outside_input_checks_a_form():
+    sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "_from_ints"}
+    assert sites == {("forms", "parse_form"), ("forms", "__init__")}

@@ -33,6 +33,10 @@ LIMITS = {
         f"`forms.MAX_MOVED_TERMS` = {forms.MAX_MOVED_TERMS:,}"
         f" ({_power_of_two(forms.MAX_MOVED_TERMS)})"
     ),
+    "forms.MAX_SHIFT_WORK": lambda: (
+        f"`forms.MAX_SHIFT_WORK` = {forms.MAX_SHIFT_WORK:,}"
+        f" ({_power_of_two(forms.MAX_SHIFT_WORK)})"
+    ),
 }
 
 
