@@ -8,19 +8,19 @@ asks otherwise.  Rationals in JSON are "p/q" strings, never floats.
 
 Each subcommand is declared once, in COMMANDS, and handled by a _cmd_*
 function that returns (exit code, out), where a str out is written as it is
-and anything else as serialize.dumps(out) plus a newline, by run alone.
+and anything else as serialize.dumps(out) plus a newline, by _answer alone.
 
 run builds a new parser on every call, and only the subcommands named in
 its argv get their arguments and their own -h: the others are registered
 by name and help alone, with no arguments and no -h.  So no parser state
 crosses calls, and a process that runs one command pays for one command's
-arguments.
+arguments.  Once run has parsed, _answer reads --N and then --input, whose
+faults are error: lines and not usage errors, as args.N and args.form.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import asdict
 from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -37,6 +37,7 @@ from .forms import (
     FormParseError,
     HomogeneousForm,
     ProjPoint,
+    _RATIONAL,
     _quote,
     destabilize,
     multiplicity_at,
@@ -65,8 +66,9 @@ def _read_form(path: str) -> HomogeneousForm:
 
 
 def _integer(text: str) -> int:
-    """An optional sign, then ASCII digits 0-9 (int() alone also takes '1_0')."""
-    if re.fullmatch(r"[+-]?[0-9]+", text):
+    """A rational of the form grammar with no denominator (int() alone also takes '1_0')."""
+    match = _RATIONAL.fullmatch(text)
+    if match and match[2] is None:
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
@@ -75,7 +77,7 @@ def _integer(text: str) -> int:
 
 
 def _parse_n(text: str) -> object:
-    """--N as "auto" or an integer >= 0, read before any check of a command's own."""
+    """--N as "auto" or an integer >= 0, read before --input and any check of a command's own."""
     if text == "auto":
         return "auto"
     try:
@@ -88,25 +90,21 @@ def _parse_n(text: str) -> object:
 
 
 def _cmd_mult(args: argparse.Namespace) -> Tuple[int, object]:
-    form = _read_form(args.input)
     point = ProjPoint.parse(args.point)
-    m = multiplicity_at(form, point)
+    m = multiplicity_at(args.form, point)
     if args.json:
-        return 0, {"r": form.r, "d": form.d, "point": point.coords, "m": m}
+        return 0, {"r": args.form.r, "d": args.form.d, "point": point.coords, "m": m}
     return 0, f"{m}\n"
 
 
 def _cmd_index(args: argparse.Namespace) -> Tuple[int, object]:
-    form = _read_form(args.input)
-    cert = torus_index(form)
-    payload = {"r": form.r, "d": form.d}
-    payload.update(serialize.cert_encode(cert))
+    payload = {"r": args.form.r, "d": args.form.d}
+    payload.update(serialize.cert_encode(torus_index(args.form)))
     return 0, payload
 
 
 def _cmd_destab(args: argparse.Namespace) -> Tuple[int, object]:
-    n = _parse_n(args.N)
-    form = _read_form(args.input)
+    form, n = args.form, args.N
     if n == "auto":
         n = separation_threshold(form.r, form.d)
     result = destabilize(form, n)
@@ -141,7 +139,7 @@ def _cmd_threshold(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
-    n = _parse_n(args.N)
+    n = args.N
     if args.m is None and args.d + 1 > hesselink.MAX_PAIRS:
         raise ValueError(
             f"d={args.d} gives more than {hesselink.MAX_PAIRS} bands to list; "
@@ -174,18 +172,15 @@ def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Tuple[int, object]:
-    n = _parse_n(args.N)
-    form = _read_form(args.input)
     if args.point is None:
-        report = classify_at_origin(form, n)
+        report = classify_at_origin(args.form, args.N)
     else:
-        report = classify_at(form, ProjPoint.parse(args.point), n)
+        report = classify_at(args.form, ProjPoint.parse(args.point), args.N)
     return (0 if report.agreed else 1), serialize.report_encode(report)
 
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[int, object]:
-    n = _parse_n(args.N)
-    summary = verify_theorem_main(args.r, args.d, n, args.count, args.seed, args.jobs)
+    summary = verify_theorem_main(args.r, args.d, args.N, args.count, args.seed, args.jobs)
     return (0 if summary.ok else 1), asdict(summary)
 
 
@@ -206,7 +201,7 @@ def _cmd_gen(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_bound(args: argparse.Namespace) -> Tuple[int, object]:
-    form = _read_form(args.input)
+    form = args.form
     points = [ProjPoint.parse(text) for text in args.point]
     # every point is checked before the search, not only the anchor
     if any(len(p.coords) != form.r + 1 for p in points):
@@ -333,10 +328,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    return _answer(args)
+
+
+def _answer(args: argparse.Namespace) -> int:
+    """Read --N, then --input, and answer; a ValueError is an error: line and exit 2."""
     try:
+        if "N" in args:
+            args.N = _parse_n(args.N)
+        if "input" in args:
+            args.form = _read_form(args.input)
         code, out = args.handler(args)
         text = out if isinstance(out, str) else serialize.dumps(out) + "\n"
-    except (FormParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)

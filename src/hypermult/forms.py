@@ -43,9 +43,9 @@ class FormParseError(ValueError):
     """Raised when a form file does not follow the input format."""
 
 
-def _quote(text: str, limit: int = 40) -> str:
-    """repr of at most the first `limit` characters of text."""
-    return repr(text[:limit]) + ("..." if len(text) > limit else "")
+def _quote(text: str) -> str:
+    """repr of at most the first 40 characters of text."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 @dataclass(frozen=True, init=False)
@@ -163,7 +163,7 @@ def check_dim(n: int) -> None:
         raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {n}")
 
 
-def check_shiftable(f: HomogeneousForm, shifts: int = 1) -> None:
+def check_shiftable(f: HomogeneousForm, shifts: int) -> None:
     """Refuse to move f `shifts` times if the work or the output is too large.
 
     A form of C(d+r, r) possible terms over MAX_MOVED_TERMS is refused
@@ -325,11 +325,11 @@ def parse_coords(text: str) -> Vector:
         raise ValueError(f"bad point {_quote(text)}: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProjPoint:
     """Projective point; == and hash compare its primitive, computed once."""
 
-    coords: Vector
+    coords: Vector = field(compare=False)
     _primitive: Tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -359,14 +359,6 @@ class ProjPoint:
     def primitive(self) -> Tuple[int, ...]:
         """Canonical integer representative: gcd 1, first nonzero entry positive."""
         return self._primitive
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self._primitive == other._primitive
-
-    def __hash__(self) -> int:
-        return hash(self._primitive)
 
     def __str__(self) -> str:
         return "[" + ":".join(str(x) for x in self.coords) + "]"
@@ -453,12 +445,14 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     g[i][i]*x_i + sum_{j<i} g[j][i]*x_j, applied for i = 0, 1, .., r as the
     shifts and then the scaling.  The frame is integral, so all of it runs
     on f's integer numerators and the result keeps f's denominator until it
-    is reduced.  The steps are found first, on g alone (_act_steps), and a
-    frame that shifts at all is refused by check_shiftable, counting one
-    shift per Euclid step and per entry left of the diagonal, before the
-    first shift; one that only permutes and scales is not.  The moved form
-    of an invertible frame is valid by construction, so its terms are not
-    checked again: the shifts drop zero terms and keep every degree.
+    is reduced.  The steps are found first, on g alone (_act_steps).  Before
+    the first shift, check_shiftable refuses a frame that shifts, counting
+    one shift per Euclid step and per entry left of the diagonal, and any
+    move is refused whose shifts and scalings by k, at most d*bit_length(|k|)
+    and d*bit_length(|k|-1) bits each, may add over MAX_DEN_BITS bits to a
+    coefficient.  The moved form of an invertible frame is valid by
+    construction, so its terms are not checked again: the shifts drop zero
+    terms and keep every degree.
     """
     n = f.r + 1
     if g.size != n:
@@ -467,6 +461,9 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     shifts = sum(step[0] == "shift" for step in steps)
     if shifts:
         check_shiftable(f, shifts)
+    growth = sum(f.d * (abs(k) - (kind == "scale")).bit_length() for kind, _, _, k in steps)
+    if growth > MAX_DEN_BITS:  # a swap has k = 0 and adds nothing
+        raise ValueError(f"this move may add over {MAX_DEN_BITS:,} bits to the coefficients")
     poly = f.nums
     for kind, i, j, k in steps:
         if kind == "shift":

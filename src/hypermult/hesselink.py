@@ -259,8 +259,7 @@ class FrameFamily:
 
 
 def _check_budget(r: int, budget: int) -> None:
-    if type(budget) is not int:
-        raise ValueError(f"budget must be an integer, got {budget!r:.40}")
+    check_ints(budget=budget)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     # a base >= 3 exceeds MAX_FRAMES by its bit length, so cap the power there

@@ -40,7 +40,6 @@ import itertools
 import math
 import random
 import re
-import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +57,7 @@ from hypermult import (
     multiplicity_at_origin,
     torus_index,
 )
-from hypermult import cli, serialize
+from hypermult import cli
 from hypermult.classifier import BandDiagnostic, ClassificationReport, _resolve_n
 from hypermult.forms import _quote
 from hypermult.hesselink import BandParams, _vertex_norm_sq, unique_band
@@ -748,11 +747,4 @@ def run_every_subcommand_oracle(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    try:
-        code, out = args.handler(args)
-        text = out if isinstance(out, str) else serialize.dumps(out) + "\n"
-    except (FormParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(text)
-    return code
+    return cli._answer(args)

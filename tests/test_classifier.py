@@ -358,6 +358,13 @@ def test_bound_check_pins_coordinate_powers():
         assert result.within
 
 
+def test_bound_check_refuses_a_label_of_another_dimension():
+    f = HomogeneousForm(1, 2, {(0, 2): Fraction(1)})
+    label = StratumLabel.from_certificate(torus_index(HomogeneousForm(2, 3, {(0, 3, 0): 1})))
+    with pytest.raises(ValueError, match="label dimension must match the form"):
+        bound_check(f, label, [ProjPoint.parse("1,0")])
+
+
 def test_bound_check_respects_candidate_points():
     f = HomogeneousForm(1, 2, {(0, 2): Fraction(1)})
     label = StratumLabel.from_certificate(torus_index(f))

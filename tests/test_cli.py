@@ -357,10 +357,25 @@ def test_integer_options_take_ascii_digits_only(capsys, degree):
     "bands -r 2 -d 3 --N -1 --point 1,7,4",
     "classify --input {cubic} --N -1",
     "verify -r 2 -d 3 --N -1",
+    # --N is read before --input
+    "destab --input {missing} --N -1",
+    "classify --input {missing} --N -1",
 ])
-def test_a_negative_n_gets_one_message_everywhere(capsys, cubic_file, argv):
-    code, out, err = invoke(capsys, *argv.format(cubic=cubic_file).split())
+def test_a_negative_n_gets_one_message_everywhere(capsys, cubic_file, tmp_path, argv):
+    missing = tmp_path / "missing.form"
+    code, out, err = invoke(capsys, *argv.format(cubic=cubic_file, missing=missing).split())
     assert (code, out, err) == (2, "", "error: --N must be nonnegative, got '-1'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "destab --input {missing} --N 4",
+    "classify --input {missing} --N 0",  # before classify's own check of N
+])
+def test_a_missing_input_is_reported_once_n_is_read(capsys, tmp_path, argv):
+    missing = tmp_path / "missing.form"
+    code, out, err = invoke(capsys, *argv.format(missing=missing).split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
 
 
 def test_gen_is_deterministic_and_parseable(capsys):
@@ -719,6 +734,36 @@ def test_a_move_of_too_much_shift_work_exits_2_before_any_shift(
     assert err == (
         f"error: moving a form of r=1 and this degree {times} may take over 8,388,608 steps\n"
     )
+
+
+@pytest.mark.parametrize("digits, command", [
+    # one shift by 10^1000 - 1 of only 400 * 401 Horner steps: killed at 60 s before the bound
+    (1000, ("mult",)),
+    (100, ("mult",)),  # 2.3-2.9 s before the bound
+    (100, ("classify",)),
+    (100, ("bound", "--budget", "0")),  # the search moves by the mover alone
+], ids=["mult-1000-digits", "mult", "classify", "bound"])
+def test_a_move_to_long_coordinates_exits_2_before_any_shift(
+    capsys, monkeypatch, tmp_path, digits, command
+):
+    path = tmp_path / "long.form"
+    path.write_text("r=1 d=400\n1 400 0\n1 0 400\n")
+    _no_shift(monkeypatch)
+    point = "--point=" + "9" * digits + ",1"
+    code, out, err = invoke(capsys, command[0], "--input", str(path), point, *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: this move may add over 16,384 bits to the coefficients\n"
+
+
+def test_a_move_of_many_small_shifts_to_long_coordinates_is_answered(capsys, tmp_path):
+    # 4,780 shifts by 1 to two consecutive 1,000-digit Fibonacci numbers add
+    # at most 2 bits each at d = 2, 9,560 in all
+    a, b = 1, 1
+    while len(str(a)) < 1000:
+        a, b = b, a + b
+    path = tmp_path / "conic.form"
+    path.write_text("r=1 d=2\n1 2 0\n1 0 2\n")
+    assert invoke(capsys, "mult", "--input", str(path), "--point", f"{b},{a}") == (0, "0\n", "")
 
 
 def test_the_readme_degree_2000_move_is_still_answered(capsys, tmp_path):

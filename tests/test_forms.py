@@ -262,6 +262,10 @@ def test_form_validation():
         HomogeneousForm(1, 2, {(1, 2): Fraction(1)})
     with pytest.raises(ValueError):
         HomogeneousForm(0, 2, {(2,): Fraction(1)})
+    with pytest.raises(ValueError, match="needs 2 entries"):
+        HomogeneousForm(1, 2, {(1, 1, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="needs integers >= 0"):
+        HomogeneousForm(1, 2, {(3, -1): Fraction(1)})
 
 
 # ---------------------------------------------------------------- action
@@ -313,6 +317,17 @@ def test_act_scalar_frames_fix_support():
 def test_frame_rejects_singular():
     with pytest.raises(ValueError):
         Frame([[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0]], [[1]], [[1, 0, 0], [0, 1, 0]]])
+def test_frame_rejects_a_matrix_that_is_not_square(rows):
+    with pytest.raises(ValueError, match="square matrix of size >= 2"):
+        Frame(rows)
+
+
+def test_point_image_refuses_a_point_of_another_size():
+    with pytest.raises(ValueError, match="frame size does not match point dimension"):
+        point_image(Frame.identity(3), ProjPoint.parse("1,2"))
 
 
 def test_frame_holds_ints_and_rejects_fractional_entries():
@@ -453,6 +468,20 @@ def test_act_refuses_a_move_of_many_euclid_steps_before_any_shift(monkeypatch):
     f = HomogeneousForm(1, 1000, {(1000, 0): 1, (0, 1000): 1})
     with pytest.raises(ValueError, match="10 times may take over 8,388,608 steps"):
         forms_module.move_to_origin(f, ProjPoint([233, 144]))
+
+
+def test_act_counts_the_bits_a_scaling_adds():
+    # scaling x_0 by 2 adds d bits (bit_length(|k| - 1) = 1 per degree), and
+    # d = MAX_DEN_BITS is the most it may add; a swap adds none at any degree
+    double = Frame([[2, 0], [0, 1]])
+    top = HomogeneousForm(1, MAX_DEN_BITS, {(MAX_DEN_BITS, 0): 1})
+    assert act(double, top).nums == {(MAX_DEN_BITS, 0): 2**MAX_DEN_BITS}
+    past = HomogeneousForm(1, MAX_DEN_BITS + 1, {(MAX_DEN_BITS + 1, 0): 1})
+    with pytest.raises(ValueError, match="may add over 16,384 bits to the coefficients"):
+        act(double, past)
+    huge = HomogeneousForm(1, 10**9, {(10**9, 0): 1})
+    assert act(Frame([[0, 1], [1, 0]]), huge).nums == {(0, 10**9): 1}
+    assert act(Frame([[-1, 0], [0, 1]]), huge).nums == {(10**9, 0): 1}
 
 
 def _as_rows(f, rng):

@@ -947,6 +947,10 @@ def test_stratum_label_validation():
         StratumLabel(OneParamSubgroup((-1, 1)), Fraction(2), Fraction(1))  # not sorted
     with pytest.raises(ValueError):
         StratumLabel(OneParamSubgroup((1, -1)), Fraction(2), Fraction(2))  # norm mismatch
+    with pytest.raises(ValueError, match="delta_sq > 0"):
+        StratumLabel(OneParamSubgroup((1, -1)), Fraction(0), Fraction(1))
+    with pytest.raises(ValueError, match="scale must be positive"):
+        StratumLabel(OneParamSubgroup((1, -1)), Fraction(2), Fraction(-1))
     label = StratumLabel(OneParamSubgroup((1, -1)), Fraction(2), Fraction(1))
     assert label.delta_sq == 2
 
@@ -984,3 +988,13 @@ def test_unique_band_checks_the_dimension_before_reading_y0():
         unique_band((), 1, 2, 4)  # was IndexError
     with pytest.raises(ValueError, match="point dimension must be r\\+1"):
         unique_band((1, 2, 3), 1, 2, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: band_contains((1, 2, 3), 1, 2, 4, 0), "point dimension must be r\\+1"),
+    (lambda: default_frames(0, ProjPoint.origin(1), 0), "need r >= 1"),
+    (lambda: default_frames(2, ProjPoint.origin(1), 0), "point dimension must be r\\+1"),
+], ids=["band_contains", "default_frames_r0", "default_frames_dimension"])
+def test_a_point_or_r_of_the_wrong_size_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,6 +1,7 @@
 """A form is moved to a point in one place, the dimension limit is checked
-in two, a rational vector is scaled to integers in one, and a form row has
-one grammar.
+in two, a rational vector is scaled to integers in one, a form row has one
+grammar, the CLI reads its shared flags in one place, and equality of a
+value is derived, not written.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
 coordinates before it builds anything, and `forms.move_to_origin` is the
@@ -9,11 +10,16 @@ multiplies a rational vector by the lcm of its denominators; only
 `forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.
 `forms._read_row` reads every payload row, and the only compiled patterns
 are the header and the rational coefficient, so a whole-row pattern cannot
-come back beside it.  The invariants of a form are checked where outside
-input enters, by `HomogeneousForm._from_ints` from `parse_form` and the
-public constructor; forms the library computes are valid by construction.
-A caller that repeats any of these would be a second place to keep in step
-with the first.
+come back beside it; `forms` is the one module that imports `re`, and the
+CLI's integer options read `forms._RATIONAL` with no denominator.  The
+invariants of a form are checked where outside input enters, by
+`HomogeneousForm._from_ints` from `parse_form` and the public constructor;
+forms the library computes are valid by construction.  `cli._answer` is the
+one caller of `_parse_n` and `_read_form`, so every command reads --N and
+then --input in the same order, after argparse.  No class writes its own
+__eq__ or __hash__: `ProjPoint` compares its primitive as a dataclass
+field.  A caller that repeats any of these would be a second place to keep
+in step with the first.
 """
 
 import ast
@@ -30,6 +36,14 @@ def _name(func: ast.expr) -> str:
     return ""
 
 
+def _modules():
+    """(module, syntax tree) for every module of the library."""
+    return [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    ]
+
+
 def _calls():
     """(module, enclosing function, call) for every call in the library."""
     found = []
@@ -43,8 +57,8 @@ def _calls():
                 found.append((module, where, child))
             visit(child, module, where)
 
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    for module, tree in _modules():
+        visit(tree, module, None)
     assert found, "no calls seen: the source path is wrong"
     return found
 
@@ -72,9 +86,9 @@ def test_only_scaled_and_the_parser_take_an_lcm():
 
 def test_only_the_header_and_the_rational_are_compiled_patterns():
     built = [
-        (path.stem, target.id)
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        (module, target.id)
+        for module, tree in _modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
         and _name(node.value.func) == "compile"
         for target in node.targets
@@ -86,3 +100,35 @@ def test_only_the_header_and_the_rational_are_compiled_patterns():
 def test_only_outside_input_checks_a_form():
     sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "_from_ints"}
     assert sites == {("forms", "parse_form"), ("forms", "__init__")}
+
+
+def test_only_answer_reads_n_and_the_form_file():
+    sites = {
+        (module, where, _name(call.func))
+        for module, where, call in _calls()
+        if _name(call.func) in ("_parse_n", "_read_form")
+    }
+    assert sites == {("cli", "_answer", "_parse_n"), ("cli", "_answer", "_read_form")}
+
+
+def test_only_forms_imports_re():
+    importers = {
+        module
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "re" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "re"
+    }
+    assert importers == {"forms"}
+
+
+def test_no_class_writes_its_own_equality_or_hash():
+    written = [
+        (module, node.name, item.name)
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+    ]
+    assert written == []

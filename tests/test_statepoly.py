@@ -494,6 +494,8 @@ def test_one_param_subgroup_validation():
         OneParamSubgroup((0, 0))
     with pytest.raises(ValueError):
         OneParamSubgroup((1, 1))
+    with pytest.raises(ValueError, match="at least two weights"):
+        OneParamSubgroup((0,))
     assert OneParamSubgroup((1, -1)).norm_sq == 2
 
 
@@ -544,6 +546,13 @@ def test_scaled_turns_a_rational_vector_into_integers(v):
         assert math.gcd(*(s // Fraction(x).denominator for x in v)) == 1
     else:
         assert s == 1
+
+
+@pytest.mark.parametrize("op", [sub, dot])
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 3)), ((), (1,))])
+def test_vector_operations_refuse_vectors_of_different_lengths(op, u, v):
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        op(u, v)
 
 
 @settings(max_examples=100, deadline=None)
