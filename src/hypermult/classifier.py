@@ -3,13 +3,13 @@
 The pipeline: move the queried point to [1:0:...:0], multiply by
 (x_1 ... x_r)^N for an N at or above the separation threshold, take the
 torus instability certificate of the product, and ask which band contains
-the nearest point q.  The product is never built: its support is the
-support translated by (0, N, .., N), and statepoly.torus_index(f, N)
-projects the untranslated support against the translated barycenter.
-Because the support of the product keeps its largest x_0 exponent at
-d - m (m the multiplicity at the origin) and q cannot be farther from the
-barycenter than the slice vertex of the same m, the point lands in the
-band of m; disjointness at threshold makes that band unique.
+the nearest point q.  The product is forms.destabilize(f, N), whose
+support is f's translated by (0, N, .., N), and its certificate is
+statepoly.torus_index of it, as of any form.  Because the support of the
+product keeps its largest x_0 exponent at d - m (m the multiplicity at
+the origin) and q cannot be farther from the barycenter than the slice
+vertex of the same m, the point lands in the band of m; disjointness at
+threshold makes that band unique.
 The bands holding q form one interval of m, so two band tests read it,
 whatever the degree (hesselink.unique_band).  The direct reading of the
 multiplicity from the support is computed alongside, so every
@@ -29,6 +29,7 @@ from .forms import (
     ProjPoint,
     _quote,
     check_ints,
+    destabilize,
     move_to_origin,
     multiplicity_at,
     multiplicity_at_origin,
@@ -90,13 +91,13 @@ def classify_at_origin(
 ) -> ClassificationReport:
     """Classify the multiplicity of f at [1:0:...:0] through the bands.
 
-    The report reads only f's support: the certificate is that of
-    destabilize(f, N), computed by torus_index(f, N) from the support and
-    the shift (0, N, .., N) with no destabilized form built; the band is
-    read from its q and the direct multiplicity from f's top x0 exponent.
+    The report reads only f's support: the certificate is
+    torus_index(destabilize(f, N)), whose support is f's translated by
+    (0, N, .., N); the band is read from its q and the direct multiplicity
+    from f's top x0 exponent.
     """
     big_n, threshold = _resolve_n(f.r, f.d, n)
-    cert = torus_index(f, big_n)
+    cert = torus_index(destabilize(f, big_n))
     m_band = unique_band(cert.q, f.r, f.d, big_n)
     m_direct = multiplicity_at_origin(f)
     band_params = None if m_band is None else BandParams(f.r, f.d, big_n, m_band)

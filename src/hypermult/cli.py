@@ -57,12 +57,19 @@ from .statepoly import barycenter, torus_index
 from ._linalg import norm_sq, sub
 
 
+MAX_INPUT_CHARS = 2**20  # most characters --input may hold
+
+
 def _read_form(path: str) -> HomogeneousForm:
+    """The form in --input, refused before parsing if it is longer than MAX_INPUT_CHARS."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_form(handle.read())
+            text = handle.read(MAX_INPUT_CHARS + 1)
     except OSError as exc:
         raise FormParseError(f"cannot read {path}: {exc}") from exc
+    if len(text) > MAX_INPUT_CHARS:
+        raise FormParseError(f"cannot read {path}: more than {MAX_INPUT_CHARS:,} characters")
+    return parse_form(text)
 
 
 def _integer(text: str) -> int:

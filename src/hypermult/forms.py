@@ -414,7 +414,8 @@ def _act_steps(g: Frame) -> List[Tuple[str, int, int, int]]:
     for i in range(n - 1, -1, -1):
         live = [j for j in range(i + 1) if cols[j][i]]
         while len(live) > 1:
-            p = min(live, key=lambda j: abs(cols[j][i]))
+            # on a tie the diagonal pivots, so a transvection is one shift
+            p = min(live, key=lambda j: (abs(cols[j][i]), j != i))
             for j in live:
                 if j != p:
                     k = cols[j][i] // cols[p][i]

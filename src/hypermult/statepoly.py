@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, islice
-from operator import add, lt, mul, sub as sub_op
+from operator import lt, mul, sub as sub_op
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
@@ -237,37 +237,25 @@ class InstabilityCertificate:
     hull_weights: HullWeights
 
 
-def torus_index(f: HomogeneousForm, n: int = 0) -> InstabilityCertificate:
-    """Instability certificate of f * (x_1 * ... * x_r)^n for the diagonal torus.
+def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
+    """Instability certificate of f for the diagonal torus, in fixed coordinates.
 
-    In fixed coordinates, and from f's support alone.  The product's
-    support is f's translated by t = (0, n, .., n), of degree D = d + r*n.
-    It is not built: f's support is projected against xi_D - t, and t is
-    added back to q and to the witness points.  nearest_point sees the same
-    integer vectors either way, s*(e + t) - s*xi_D = s*e - s*(xi_D - t)
-    with the same scale s, and a translation keeps their sorted order, so
-    the corral, the weights and every field equal those of
-    torus_index(destabilize(f, n)).
+    Read from f's support alone: its exponents projected against xi.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"destabilization exponent must be an integer >= 0, got {n!r:.40}")
-    t = (0,) + (n,) * f.r
-    xi = barycenter(f.r, f.d + f.r * n)
-    projection = nearest_point(f.nums, sub(xi, t))
-    q = tuple(map(add, projection.q, t))
-    witness = tuple((tuple(map(add, e, t)), weight) for e, weight in projection.hull_weights)
-    w = sub(q, xi)
+    xi = barycenter(f.r, f.d)
+    projection = nearest_point(f.nums, xi)
+    w = sub(projection.q, xi)
     lam, scale = None, None
     if projection.dist_sq != 0:
         direction, scale = _linalg.primitive(w)
         lam = OneParamSubgroup(direction)
     return InstabilityCertificate(
-        q=q,
+        q=projection.q,
         w=w,
         delta_sq=projection.dist_sq,
         lam=lam,
         scale=scale,
-        hull_weights=witness,
+        hull_weights=projection.hull_weights,
     )
 
 

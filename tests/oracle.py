@@ -18,8 +18,9 @@ coordinates 1..r that the library drops, the frame family is listed as one
 Frame per member where the library keeps a mover and a budget, and the
 worst-frame search moves and projects every frame, with neither the chain
 walk nor the pruning.  A classification report takes the certificate of
-the destabilized form, built and projected, where the library projects the
-form's own support against the translated barycenter.  The largest
+the destabilized form, built and projected, as the library does; it
+stays the reference that any shortcut of that route is checked against.
+The largest
 multiplicity of a binary form, and with it the largest torus index the
 paper's relation allows at r = 1, comes from Yun's squarefree
 decomposition over Q.  Determinants, point images and the
@@ -494,9 +495,9 @@ def unique_band_oracle(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]
 def classify_at_origin_oracle(f: HomogeneousForm, n="auto"):
     """classify_at_origin on the destabilized form: torus_index(destabilize(f, N)).
 
-    The library projects f's support against the translated barycenter and
-    builds no destabilized form; this builds the product and projects its
-    support against the barycenter of degree d + r*N.
+    The library takes this route too; this spells it out, with every band
+    diagnostic computed in place, as the reference that any shortcut the
+    library may take must match field for field.
     """
     big_n, threshold = _resolve_n(f.r, f.d, n)
     cert = torus_index(destabilize(f, big_n))

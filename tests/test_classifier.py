@@ -18,7 +18,6 @@ from hypermult import (
     classify_at,
     classify_at_origin,
     default_frames,
-    destabilize,
     frame_moving_to_origin,
     gen_corpus,
     l_squared,
@@ -151,28 +150,17 @@ def rational_forms(draw):
 @given(rational_forms(), st.integers(0, 3))
 def test_classify_reads_the_certificate_of_the_destabilized_form(f, above):
     # every field, and every output byte, equals that of the route that
-    # builds destabilize(f, N) and projects it, at and above the threshold
+    # builds destabilize(f, N) and projects it, at and above the threshold,
+    # and that of the form with f's support and every coefficient 1
     threshold = separation_threshold(f.r, f.d)
+    support = HomogeneousForm(f.r, f.d, {e: 1 for e in f.terms})
     for n in ["auto", threshold + above]:
         ours = classify_at_origin(f, n)
-        theirs = classify_at_origin_oracle(f, n)
-        assert ours == theirs
-        assert serialize.dumps(serialize.report_encode(ours)) == serialize.dumps(
-            serialize.report_encode(theirs)
-        )
-
-
-@settings(max_examples=150, deadline=None)
-@given(rational_forms(), st.integers(0, 12))
-def test_torus_index_of_a_shift_is_that_of_the_product(f, n):
-    # at any N >= 0, below the threshold too, with no product form built
-    assert torus_index(f, n) == torus_index(destabilize(f, n))
-
-
-def test_torus_index_refuses_a_shift_that_is_not_a_nonnegative_int():
-    for n in [-1, 1.0, True, Fraction(2)]:
-        with pytest.raises(ValueError, match="must be an integer >= 0"):
-            torus_index(NODAL_CUBIC, n)
+        for theirs in [classify_at_origin_oracle(f, n), classify_at_origin(support, n)]:
+            assert ours == theirs
+            assert serialize.dumps(serialize.report_encode(ours)) == serialize.dumps(
+                serialize.report_encode(theirs)
+            )
 
 
 def test_every_move_to_a_point_refuses_more_than_max_dim_coordinates(monkeypatch):

@@ -378,6 +378,26 @@ def test_a_missing_input_is_reported_once_n_is_read(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
 
 
+def test_a_form_file_past_the_limit_is_refused_before_parsing(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "big.form"
+    path.write_text(SQUARE_TEXT + "#" * (cli.MAX_INPUT_CHARS + 1 - len(SQUARE_TEXT)), encoding="utf-8")
+
+    def no_parse(text):
+        raise AssertionError("the file was parsed")
+
+    monkeypatch.setattr(cli, "parse_form", no_parse)
+    code, out, err = invoke(capsys, "index", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: more than {cli.MAX_INPUT_CHARS:,} characters\n"
+
+
+def test_a_form_file_at_the_limit_is_parsed(capsys, tmp_path):
+    path = tmp_path / "full.form"
+    path.write_text(SQUARE_TEXT + "#" * (cli.MAX_INPUT_CHARS - len(SQUARE_TEXT)), encoding="utf-8")
+    code, _, err = invoke(capsys, "index", "--input", str(path))
+    assert (code, err) == (0, "")
+
+
 def test_gen_is_deterministic_and_parseable(capsys):
     args = ("gen", "-r", "2", "-d", "3", "--m", "1", "--count", "3", "--seed", "7")
     code_a, out_a, _ = invoke(capsys, *args)

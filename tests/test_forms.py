@@ -433,10 +433,24 @@ def test_taylor_shift_is_act_by_a_shear(case):
         assert moved == undone
 
 
+@pytest.mark.parametrize("s", [1, -1, 3, -3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_a_transvection_is_one_shift(r, s):
+    # a unit entry below the diagonal ties with the diagonal's 1: the
+    # diagonal pivots, so no swap and no second shift is made
+    for j in range(r + 1):
+        for i in range(r + 1):
+            if i != j:
+                assert forms_module._act_steps(_shear(r, j, i, s)) == [("shift", j, i, s)]
+
+
 def test_act_moves_the_largest_shape_shift_cases_draws():
-    # r=4, d=40 has C(44, 4) = 135,751 possible terms, within MAX_MOVED_TERMS
-    f = HomogeneousForm(4, 40, {(0, 0, 0, 0, 40): 1})
-    assert act(_shear(4, 4, 0, 1), f) == shear_oracle(f, 4, 0, 1)
+    # r=4, d=40 has C(44, 4) = 135,751 possible terms, within MAX_MOVED_TERMS,
+    # and one shift of 40 * 135,751 steps is within MAX_SHIFT_WORK; the
+    # shears below the diagonal are the undone cases of shift_cases
+    for j, i, s in [(4, 0, 1), (0, 4, 1), (0, 4, -1)]:
+        f = HomogeneousForm(4, 40, {tuple(40 * (k == j) for k in range(5)): 1})
+        assert act(_shear(4, j, i, s), f) == shear_oracle(f, j, i, s)
 
 
 @settings(max_examples=100, deadline=None)

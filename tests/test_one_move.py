@@ -1,13 +1,17 @@
 """A form is moved to a point in one place, the dimension limit is checked
-in two, a rational vector is scaled to integers in one, a form row has one
-grammar, the CLI reads its shared flags in one place, and equality of a
-value is derived, not written.
+in two, a rational vector is scaled to integers in one, a support is
+translated in one, a form row has one grammar, the CLI reads its shared
+flags in one place, and equality of a value is derived, not written.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
 coordinates before it builds anything, and `forms.move_to_origin` is the
 one composition act(frame_moving_to_origin(p), f).  `_linalg.scaled`
 multiplies a rational vector by the lcm of its denominators; only
 `forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.
+`statepoly.torus_index` takes a form and nothing else, so a support is
+translated only by `forms.destabilize`, which the library calls from
+`classifier.classify_at_origin` and `cli._cmd_destab` alone: the band of a
+classification is read from torus_index(destabilize(f, N)).
 `forms._read_row` reads every payload row, and the only compiled patterns
 are the header and the rational coefficient, so a whole-row pattern cannot
 come back beside it; `forms` is the one module that imports `re`, and the
@@ -95,6 +99,23 @@ def test_only_the_header_and_the_rational_are_compiled_patterns():
     ]
     calls = [call for _, _, call in _calls() if _name(call.func) == "compile"]
     assert built == [("forms", "_HEADER"), ("forms", "_RATIONAL")] and len(calls) == 2
+
+
+def test_torus_index_takes_a_form_and_nothing_else():
+    (args,) = [
+        node.args
+        for module, tree in _modules()
+        if module == "statepoly"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "torus_index"
+    ]
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    assert [a.arg for a in params] == ["f"] and args.vararg is None and args.kwarg is None
+
+
+def test_only_classify_and_the_destab_command_translate_a_support():
+    sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "destabilize"}
+    assert sites == {("classifier", "classify_at_origin"), ("cli", "_cmd_destab")}
 
 
 def test_only_outside_input_checks_a_form():

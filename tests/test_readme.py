@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from hypermult import classifier, forms, hesselink
+from hypermult import classifier, cli, forms, hesselink
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,6 +27,9 @@ LIMITS = {
         f"more than {hesselink.MAX_PAIRS:,} ({_power_of_two(hesselink.MAX_PAIRS)}) of the"
     ),
     "classifier.MAX_CORPUS": lambda: f"a corpus above {_power_of_two(classifier.MAX_CORPUS)},",
+    "cli.MAX_INPUT_CHARS": lambda: (
+        f"`cli.MAX_INPUT_CHARS` = {cli.MAX_INPUT_CHARS:,} ({_power_of_two(cli.MAX_INPUT_CHARS)})"
+    ),
     "forms.MAX_DEN_BITS": lambda: f"`forms.MAX_DEN_BITS` = {forms.MAX_DEN_BITS:,} bits",
     "forms.MAX_DIM": lambda: f"`forms.MAX_DIM` = {forms.MAX_DIM} variables",
     "forms.MAX_MOVED_TERMS": lambda: (
