@@ -6,7 +6,9 @@ fraction-free elimination: `det` and `solve_consistent` share it.  Rational
 vectors, such as a projection target, are tuples of Fractions; `dot` and
 `norm_sq` also take integer vectors and then return integers.  `scaled` is
 the one place a rational vector becomes integers over a common denominator,
-which `primitive` divides by their gcd for points and one-parameter groups.
+which `primitive` divides by their gcd for points.
+`exact` is where a number from a caller becomes a Fraction, and it refuses
+floats and bools, so no binary fraction enters.
 """
 
 from __future__ import annotations
@@ -20,8 +22,19 @@ Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
+def exact(x: object) -> Fraction:
+    """Fraction(x) for an int, a Fraction or a string; a float or a bool raises ValueError.
+
+    Fraction(0.1) would be the float's binary value
+    3602879701896397/36028797018963968, and Fraction(True) would be 1.
+    """
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{type(x).__name__} {x!r:.40} is refused: exact numbers only")
+    return Fraction(x)
+
+
 def vec(xs: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(map(exact, xs))
 
 
 def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -46,11 +59,11 @@ def scaled(v: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [x.numerator * (s // x.denominator) for x in v], s
 
 
-def primitive(v: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
-    """(lam, c): the primitive integer vector lam = c * v, c > 0, of a nonzero v."""
-    ints, s = scaled(v)
+def primitive(v: Sequence[Fraction]) -> Tuple[int, ...]:
+    """The primitive integer vector c * v, for some c > 0, of a nonzero v."""
+    ints, _ = scaled(v)
     g = math.gcd(*ints)
-    return tuple(x // g for x in ints), Fraction(s, g)
+    return tuple(x // g for x in ints)
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:

@@ -266,11 +266,14 @@ def verify_theorem_main(
     """Classify a corpus for every m in 0..d and tally band/direct agreement.
 
     The output is deterministic for fixed arguments regardless of jobs.  A
-    non-int count, seed or jobs, a jobs below 1, or more than MAX_CORPUS forms
-    x (r+1) over all m raise ValueError before any form is made."""
+    non-int count, seed or jobs, a jobs below 1, a count below 1 (agreement
+    on no form means nothing), or more than MAX_CORPUS forms x (r+1) over
+    all m raise ValueError before any form is made."""
     check_ints(count=count, seed=seed, jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     big_n, threshold = _resolve_n(r, d, n)
     _check_corpus_size((d + 1) * count, r)
     cases: List[Tuple[int, int, HomogeneousForm, int]] = []

@@ -30,7 +30,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import Matrix, Vector
@@ -62,8 +63,9 @@ class HomogeneousForm:
     den: int
 
     def __init__(self, r: int, d: int, terms: Mapping[Sequence[int], object]) -> None:
-        """The form sum of terms[e] * x^e, each terms[e] what Fraction() takes."""
-        ints, den = _linalg.scaled([Fraction(c) for c in terms.values()])
+        """The form sum of terms[e] * x^e, each terms[e] an int, a Fraction or
+        a string such as '3/4'; a float or a bool raises ValueError."""
+        ints, den = _linalg.scaled(_linalg.vec(terms.values()))
         nums = dict(zip(map(tuple, terms), ints))
         self.__dict__.update(HomogeneousForm._from_ints(r, d, nums, den).__dict__)
 
@@ -71,9 +73,11 @@ class HomogeneousForm:
     def _from_ints(cls, r: int, d: int, nums: IntPoly, den: int) -> HomogeneousForm:
         """The form with coefficients nums[e] / den for a positive int den.
 
-        This is the only place the invariants of a form are checked, and
-        only where outside input enters: parse_form and __init__.  The
-        result is reduced to lowest terms by _unchecked.
+        This is where the invariants of a form are checked and a fault is
+        named, only where outside input enters: parse_form and __init__.
+        parse_form tests the invariants its grammar leaves open in bulk
+        and comes here only to name a fault.  The result is reduced to
+        lowest terms by _unchecked.
         """
         check_ints(r=r, d=d)
         if r < 1:
@@ -224,20 +228,56 @@ def _read_row(line: str, r: int) -> Tuple[ExponentVector, int, int]:
         raise FormParseError(f"too many digits in row {_quote(line)}") from exc
 
 
+def _read_rows(
+    lines: Sequence[str], r: int
+) -> Optional[Tuple[Sequence[ExponentVector], Sequence[int], Sequence[int]]]:
+    """(exponents, ps, qs) of every row at once, or None if any row is at fault.
+
+    The tests are _read_row's, each made once over all rows: the field
+    counts, one isascii()/isdigit() over the joined exponents, one map(int)
+    and _RATIONAL on each coefficient.  The exponent vectors are r+1 ints
+    >= 0 by construction.  A fault is left to _read_row, which names it.
+    """
+    n = r + 2
+    rows = list(map(str.split, lines))
+    if set(map(len, rows)) - {n}:  # a row of another field count
+        return None
+    tokens = list(chain.from_iterable(rows))
+    coefficients = tokens[::n]
+    del tokens[::n]
+    digits = "".join(tokens)
+    # a header with no rows has no tokens, and "".isdigit() is False
+    if tokens and not (digits.isascii() and digits.isdigit()):
+        return None
+    matches = list(map(_RATIONAL.fullmatch, coefficients))
+    if None in matches:
+        return None
+    try:
+        exponents = list(map(int, tokens))
+        ps = [int(m[1]) for m in matches]
+        qs = [int(m[2]) if m[2] else 1 for m in matches]
+    except ValueError:  # more digits than int() converts
+        return None
+    if 0 in qs:
+        return None
+    return list(zip(*[iter(exponents)] * (r + 1))), ps, qs
+
+
 def parse_form(text: str) -> HomogeneousForm:
     """Parse the plain text form format.
 
     First payload line is ``r=<int> d=<int>``; every following line is a
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
     exponents.  Header numbers and exponents are ASCII digits 0-9 only.
-    ``#`` starts a comment.  One reader, _read_row, splits every row and
-    checks its field count, then its coefficient, then its exponents, each
-    fault its own FormParseError.  Duplicate exponent rows are summed over
-    the lcm of the row denominators, which may have at most MAX_DEN_BITS bits.
-    Only this grammar is checked here; the invariants of a form (r, d >= 1,
-    a term, exponents summing to d, no rows that cancel) are checked by
-    HomogeneousForm._from_ints, whose ValueError is raised again as a
-    FormParseError.  Messages quote at most a short prefix of the input.
+    ``#`` starts a comment.  _read_rows reads all rows at once; only if a
+    row is at fault does _read_row read them one at a time, so the first
+    faulty row raises its own FormParseError.  Duplicate exponent rows are
+    summed over the lcm of the row denominators, which may have at most
+    MAX_DEN_BITS bits.  The grammar gives r+1 exponents >= 0, so of the
+    invariants of a form only r, d >= 1, a term, exponents summing to d and
+    no rows that cancel are tested here; HomogeneousForm._from_ints runs
+    only to name a fault, its ValueError raised again as a FormParseError.
+    Messages quote at most a short prefix of the input.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -253,20 +293,30 @@ def parse_form(text: str) -> HomogeneousForm:
         r, d = int(header.group(1)), int(header.group(2))
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
-    rows = [_read_row(line, r) for line in payload[1:]]
-    # one row at a time, and no further once past the limit, so a file of
-    # many distinct large denominators costs no more than the limit allows
+    lines = payload[1:]
+    rows = _read_rows(lines, r)
+    if rows is None:  # a row is at fault: the first one raises its message
+        rows = tuple(zip(*[_read_row(line, r) for line in lines]))
+    keys, ps, qs = rows
+    # one distinct denominator at a time, and no further once past the
+    # limit, so many distinct large denominators cost no more than it allows
     den = 1
-    for _, _, q in rows:
+    for q in set(qs):
         if q != 1 and den.bit_length() <= MAX_DEN_BITS:
             den = math.lcm(den, q)
     if den.bit_length() > MAX_DEN_BITS:
         raise FormParseError(
             f"the common denominator of the coefficients has more than {MAX_DEN_BITS} bits"
         )
-    nums: Dict[ExponentVector, int] = {}
-    for key, p, q in rows:
-        nums[key] = nums.get(key, 0) + p * (den // q)
+    if den != 1:
+        ps = [p * (den // q) for p, q in zip(ps, qs)]
+    nums: Dict[ExponentVector, int] = dict(zip(keys, ps))
+    if len(nums) < len(keys):  # duplicate rows are summed
+        nums = {}
+        for key, p in zip(keys, ps):
+            nums[key] = nums.get(key, 0) + p
+    if r and d and nums and 0 not in nums.values() and all(map(d.__eq__, map(sum, nums))):
+        return HomogeneousForm._unchecked(r, d, nums, den)
     try:
         return HomogeneousForm._from_ints(r, d, nums, den)
     except ValueError as exc:
@@ -276,11 +326,12 @@ def parse_form(text: str) -> HomogeneousForm:
 def _int_entry(x: object) -> int:
     """x as an int; ValueError unless it is an integer, such as Fraction(2).
 
-    Frame entries and weights are read here, where int() would truncate 1.5.
+    Frame entries and weights are read here, where int() would truncate 1.5;
+    a float or a bool is refused, even 2.0 or True.
     """
     if type(x) is int:
         return x
-    q = Fraction(x)
+    q = _linalg.exact(x)
     if q.denominator != 1:
         raise ValueError(f"{_quote(str(x))} is not an integer")
     return q.numerator
@@ -338,7 +389,7 @@ class ProjPoint:
             raise ValueError("projective point needs at least two coordinates")
         if all(x == 0 for x in coords):
             raise ValueError("projective point cannot be the zero vector")
-        prim, _ = _linalg.primitive(coords)
+        prim = _linalg.primitive(coords)
         if next(x for x in prim if x) < 0:
             prim = tuple(-x for x in prim)
         object.__setattr__(self, "coords", coords)

@@ -214,8 +214,8 @@ class StratumLabel:
     scale: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta_sq", Fraction(self.delta_sq))
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "delta_sq", _linalg.exact(self.delta_sq))
+        object.__setattr__(self, "scale", _linalg.exact(self.scale))
         if self.delta_sq <= 0:
             raise ValueError("a stratum label needs delta_sq > 0")
         if self.scale <= 0:

@@ -276,6 +276,14 @@ def test_corpus_size_limit_is_inclusive(monkeypatch, make, size):
 
 # ---------------------------------------------------------------- verify
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_verify_refuses_a_count_below_one(count):
+    # a run over no form would report that every form agreed
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        verify_theorem_main(1, 3, "auto", count=count, seed=0)
+    assert gen_corpus(1, 3, 1, 0, 0) == []
+
+
 def test_verify_summary_counts():
     summary = verify_theorem_main(1, 2, 3, count=25, seed=9)
     assert summary.total == 3 * 25

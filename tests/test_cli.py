@@ -332,6 +332,13 @@ def test_verify_refuses_fewer_than_one_job_before_any_form(capsys, monkeypatch, 
     assert err == "error: jobs must be at least 1\n"
 
 
+def test_verify_refuses_a_count_of_zero_and_gen_allows_it(capsys):
+    code, out, err = invoke(capsys, "verify", "-r", "1", "-d", "3", "--count", "0")
+    assert (code, out, err) == (2, "", "error: count must be at least 1\n")
+    code, out, err = invoke(capsys, "gen", "-r", "1", "-d", "3", "--m", "1", "--count", "0", "--json")
+    assert (code, json.loads(out)["forms"], err) == (0, [], "")
+
+
 def test_a_huge_bad_n_gets_a_short_error(capsys, cubic_file):
     # 5,000 nines pass int()'s syntax but not its digit limit, and the
     # error quotes only a prefix of them

@@ -10,13 +10,18 @@ from hypermult import (
     FormParseError,
     Frame,
     HomogeneousForm,
+    OneParamSubgroup,
     ProjPoint,
+    StratumLabel,
     act,
+    band_contains,
     destabilize,
     destabilizing_factor,
     frame_moving_to_origin,
     multiplicity_at,
     multiplicity_at_origin,
+    mu_weight,
+    nearest_point,
     parse_form,
     point_image,
 )
@@ -219,6 +224,14 @@ def _parse_outcome(parse, text):
 @example("r=1 d=2\n1/00 2 0\n")
 @example("r=1 d=2\n-1/007 2 0\n1/7 2 0\n3 0 2\n")
 @example("r=1 d=2\n1 \u00b2 0\n")  # isdigit() holds for it, int() refuses it
+# the rows read at once must raise what the first faulty row raises alone
+@example("r=2 d=3\n" + "1 1 1 1\n" * 40 + "1 1 1 x\n")  # fault in the last row only
+@example("r=2 d=3\n" + "2 3 0 0\n" * 40 + "1 1 1\n")
+@example("r=1 d=2\n+3 2 0\n+007/0021 1 1\n-01/05 0 2\n")  # + sign, leading zeros
+@example("r=1 d=2\n1 2 0\n\u0663 1 1\n")  # non-ASCII digit in a coefficient
+@example("r=1 d=2\n1 2 0\n1/\u0663 1 1\n")
+@example("r=1 d=2\n3/4 2 0\n1 1 1\n-3/4 2 0\n")  # duplicate rows that cancel
+@example("r=2 d=3\n1 3 0 0\n1 1 1 1\n1 1 1 0\n")  # a later row misses d
 def test_parse_form_equals_the_field_by_field_reader(text):
     assert _parse_outcome(parse_form, text) == _parse_outcome(parse_form_oracle, text)
 
@@ -716,6 +729,30 @@ def test_destabilizing_factor_refuses_non_integers(r, n, name):
 def test_a_form_refuses_a_non_integer_r_or_d(r, d, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         HomogeneousForm(r, d, {(1, 1): 1})
+
+
+# each takes x where an exact number is meant, and accepts x = 1
+EXACT_INPUTS = {
+    "HomogeneousForm": lambda x: HomogeneousForm(1, 2, {(1, 1): x}),
+    "ProjPoint": lambda x: ProjPoint((x, 1)),
+    "Frame": lambda x: Frame([[x, 0], [0, 1]]),
+    "OneParamSubgroup": lambda x: OneParamSubgroup((x, -1)),
+    "mu_weight": lambda x: mu_weight(HomogeneousForm(1, 2, {(1, 1): 1}), (x, -1)),
+    "nearest_point_points": lambda x: nearest_point([(x, 1)], (Fraction(1), Fraction(1))),
+    "nearest_point_target": lambda x: nearest_point([(1, 1)], (x, 1)),
+    "band_contains": lambda x: band_contains((x, 4), 1, 2, 3, 0),
+    "StratumLabel_delta_sq": lambda x: StratumLabel(OneParamSubgroup((1, 1, -1, -1)), x, 2),
+    "StratumLabel_scale": lambda x: StratumLabel(OneParamSubgroup((1, -1)), 2, x),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True], ids=["float", "integral_float", "bool"])
+@pytest.mark.parametrize("call", EXACT_INPUTS.values(), ids=EXACT_INPUTS)
+def test_floats_and_bools_are_refused(call, value):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and True is 1
+    call(1)
+    with pytest.raises(ValueError, match=re.escape(f"{type(value).__name__} {value!r} is refused")):
+        call(value)
 
 
 # ---------------------------------------------------------------- points

@@ -12,9 +12,10 @@ multiplies a rational vector by the lcm of its denominators; only
 translated only by `forms.destabilize`, which the library calls from
 `classifier.classify_at_origin` and `cli._cmd_destab` alone: the band of a
 classification is read from torus_index(destabilize(f, N)).
-`forms._read_row` reads every payload row, and the only compiled patterns
-are the header and the rational coefficient, so a whole-row pattern cannot
-come back beside it; `forms` is the one module that imports `re`, and the
+`forms._read_rows` reads all payload rows at once and `forms._read_row`
+names the first faulty one, and the only compiled patterns are the header
+and the rational coefficient, so a whole-row pattern cannot come back
+beside them; `forms` is the one module that imports `re`, and the
 CLI's integer options read `forms._RATIONAL` with no denominator.  The
 invariants of a form are checked where outside input enters, by
 `HomogeneousForm._from_ints` from `parse_form` and the public constructor;
