@@ -6,7 +6,7 @@ fraction-free elimination: `det` and `solve_consistent` share it.  Rational
 vectors, such as a projection target, are tuples of Fractions; `dot` and
 `norm_sq` also take integer vectors and then return integers.  `scaled` is
 the one place a rational vector becomes integers over a common denominator,
-which `primitive` divides by their gcd for points.
+which `primitive` divides by their gcd for points and one-parameter groups.
 `exact` is where a number from a caller becomes a Fraction, and it refuses
 floats and bools, so no binary fraction enters.
 """
@@ -59,11 +59,11 @@ def scaled(v: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [x.numerator * (s // x.denominator) for x in v], s
 
 
-def primitive(v: Sequence[Fraction]) -> Tuple[int, ...]:
-    """The primitive integer vector c * v, for some c > 0, of a nonzero v."""
-    ints, _ = scaled(v)
+def primitive(v: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
+    """(lam, c): the primitive integer vector lam = c * v, c > 0, of a nonzero v."""
+    ints, s = scaled(v)
     g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in ints), Fraction(s, g)
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:

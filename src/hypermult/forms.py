@@ -64,37 +64,46 @@ class HomogeneousForm:
 
     def __init__(self, r: int, d: int, terms: Mapping[Sequence[int], object]) -> None:
         """The form sum of terms[e] * x^e, each terms[e] an int, a Fraction or
-        a string such as '3/4'; a float or a bool raises ValueError."""
+        a string such as '3/4'; a float or a bool raises ValueError.
+
+        Each e must be r+1 ints >= 0, which parse_form's grammar gives by
+        construction and is checked here; the invariants of a form are
+        left to _from_ints."""
         ints, den = _linalg.scaled(_linalg.vec(terms.values()))
-        nums = dict(zip(map(tuple, terms), ints))
+        check_ints(r=r, d=d)
+        keys = list(map(tuple, terms))
+        if r >= 1 and d >= 1:  # else _from_ints names the fault of r or d
+            for e in keys:
+                if len(e) != r + 1:
+                    raise ValueError(f"exponent vector {_quote(str(e))} needs {r + 1} entries")
+                if not all(type(x) is int and x >= 0 for x in e):
+                    raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
+        nums = dict(zip(keys, ints))
         self.__dict__.update(HomogeneousForm._from_ints(r, d, nums, den).__dict__)
 
     @classmethod
     def _from_ints(cls, r: int, d: int, nums: IntPoly, den: int) -> HomogeneousForm:
-        """The form with coefficients nums[e] / den for a positive int den.
+        """The form with coefficients nums[e] / den for ints r, d, a positive
+        int den and each e a tuple of r+1 ints >= 0.
 
-        This is where the invariants of a form are checked and a fault is
-        named, only where outside input enters: parse_form and __init__.
-        parse_form tests the invariants its grammar leaves open in bulk
-        and comes here only to name a fault.  The result is reduced to
-        lowest terms by _unchecked.
+        This is where the invariants of a form are checked, only where
+        outside input enters: parse_form and __init__.  They are tested
+        together, and one at a time only to name a fault.  The result is
+        reduced to lowest terms by _unchecked.
         """
-        check_ints(r=r, d=d)
-        if r < 1:
-            raise ValueError("need at least two variables (r >= 1)")
-        if d < 1:
-            raise ValueError("degree must be positive")
-        if not nums:
-            raise ValueError("a form must have at least one term")
-        for e, c in nums.items():
-            if c == 0:
-                raise ValueError(f"zero coefficient for exponent {_quote(str(e))}")
-            if len(e) != r + 1:
-                raise ValueError(f"exponent vector {_quote(str(e))} needs {r + 1} entries")
-            if not all(type(x) is int and x >= 0 for x in e):
-                raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
-            if sum(e) != d:
-                raise ValueError(f"exponent vector {_quote(str(e))} must sum to degree {d}")
+        if not (r >= 1 and d >= 1 and nums and 0 not in nums.values()
+                and all(map(d.__eq__, map(sum, nums)))):
+            if r < 1:
+                raise ValueError("need at least two variables (r >= 1)")
+            if d < 1:
+                raise ValueError("degree must be positive")
+            if not nums:
+                raise ValueError("a form must have at least one term")
+            for e, c in nums.items():
+                if c == 0:
+                    raise ValueError(f"zero coefficient for exponent {_quote(str(e))}")
+                if sum(e) != d:
+                    raise ValueError(f"exponent vector {_quote(str(e))} must sum to degree {d}")
         return cls._unchecked(r, d, nums, den)
 
     @classmethod
@@ -236,8 +245,12 @@ def _read_rows(
     The tests are _read_row's, each made once over all rows: the field
     counts, one isascii()/isdigit() over the joined exponents, one map(int)
     and _RATIONAL on each coefficient.  The exponent vectors are r+1 ints
-    >= 0 by construction.  A fault is left to _read_row, which names it.
+    >= 0 by construction, and each row holds r+2 fields, so nothing here
+    grows with r beyond the input.  A fault is left to _read_row, which
+    names it.
     """
+    if not lines:  # a header alone: [iter] * (r+1) below would hold r+1 references
+        return [], [], []
     n = r + 2
     rows = list(map(str.split, lines))
     if set(map(len, rows)) - {n}:  # a row of another field count
@@ -246,8 +259,7 @@ def _read_rows(
     coefficients = tokens[::n]
     del tokens[::n]
     digits = "".join(tokens)
-    # a header with no rows has no tokens, and "".isdigit() is False
-    if tokens and not (digits.isascii() and digits.isdigit()):
+    if not (digits.isascii() and digits.isdigit()):
         return None
     matches = list(map(_RATIONAL.fullmatch, coefficients))
     if None in matches:
@@ -273,11 +285,11 @@ def parse_form(text: str) -> HomogeneousForm:
     row is at fault does _read_row read them one at a time, so the first
     faulty row raises its own FormParseError.  Duplicate exponent rows are
     summed over the lcm of the row denominators, which may have at most
-    MAX_DEN_BITS bits.  The grammar gives r+1 exponents >= 0, so of the
-    invariants of a form only r, d >= 1, a term, exponents summing to d and
-    no rows that cancel are tested here; HomogeneousForm._from_ints runs
-    only to name a fault, its ValueError raised again as a FormParseError.
-    Messages quote at most a short prefix of the input.
+    MAX_DEN_BITS bits.  The grammar gives r+1 exponents >= 0; the
+    invariants of a form (r, d >= 1, a term, exponents summing to d, no
+    rows that cancel) are checked by HomogeneousForm._from_ints, whose
+    ValueError is raised again as a FormParseError.  Messages quote at most
+    a short prefix of the input.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -315,8 +327,6 @@ def parse_form(text: str) -> HomogeneousForm:
         nums = {}
         for key, p in zip(keys, ps):
             nums[key] = nums.get(key, 0) + p
-    if r and d and nums and 0 not in nums.values() and all(map(d.__eq__, map(sum, nums))):
-        return HomogeneousForm._unchecked(r, d, nums, den)
     try:
         return HomogeneousForm._from_ints(r, d, nums, den)
     except ValueError as exc:
@@ -389,7 +399,7 @@ class ProjPoint:
             raise ValueError("projective point needs at least two coordinates")
         if all(x == 0 for x in coords):
             raise ValueError("projective point cannot be the zero vector")
-        prim = _linalg.primitive(coords)
+        prim, _ = _linalg.primitive(coords)
         if next(x for x in prim if x) < 0:
             prim = tuple(-x for x in prim)
         object.__setattr__(self, "coords", coords)

@@ -28,9 +28,7 @@ Every result is checked once, in integers, before it is returned: the
 weights are positive, sum to D and rebuild X, and (X.V_j)*D >= |X|^2 for
 every j, which is the optimality inequality <t - q, v - q> <= 0 for all
 points v.  Only then are q, delta_sq and the weights made Fractions; the
-witness keeps the integer points, and the offset q - t stays in integers
-too, as X over D*s, from which torus_index reads w, lam and scale with
-no Fraction arithmetic.  There is no tolerance anywhere.  A
+witness keeps the integer points.  There is no tolerance anywhere.  A
 corral can grow to one point per coordinate, each step solving its Gram
 system afresh, so points of more than forms.MAX_DIM coordinates are refused
 before the search, as forms.frame_moving_to_origin refuses them.
@@ -39,14 +37,14 @@ before the search, as forms.frame_moving_to_origin refuses them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, islice
 from operator import lt, mul, sub as sub_op
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
-from ._linalg import Vector, dot, norm_sq
+from ._linalg import Vector, dot, norm_sq, sub
 from .forms import MAX_DIM, ExponentVector, HomogeneousForm, _int_entry, check_dim, check_ints
 
 HullWeights = Tuple[Tuple[ExponentVector, Fraction], ...]
@@ -70,13 +68,6 @@ class OneParamSubgroup:
             raise ValueError("weights must be primitive (gcd 1)")
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def _unchecked(cls, weights: Tuple[int, ...]) -> "OneParamSubgroup":
-        """The subgroup of int weights valid by construction, with no check."""
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "weights", weights)
-        return lam
-
     @property
     def norm_sq(self) -> int:
         return sum(x * x for x in self.weights)
@@ -92,17 +83,11 @@ def barycenter(r: int, d: int) -> Vector:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Nearest hull point with an exact convex-combination witness.
-
-    q - t is also given in integers, as offset / offset_den; many such
-    pairs name one offset, so they take no part in ==.
-    """
+    """Nearest hull point with an exact convex-combination witness."""
 
     q: Vector
     dist_sq: Fraction
     hull_weights: HullWeights
-    offset: Tuple[int, ...] = field(compare=False, repr=False)
-    offset_den: int = field(compare=False, repr=False)
 
 
 def _affine_minimizer(vecs: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
@@ -196,10 +181,9 @@ def nearest_point(points: Iterable[Sequence[int]], t: Sequence) -> ProjectionRes
     The returned witness satisfies q = sum(weight * point) with positive
     weights summing to one, over the points as int tuples, and the
     optimality inequality <t - q, v - q> <= 0 holds for every input point
-    v; all of this is verified before returning, and nowhere else.  q - t
-    is also returned in integers, as Wolfe's X over D*s.  A coordinate that
-    is not an integer, such as 1/2, and points of more than MAX_DIM
-    coordinates are refused with ValueError before the search.
+    v; all of this is verified before returning, and nowhere else.  A
+    coordinate that is not an integer, such as 1/2, and points of more than
+    MAX_DIM coordinates are refused with ValueError before the search.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -207,36 +191,29 @@ def nearest_point(points: Iterable[Sequence[int]], t: Sequence) -> ProjectionRes
     if set(map(type, chain.from_iterable(pts))) != {int}:
         pts = [tuple(map(_int_entry, p)) for p in pts]
     target = _linalg.vec(t)
-    n = len(target)
-    if set(map(len, pts)) != {n}:
+    if any(len(p) != len(target) for p in pts):
         raise ValueError("point dimension does not match the target")
-    check_dim(n)
+    check_dim(len(target))
     if not all(map(lt, pts, islice(pts, 1, None))):
         pts = sorted(set(pts))
     st, s = _linalg.scaled(target)
-    flat = list(map(sub_op, map(s.__mul__, chain.from_iterable(pts)), cycle(st)))
-    vecs = list(zip(*[iter(flat)] * n))
+    scaled = map(sub_op, map(s.__mul__, chain.from_iterable(pts)), cycle(st))
+    vecs = list(zip(*[scaled] * len(st)))
     x, corral, weights, den = _min_norm_point(vecs)
     if any(w <= 0 for w in weights):
         raise AssertionError("hull weights must be positive")
     recon = tuple(
-        sum(w * vecs[j][i] for j, w in zip(corral, weights)) for i in range(n)
+        sum(w * vecs[j][i] for j, w in zip(corral, weights)) for i in range(len(st))
     )
     if sum(weights) != den or recon != x:
         raise AssertionError("hull weights do not reconstruct the projection")
     xx = norm_sq(x)
-    if min(_run_sums(map(mul, flat, cycle(x)), n)) * den < xx:
+    if any(dot(x, v) * den < xx for v in vecs):
         raise AssertionError("projection certificate failed")
     scale = den * s
     q = tuple(Fraction(b * den + c, scale) for b, c in zip(st, x))
     witness = tuple((pts[j], Fraction(w, den)) for j, w in sorted(zip(corral, weights)))
-    return ProjectionResult(
-        q=q,
-        dist_sq=Fraction(xx, scale * scale),
-        hull_weights=witness,
-        offset=x,
-        offset_den=scale,
-    )
+    return ProjectionResult(q=q, dist_sq=Fraction(xx, scale * scale), hull_weights=witness)
 
 
 @dataclass(frozen=True)
@@ -263,23 +240,18 @@ class InstabilityCertificate:
 def torus_index(f: HomogeneousForm) -> InstabilityCertificate:
     """Instability certificate of f for the diagonal torus, in fixed coordinates.
 
-    Read from f's support alone: its exponents projected against xi.  The
-    projection's integer offset X over D gives w = X/D, and lam = X/gcd(X)
-    with scale = D/gcd(X) when delta_sq > 0.  X sums to zero, as q and xi
-    both lie on sum(y) = d, and is nonzero when delta_sq > 0, so lam is a
-    one-parameter subgroup by construction and is not checked again.
+    Read from f's support alone: its exponents projected against xi.
     """
     xi = barycenter(f.r, f.d)
     projection = nearest_point(f.nums, xi)
-    x, den = projection.offset, projection.offset_den
+    w = sub(projection.q, xi)
     lam, scale = None, None
     if projection.dist_sq != 0:
-        g = math.gcd(*x)
-        lam = OneParamSubgroup._unchecked(tuple(c // g for c in x))
-        scale = Fraction(den, g)
+        direction, scale = _linalg.primitive(w)
+        lam = OneParamSubgroup(direction)
     return InstabilityCertificate(
         q=projection.q,
-        w=tuple(Fraction(c, den) for c in x),
+        w=w,
         delta_sq=projection.dist_sq,
         lam=lam,
         scale=scale,

@@ -9,10 +9,7 @@ comes from vector distances to the barycenter instead of the closed forms,
 or from the closed forms in Fractions where the library tests band
 membership in integers scaled once, the band of a point from a scan of
 every band instead of the two-test interval argument, the scale of a
-certificate from lam and w instead of the projection's lcm, a torus
-certificate's w, lam and scale by Fraction subtraction q - xi and the
-primitive vector of w, where the library reads them from the projection's
-integer offset, a primitive
+certificate from lam and w instead of the projection's lcm, a primitive
 integer vector from Fraction products instead of the library's integer
 scaling, the unimodular completion with its swap, negation and addmul steps
 as closures over a nonlocal sign, where the library negates the pivot in
@@ -34,9 +31,9 @@ Taylor shifts; a single shift is expanded by the binomial theorem, where
 the library runs Horner's scheme.  Form rows are read one at a time with a
 regex per exponent field and no MAX_DEN_BITS stop, where the library reads
 all rows at once, tests the joined exponents with str methods, goes back
-to one row at a time only to name a fault, and stops its lcm at that limit.  The CLI parser
-gives every subcommand its arguments, where the library gives them only to
-the subcommands its argv names.
+to one row at a time only to name a fault, and stops its lcm at that
+limit.  The CLI parser gives every subcommand its arguments, where the
+library gives them only to the subcommands its argv names.
 """
 
 from __future__ import annotations
@@ -52,8 +49,6 @@ from hypermult import (
     FormParseError,
     Frame,
     HomogeneousForm,
-    InstabilityCertificate,
-    OneParamSubgroup,
     ProjPoint,
     ProjectionResult,
     act,
@@ -100,12 +95,10 @@ def parse_form_oracle(text: str) -> HomogeneousForm:
     test, one str.isascii and str.isdigit over every exponent joined, and
     _RATIONAL on each coefficient.  Only if some row fails does it read the
     rows one at a time in this field order, so the first faulty row names
-    its fault.  It also skips the length and sign checks of _from_ints for
-    rows the grammar has read, and stops its lcm at MAX_DEN_BITS.  This
-    checks every row and field in order, runs every check of _from_ints and
-    takes the lcm of every row with no limit, so inputs whose lcm stays
-    below MAX_DEN_BITS get the library's answer or its FormParseError
-    message.
+    its fault, and it stops its lcm at MAX_DEN_BITS.  This checks every row
+    and field in order and takes the lcm of every row with no limit, so
+    inputs whose lcm stays below MAX_DEN_BITS get the library's answer or
+    its FormParseError message.
     """
     payload: List[str] = []
     for raw in text.splitlines():
@@ -364,39 +357,7 @@ def nearest_point_oracle(points: Sequence[Sequence], t: Sequence) -> ProjectionR
     x, corral, weights = min_norm_point([sub(p, target) for p in pts])
     q = tuple(a + b for a, b in zip(target, x))
     witness = tuple((pts[j], w) for j, w in sorted(zip(corral, weights)))
-    den = math.lcm(*(c.denominator for c in x))
-    return ProjectionResult(
-        q=q,
-        dist_sq=norm_sq(x),
-        hull_weights=witness,
-        offset=tuple(c.numerator * (den // c.denominator) for c in x),
-        offset_den=den,
-    )
-
-
-def torus_index_oracle(f: HomogeneousForm) -> InstabilityCertificate:
-    """torus_index by the Fraction route: w = q - xi, then its primitive vector.
-
-    The projection is the Fraction Wolfe search of nearest_point_oracle,
-    w is q - xi by Fraction subtraction, lam and scale come from
-    primitive_oracle(w), and OneParamSubgroup checks lam; the library
-    reads all of them from the projection's integer offset instead.
-    """
-    xi = barycenter(f.r, f.d)
-    projection = nearest_point_oracle(f.support(), xi)
-    w = sub(projection.q, xi)
-    lam, scale = None, None
-    if projection.dist_sq != 0:
-        direction, scale = primitive_oracle(w)
-        lam = OneParamSubgroup(direction)
-    return InstabilityCertificate(
-        q=projection.q,
-        w=w,
-        delta_sq=projection.dist_sq,
-        lam=lam,
-        scale=scale,
-        hull_weights=projection.hull_weights,
-    )
+    return ProjectionResult(q=q, dist_sq=norm_sq(x), hull_weights=witness)
 
 
 def enum_nearest(points: Sequence[Sequence], t: Sequence) -> Fraction:

@@ -627,6 +627,14 @@ def test_form_invariant_violations_give_one_message(capsys, tmp_path, text, r, d
     assert str(err.value) == message
 
 
+def test_a_header_alone_of_a_huge_r_exits_2(capsys, tmp_path):
+    path = tmp_path / "header.form"
+    path.write_text("r=" + "9" * 4000 + " d=1\n")
+    assert invoke(capsys, "index", "--input", str(path)) == (
+        2, "", "error: a form must have at least one term\n"
+    )
+
+
 def test_bound_refuses_an_oversized_frame_family(capsys, tmp_path):
     # r=4 at budget 1 would search 3^10 = 59049 frames
     path = tmp_path / "quadric.form"

@@ -89,6 +89,12 @@ def test_parse_rejects_empty_term_list():
         parse_form("r=1 d=2\n# only comments\n")
 
 
+def test_a_header_alone_is_refused_whatever_its_r():
+    # no row is read, so nothing may be sized by r, which only the header gives
+    with pytest.raises(FormParseError, match="^a form must have at least one term$"):
+        parse_form("r=" + "9" * 4000 + " d=1\n")
+
+
 def test_parse_rejects_malformed_rows():
     with pytest.raises(FormParseError):
         parse_form("r=1 d=2\n1/0 2 0\n")
@@ -541,8 +547,9 @@ def test_every_constructor_holds_a_form_in_lowest_terms(case, n, s, seed):
     ]
     for h in built:
         # act and destabilize are valid by construction and check nothing:
-        # the checks of _from_ints pass on what they return and change nothing
-        assert HomogeneousForm._from_ints(h.r, h.d, dict(h.nums), h.den) == h
+        # every check of the public constructor passes on what they return
+        # and changes nothing
+        assert HomogeneousForm(h.r, h.d, h.terms) == h
         assert h.den > 0 and math.gcd(h.den, *h.nums.values()) == 1
         assert all(type(c) is int and c != 0 for c in h.nums.values())
         assert HomogeneousForm(h.r, h.d, h.terms) == h

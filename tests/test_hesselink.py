@@ -581,15 +581,15 @@ def search_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(search_cases())
 def test_every_member_the_search_projects_is_valid_by_construction(case):
-    # the search builds each projected member unchecked; the checks of
-    # _from_ints pass on it and change nothing
+    # the search builds each projected member unchecked; every check of
+    # the public constructor passes on it and changes nothing
     f, family = case
     with pytest.MonkeyPatch.context() as patch:
         projected = _count_projections(patch)
         worst_frame_search(f, family)
     assert projected
     for g in projected:
-        assert HomogeneousForm._from_ints(g.r, g.d, dict(g.nums), g.den) == g
+        assert HomogeneousForm(g.r, g.d, g.terms) == g
 
 
 @settings(max_examples=60, deadline=None)
