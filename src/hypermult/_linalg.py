@@ -7,8 +7,9 @@ vectors, such as a projection target, are tuples of Fractions; `dot` and
 `norm_sq` also take integer vectors and then return integers.  `scaled` is
 the one place a rational vector becomes integers over a common denominator,
 which `primitive` divides by their gcd for points and one-parameter groups.
-`exact` is where a number from a caller becomes a Fraction, and it refuses
-floats and bools, so no binary fraction enters.
+`exact` is where a number from a caller becomes a Fraction: it takes ints
+and Fractions alone, so no binary fraction and no string enters; text is
+read by the form grammar in `forms`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ Matrix = Tuple[Tuple[int, ...], ...]
 
 
 def exact(x: object) -> Fraction:
-    """Fraction(x) for an int, a Fraction or a string; a float or a bool raises ValueError.
+    """x for a Fraction, Fraction(x) for an int; anything else raises ValueError.
 
     Fraction(0.1) would be the float's binary value
-    3602879701896397/36028797018963968, and Fraction(True) would be 1.
+    3602879701896397/36028797018963968, Fraction(True) would be 1, and
+    Fraction('1e1000000') would build a million-digit integer.
     """
-    if isinstance(x, (float, bool)):
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is not int:
         raise ValueError(f"{type(x).__name__} {x!r:.40} is refused: exact numbers only")
     return Fraction(x)
 

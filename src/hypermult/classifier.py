@@ -168,7 +168,7 @@ def bound_check(
         raise ValueError("label dimension must match the form")
     a, b = min(weights), max(weights)
     lower = (label.scale * label.delta_sq - a * f.d) / (b - a)
-    upper = Fraction(f.r * f.d, f.r + 1) - Fraction(a) / label.scale
+    upper = Fraction(f.r * f.d, f.r + 1) - a / label.scale
     max_mult = max(multiplicity_at(f, p) for p in candidate_points)
     within = lower <= max_mult <= upper
     return BoundCheckResult(lower=lower, upper=upper, max_mult=max_mult, within=within)
@@ -210,13 +210,13 @@ def gen_corpus(
     nonzero = [c for c in range(-3, 4) if c != 0]
     for _ in range(count):
         anchor = (d - m,) + _composition(m, r, rng)
-        terms = {anchor: Fraction(rng.choice(nonzero))}
+        terms = {anchor: rng.choice(nonzero)}
         for _ in range(rng.randint(0, 3)):
             e0 = rng.randint(0, d - m)
             extra = (e0,) + _composition(d - e0, r, rng)
             if extra == anchor:
                 continue
-            terms[extra] = Fraction(rng.choice(nonzero))
+            terms[extra] = rng.choice(nonzero)
         forms.append(HomogeneousForm(r, d, terms))
     return forms
 

@@ -37,8 +37,8 @@ from .forms import (
     FormParseError,
     HomogeneousForm,
     ProjPoint,
-    _RATIONAL,
     _quote,
+    _read_rational,
     destabilize,
     multiplicity_at,
     parse_coords,
@@ -74,11 +74,10 @@ def _read_form(path: str) -> HomogeneousForm:
 
 def _integer(text: str) -> int:
     """A rational of the form grammar with no denominator (int() alone also takes '1_0')."""
-    match = _RATIONAL.fullmatch(text)
-    if match and match[2] is None:
+    if "/" not in text:
         try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
+            return _read_rational(text)[0]
+        except ValueError:
             pass
     raise argparse.ArgumentTypeError(f"expected an integer, got {_quote(text)}")
 

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import _linalg
 from ._linalg import Matrix, Vector
@@ -63,8 +63,8 @@ class HomogeneousForm:
     den: int
 
     def __init__(self, r: int, d: int, terms: Mapping[Sequence[int], object]) -> None:
-        """The form sum of terms[e] * x^e, each terms[e] an int, a Fraction or
-        a string such as '3/4'; a float or a bool raises ValueError.
+        """The form sum of terms[e] * x^e, each terms[e] an int or a Fraction;
+        anything else, such as a float, a bool or a string, raises ValueError.
 
         Each e must be r+1 ints >= 0, which parse_form's grammar gives by
         construction and is checked here; the invariants of a form are
@@ -202,9 +202,10 @@ def check_shiftable(f: HomogeneousForm, shifts: int) -> None:
 def _read_rational(text: str) -> Tuple[int, int]:
     """(p, q) with q > 0 from an optional sign, then p or p/q; no other syntax.
 
-    Fraction(text) would also take exponents, decimals and underscores
-    (expanding a short exponent like 1e10000000 takes seconds), so the ints
-    are read from the match; q is not reduced.
+    Every number read from text is read here: coefficients, coordinates and
+    the CLI's integers.  Fraction(text) would also take exponents, decimals
+    and underscores (expanding a short exponent like 1e10000000 takes
+    seconds), so the ints are read from the match; q is not reduced.
     """
     match = _RATIONAL.fullmatch(text)
     if not match:
@@ -219,59 +220,46 @@ def _read_rational(text: str) -> Tuple[int, int]:
     return p, q
 
 
-def _read_row(line: str, r: int) -> Tuple[ExponentVector, int, int]:
-    """(exponents, p, q) of a payload row, or the FormParseError naming its fault."""
-    fields = line.split()
-    if len(fields) != r + 2:
-        raise FormParseError(f"row {_quote(line)} needs a coefficient and {r + 1} exponents")
-    try:
-        p, q = _read_rational(fields[0])
-    except ValueError as exc:
-        raise FormParseError(f"bad coefficient: {exc}") from exc
-    digits = "".join(fields[1:])  # fields are nonempty: all ASCII digits iff each is
-    if not (digits.isascii() and digits.isdigit()):
-        raise FormParseError(f"bad exponent in row {_quote(line)}: digits 0-9 only")
-    try:
-        return tuple(map(int, fields[1:])), p, q
-    except ValueError as exc:  # more digits than int() converts
-        raise FormParseError(f"too many digits in row {_quote(line)}") from exc
-
-
 def _read_rows(
     lines: Sequence[str], r: int
-) -> Optional[Tuple[Sequence[ExponentVector], Sequence[int], Sequence[int]]]:
-    """(exponents, ps, qs) of every row at once, or None if any row is at fault.
+) -> Tuple[Sequence[ExponentVector], Sequence[int], Sequence[int]]:
+    """(exponents, ps, qs) of every payload row, or the FormParseError of a fault.
 
-    The tests are _read_row's, each made once over all rows: the field
-    counts, one isascii()/isdigit() over the joined exponents, one map(int)
-    and _RATIONAL on each coefficient.  The exponent vectors are r+1 ints
-    >= 0 by construction, and each row holds r+2 fields, so nothing here
-    grows with r beyond the input.  A fault is left to _read_row, which
-    names it.
+    Each test runs once over all rows, in a row's field order: the field
+    counts, _read_rational on each coefficient, one isascii()/isdigit()
+    over the joined exponents and one map(int).  A test fails for the rows
+    iff it fails for one of them, so on a fault more than one row is read
+    again one row at a time, and the first faulty row raises its own first
+    fault.  The exponent vectors are r+1 ints >= 0 by construction, and
+    each row holds r+2 fields, so nothing here grows with r beyond the
+    input.
     """
     if not lines:  # a header alone: [iter] * (r+1) below would hold r+1 references
         return [], [], []
     n = r + 2
     rows = list(map(str.split, lines))
-    if set(map(len, rows)) - {n}:  # a row of another field count
-        return None
-    tokens = list(chain.from_iterable(rows))
-    coefficients = tokens[::n]
-    del tokens[::n]
-    digits = "".join(tokens)
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    matches = list(map(_RATIONAL.fullmatch, coefficients))
-    if None in matches:
-        return None
+    line = _quote(lines[0])  # the faulty row, once one row is read alone
     try:
-        exponents = list(map(int, tokens))
-        ps = [int(m[1]) for m in matches]
-        qs = [int(m[2]) if m[2] else 1 for m in matches]
-    except ValueError:  # more digits than int() converts
-        return None
-    if 0 in qs:
-        return None
+        if set(map(len, rows)) - {n}:
+            raise FormParseError(f"row {line} needs a coefficient and {r + 1} exponents")
+        tokens = list(chain.from_iterable(rows))
+        try:
+            ps, qs = zip(*map(_read_rational, tokens[::n]))
+        except ValueError as exc:
+            raise FormParseError(f"bad coefficient: {exc}") from exc
+        del tokens[::n]
+        digits = "".join(tokens)  # tokens are nonempty: all ASCII digits iff each is
+        if not (digits.isascii() and digits.isdigit()):
+            raise FormParseError(f"bad exponent in row {line}: digits 0-9 only")
+        try:
+            exponents = list(map(int, tokens))
+        except ValueError as exc:  # more digits than int() converts
+            raise FormParseError(f"too many digits in row {line}") from exc
+    except FormParseError:
+        if len(lines) > 1:
+            for one in lines:
+                _read_rows([one], r)
+        raise
     return list(zip(*[iter(exponents)] * (r + 1))), ps, qs
 
 
@@ -281,8 +269,7 @@ def parse_form(text: str) -> HomogeneousForm:
     First payload line is ``r=<int> d=<int>``; every following line is a
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
     exponents.  Header numbers and exponents are ASCII digits 0-9 only.
-    ``#`` starts a comment.  _read_rows reads all rows at once; only if a
-    row is at fault does _read_row read them one at a time, so the first
+    ``#`` starts a comment.  _read_rows reads every row, and the first
     faulty row raises its own FormParseError.  Duplicate exponent rows are
     summed over the lcm of the row denominators, which may have at most
     MAX_DEN_BITS bits.  The grammar gives r+1 exponents >= 0; the
@@ -291,11 +278,10 @@ def parse_form(text: str) -> HomogeneousForm:
     ValueError is raised again as a FormParseError.  Messages quote at most
     a short prefix of the input.
     """
-    payload: List[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            payload.append(line)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    payload = [line for line in map(str.strip, lines) if line]
     if not payload:
         raise FormParseError("empty input: expected an 'r=<int> d=<int>' header")
     header = _HEADER.match(payload[0])
@@ -305,11 +291,7 @@ def parse_form(text: str) -> HomogeneousForm:
         r, d = int(header.group(1)), int(header.group(2))
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
-    lines = payload[1:]
-    rows = _read_rows(lines, r)
-    if rows is None:  # a row is at fault: the first one raises its message
-        rows = tuple(zip(*[_read_row(line, r) for line in lines]))
-    keys, ps, qs = rows
+    keys, ps, qs = _read_rows(payload[1:], r)
     # one distinct denominator at a time, and no further once past the
     # limit, so many distinct large denominators cost no more than it allows
     den = 1
@@ -407,7 +389,7 @@ class ProjPoint:
 
     @classmethod
     def origin(cls, r: int) -> "ProjPoint":
-        return cls(tuple(Fraction(int(i == 0)) for i in range(r + 1)))
+        return cls(tuple(int(i == 0) for i in range(r + 1)))
 
     @classmethod
     def parse(cls, text: str) -> "ProjPoint":

@@ -27,26 +27,8 @@ with at most two band tests.
 
 A frame family is a mover and a budget b: its members are L * mover for
 each lower unipotent L with entries in -b..b.  worst_frame_search returns
-what projecting act(g, f) for every member g in order would, without
-paying for every member:
-
-- it projects no member whose support contains the witness of a member
-  already projected: the at most r+1 support points whose hull holds that
-  member's nearest point, so their hull is exactly as near xi as its
-  support, no nearer than the best.  A larger set has a hull at least as
-  near xi, so such a member can at most tie the best;
-- it moves f by the mover once, with act, and reaches every member from
-  there by transvections x_j -> x_j + s*x_i: Taylor shifts of the
-  integer numerators, walking the members that differ only in column 0
-  (a chain) by one shift per entry that changes.  A member so moved is
-  valid by construction and projected with no check of its terms;
-- it leaves a chain after a projection whose witness lies wholly at the
-  top x0-degree of the moved form, d minus the multiplicity at the
-  anchor, and skips, with no shift at all, every later chain whose
-  support holds such a witness before its column 0 is shifted.  No shift
-  x0 -> x0 + s*x_i changes a term of the top x0-degree, and the shifts
-  off column 0 keep every x0-degree, so every member of the chain holds
-  that witness and would be pruned.
+what projecting act(g, f) for every member g in order would; its docstring
+gives the three exact shortcuts by which it skips most of that work.
 """
 
 from __future__ import annotations
@@ -138,7 +120,7 @@ def unique_band(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:
     if len(y) != r + 1:  # checked before y_0 is read
         raise ValueError("point dimension must be r+1")
     # a y_0 above d fails the cap at m = 0 too
-    top = max(0, min(d, d - math.ceil(Fraction(y[0]))))
+    top = max(0, min(d, d - math.ceil(_linalg.exact(y[0]))))
     if not band_contains(y, r, d, big_n, top):
         return None
     if top > 0 and band_contains(y, r, d, big_n, top - 1):

@@ -30,8 +30,8 @@ library runs fraction-free on integer frames and reduces every frame to
 Taylor shifts; a single shift is expanded by the binomial theorem, where
 the library runs Horner's scheme.  Form rows are read one at a time with a
 regex per exponent field and no MAX_DEN_BITS stop, where the library reads
-all rows at once, tests the joined exponents with str methods, goes back
-to one row at a time only to name a fault, and stops its lcm at that
+all rows at once, tests the joined exponents with str methods, reads the
+rows again one at a time only to name a fault, and stops its lcm at that
 limit.  The CLI parser gives every subcommand its arguments, where the
 library gives them only to the subcommands its argv names.
 """
@@ -91,11 +91,12 @@ def _read_rational_oracle(text: str) -> Tuple[int, int]:
 def parse_form_oracle(text: str) -> HomogeneousForm:
     """parse_form with each row read on its own and each field by a regex.
 
-    The library reads all rows at once: one split per row, one field-count
-    test, one str.isascii and str.isdigit over every exponent joined, and
-    _RATIONAL on each coefficient.  Only if some row fails does it read the
-    rows one at a time in this field order, so the first faulty row names
-    its fault, and it stops its lcm at MAX_DEN_BITS.  This checks every row
+    The library's _read_rows runs each test once over all rows, in this
+    field order: one field-count test, _read_rational on each coefficient,
+    one str.isascii and str.isdigit over every exponent joined and one
+    map(int).  Only if a test fails does it read the rows again one at a
+    time, so the first faulty row names its fault, and it stops its lcm at
+    MAX_DEN_BITS.  This checks every row
     and field in order and takes the lcm of every row with no limit, so
     inputs whose lcm stays below MAX_DEN_BITS get the library's answer or
     its FormParseError message.

@@ -28,6 +28,7 @@ from hypermult import (
 from hypermult import _linalg
 from hypermult import forms as forms_module
 from hypermult.forms import MAX_DEN_BITS, MAX_SHIFT_WORK, _taylor_shift, _unimodular_completion
+from hypermult.hesselink import unique_band
 from oracle import (
     act_oracle,
     mult_oracle,
@@ -238,6 +239,15 @@ def _parse_outcome(parse, text):
 @example("r=1 d=2\n1 2 0\n1/\u0663 1 1\n")
 @example("r=1 d=2\n3/4 2 0\n1 1 1\n-3/4 2 0\n")  # duplicate rows that cancel
 @example("r=2 d=3\n1 3 0 0\n1 1 1 1\n1 1 1 0\n")  # a later row misses d
+# an earlier row's later field and a later row's earlier field at fault:
+# the earlier row is named, for each pair of the fields count, coefficient,
+# exponent digits and int()
+@example("r=1 d=2\nabc 2 0\n1 2\n")
+@example("r=1 d=2\n1 x 0\n1 2\n")
+@example(f"r=1 d=2\n1 {TOO_LONG} 0\n1 2\n")
+@example("r=1 d=2\n1 x 0\nabc 2 0\n")
+@example(f"r=1 d=2\n1 {TOO_LONG} 0\nabc 2 0\n")
+@example(f"r=1 d=2\n1 2 0\n1 {TOO_LONG} 0\n1 x 0\n")
 def test_parse_form_equals_the_field_by_field_reader(text):
     assert _parse_outcome(parse_form, text) == _parse_outcome(parse_form_oracle, text)
 
@@ -748,15 +758,20 @@ EXACT_INPUTS = {
     "nearest_point_points": lambda x: nearest_point([(x, 1)], (Fraction(1), Fraction(1))),
     "nearest_point_target": lambda x: nearest_point([(1, 1)], (x, 1)),
     "band_contains": lambda x: band_contains((x, 4), 1, 2, 3, 0),
+    "unique_band": lambda x: unique_band((x, 0), 1, 2, 3),
     "StratumLabel_delta_sq": lambda x: StratumLabel(OneParamSubgroup((1, 1, -1, -1)), x, 2),
     "StratumLabel_scale": lambda x: StratumLabel(OneParamSubgroup((1, -1)), 2, x),
 }
 
 
-@pytest.mark.parametrize("value", [0.1, 1.0, True], ids=["float", "integral_float", "bool"])
+@pytest.mark.parametrize(
+    "value", [0.1, 1.0, True, "1e1000000"], ids=["float", "integral_float", "bool", "string"]
+)
 @pytest.mark.parametrize("call", EXACT_INPUTS.values(), ids=EXACT_INPUTS)
 def test_floats_and_bools_are_refused(call, value):
-    # Fraction(0.1) is 3602879701896397/36028797018963968, and True is 1
+    # Fraction(0.1) is 3602879701896397/36028797018963968, True is 1, and
+    # Fraction('1e1000000') a million-digit integer: text is read by the
+    # form grammar alone
     call(1)
     with pytest.raises(ValueError, match=re.escape(f"{type(value).__name__} {value!r} is refused")):
         call(value)

@@ -1,6 +1,7 @@
 """A form is moved to a point in one place, the dimension limit is checked
 in two, a rational vector is scaled to integers in one, a support is
-translated in one, a form row has one grammar, the CLI reads its shared
+translated in one, a form row and a text number each have one reader, a
+caller's number becomes a Fraction in one place, the CLI reads its shared
 flags in one place, and equality of a value is derived, not written.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
@@ -12,11 +13,14 @@ multiplies a rational vector by the lcm of its denominators; only
 translated only by `forms.destabilize`, which the library calls from
 `classifier.classify_at_origin` and `cli._cmd_destab` alone: the band of a
 classification is read from torus_index(destabilize(f, N)).
-`forms._read_rows` reads all payload rows at once and `forms._read_row`
-names the first faulty one, and the only compiled patterns are the header
-and the rational coefficient, so a whole-row pattern cannot come back
-beside them; `forms` is the one module that imports `re`, and the
-CLI's integer options read `forms._RATIONAL` with no denominator.  The
+`forms._read_rows` is the one reader of payload rows, and the only
+compiled patterns are the header and the rational coefficient, so a
+whole-row pattern cannot come back beside them; `forms` is the one module
+that imports `re`.  Only `forms._read_rational` matches `_RATIONAL`, so
+coefficients, coordinates and the CLI's integer options read a number by
+one grammar, and only `_linalg.exact` turns a caller's number into a
+Fraction, taking ints and Fractions alone, so no string reaches
+Fraction()'s wider grammar.  The
 invariants of a form are checked where outside input enters, by
 `HomogeneousForm._from_ints` from `parse_form` and the public constructor;
 forms the library computes are valid by construction.  `cli._answer` is the
@@ -100,6 +104,34 @@ def test_only_the_header_and_the_rational_are_compiled_patterns():
     ]
     calls = [call for _, _, call in _calls() if _name(call.func) == "compile"]
     assert built == [("forms", "_HEADER"), ("forms", "_RATIONAL")] and len(calls) == 2
+
+
+def test_only_read_rational_matches_a_text_number():
+    sites = {
+        (module, where)
+        for module, where, call in _calls()
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "fullmatch"
+        and _name(call.func.value) == "_RATIONAL"
+    }
+    namers = {
+        module
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "_RATIONAL"
+        or isinstance(node, ast.alias) and node.name == "_RATIONAL"
+    }
+    assert sites == {("forms", "_read_rational")} and namers == {"forms"}
+
+
+def test_only_exact_converts_one_number_to_a_fraction():
+    sites = {
+        (module, where)
+        for module, where, call in _calls()
+        if _name(call.func) == "Fraction"
+        and len(call.args) + len(call.keywords) == 1
+        and not isinstance(call.args[0] if call.args else None, ast.Starred)
+    }
+    assert sites == {("_linalg", "exact")}
 
 
 def test_torus_index_takes_a_form_and_nothing_else():

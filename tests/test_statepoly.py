@@ -201,9 +201,10 @@ def test_nearest_point_equals_the_fraction_route(case):
 
 def test_nearest_point_refuses_rational_points():
     t = (Fraction(1), Fraction(1))
-    for bad in [(Fraction(1, 2), Fraction(3, 2)), ("1/2", "3/2")]:
-        with pytest.raises(ValueError, match="is not an integer"):
-            nearest_point([(0, 2), bad], t)
+    with pytest.raises(ValueError, match="is not an integer"):
+        nearest_point([(0, 2), (Fraction(1, 2), Fraction(3, 2))], t)
+    with pytest.raises(ValueError, match="str '1/2' is refused"):
+        nearest_point([(0, 2), ("1/2", "3/2")], t)
     with pytest.raises(ValueError, match="float 0.5 is refused"):
         nearest_point([(0, 2), (0.5, 1.5)], t)
     # integer-valued Fractions are read as the integers they are
