@@ -176,17 +176,20 @@ def check_dim(n: int) -> None:
         raise ValueError(f"projection takes 1 to {MAX_DIM} coordinates, got {n}")
 
 
-def check_shiftable(f: HomogeneousForm, shifts: int) -> None:
-    """Refuse to move f `shifts` times if the work or the output is too large.
+def check_move(f: HomogeneousForm, shifts: int, bits: int) -> None:
+    """Refuse a move of f if its output, its work or its growth is too large.
 
-    A form of C(d+r, r) possible terms over MAX_MOVED_TERMS is refused
-    first.  One Taylor shift takes at most t(t+1)/2 <= (t+1)*d/2 Horner
-    steps on each group of t+1 possible terms, so d * C(d+r, r) is at least
-    twice its steps, and shifts times that may be at most MAX_SHIFT_WORK.
-    act counts every shift of its move; worst_frame_search counts one per
-    frame, and its walk makes fewer than two.
+    A move that shifts at all is refused first on a form of C(d+r, r)
+    possible terms over MAX_MOVED_TERMS, then on its steps: one Taylor
+    shift takes at most t(t+1)/2 <= (t+1)*d/2 Horner steps on each group
+    of t+1 possible terms, so d * C(d+r, r) is at least twice its steps,
+    and shifts times that may be at most MAX_SHIFT_WORK.  Last, the bits
+    the move may add to a coefficient may be at most MAX_DEN_BITS.  act
+    counts every shift of its move and the bits it may add;
+    worst_frame_search counts one shift per frame, of which its walk makes
+    fewer than two, and no bits.
     """
-    terms = math.comb(f.d + f.r, f.r)
+    terms = math.comb(f.d + f.r, f.r) if shifts else 0
     if terms > MAX_MOVED_TERMS:
         raise ValueError(
             f"a form of r={f.r} and this degree can have over {MAX_MOVED_TERMS:,} terms once moved"
@@ -197,6 +200,8 @@ def check_shiftable(f: HomogeneousForm, shifts: int) -> None:
             f"moving a form of r={f.r} and this degree {times} may take over "
             f"{MAX_SHIFT_WORK:,} steps"
         )
+    if bits > MAX_DEN_BITS:
+        raise ValueError(f"this move may add over {MAX_DEN_BITS:,} bits to the coefficients")
 
 
 def _read_rational(text: str) -> Tuple[int, int]:
@@ -353,6 +358,7 @@ class Frame:
 
     @classmethod
     def identity(cls, n: int) -> "Frame":
+        check_ints(n=n)
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
@@ -389,6 +395,7 @@ class ProjPoint:
 
     @classmethod
     def origin(cls, r: int) -> "ProjPoint":
+        check_ints(r=r)
         return cls(tuple(int(i == 0) for i in range(r + 1)))
 
     @classmethod
@@ -489,12 +496,11 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
     g[i][i]*x_i + sum_{j<i} g[j][i]*x_j, applied for i = 0, 1, .., r as the
     shifts and then the scaling.  The frame is integral, so all of it runs
     on f's integer numerators and the result keeps f's denominator until it
-    is reduced.  The steps are found first, on g alone (_act_steps).  Before
-    the first shift, check_shiftable refuses a frame that shifts, counting
-    one shift per Euclid step and per entry left of the diagonal, and any
-    move is refused whose shifts and scalings by k, at most d*bit_length(|k|)
-    and d*bit_length(|k|-1) bits each, may add over MAX_DEN_BITS bits to a
-    coefficient.  The moved form of an invertible frame is valid by
+    is reduced.  The steps are found first, on g alone (_act_steps), and
+    before the first shift check_move refuses the move once: it counts one
+    shift per Euclid step and per entry left of the diagonal, and
+    d*bit_length(|k|) bits per shift by k and d*bit_length(|k|-1) per
+    scaling by k.  The moved form of an invertible frame is valid by
     construction, so its terms are not checked again: the shifts drop zero
     terms and keep every degree.
     """
@@ -503,11 +509,9 @@ def act(g: Frame, f: HomogeneousForm) -> HomogeneousForm:
         raise ValueError(f"frame size {g.size} does not match r+1 = {n}")
     steps = _act_steps(g)
     shifts = sum(step[0] == "shift" for step in steps)
-    if shifts:
-        check_shiftable(f, shifts)
-    growth = sum(f.d * (abs(k) - (kind == "scale")).bit_length() for kind, _, _, k in steps)
-    if growth > MAX_DEN_BITS:  # a swap has k = 0 and adds nothing
-        raise ValueError(f"this move may add over {MAX_DEN_BITS:,} bits to the coefficients")
+    # a swap has k = 0 and adds nothing
+    bits = sum(f.d * (abs(k) - (kind == "scale")).bit_length() for kind, _, _, k in steps)
+    check_move(f, shifts, bits)
     poly = f.nums
     for kind, i, j, k in steps:
         if kind == "shift":
@@ -600,12 +604,9 @@ def multiplicity_at(f: HomogeneousForm, p: ProjPoint) -> int:
 
 def destabilize(f: HomogeneousForm, n: int) -> HomogeneousForm:
     """Multiply by (x_1 * ... * x_r)^n: translate the support by (0, n, .., n)."""
-    if type(n) is not int:
-        raise ValueError(f"destabilization exponent must be an integer, got {n!r:.40}")
+    check_ints(**{"destabilization exponent": n})
     if n < 0:
         raise ValueError("destabilization exponent must be nonnegative")
-    if n == 0:
-        return f
     shift = (0,) + (n,) * f.r
     nums = {
         tuple(a + b for a, b in zip(e, shift)): c for e, c in f.nums.items()

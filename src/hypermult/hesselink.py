@@ -50,7 +50,7 @@ from .forms import (
     _taylor_shift,
     act,
     check_ints,
-    check_shiftable,
+    check_move,
     frame_moving_to_origin,
 )
 from .statepoly import InstabilityCertificate, OneParamSubgroup, class_rep, torus_index
@@ -93,10 +93,7 @@ def l_squared(r: int, d: int, big_n: int, m: int) -> Fraction:
 def band_contains(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
     """Membership of y in the band B_m inside the degree d + r*N simplex."""
     BandParams(r, d, big_n, m)
-    # ints and Fractions, such as a certificate's q, pass as they are
-    if not set(map(type, y)) <= {int, Fraction}:
-        y = _linalg.vec(y)
-    n, s = _linalg.scaled(y)
+    n, s = _linalg.scaled(_linalg.vec(y))
     if len(n) != r + 1:
         raise ValueError("point dimension must be r+1")
     if min(n) < 0 or sum(n) != (d + r * big_n) * s or n[0] > (d - m) * s:
@@ -259,6 +256,7 @@ def default_frames(r: int, p: ProjPoint, budget: int) -> FrameFamily:
     raises ValueError before the mover is built, and a point of more than
     forms.MAX_DIM coordinates before frame_moving_to_origin builds it.
     """
+    check_ints(r=r)
     if r < 1:
         raise ValueError("need r >= 1")
     _check_budget(r, budget)
@@ -314,15 +312,15 @@ def worst_frame_search(
       top and the search projects only the first member.
 
     Memory is one moved form and the at most r+1 exponent vectors of each
-    projected member's witness; only the winner becomes a Frame.  A
-    family that shifts at all is refused by check_shiftable, counting one
-    shift per member, before the mover is applied, which act checks on its
-    own.  The walk makes fewer than two shifts per member: at most
+    projected member's witness; only the winner becomes a Frame.  Before
+    the mover is applied, which act checks on its own, check_move refuses
+    a family that shifts at all, counting one shift per member and no
+    bits.  The walk makes fewer than two shifts per member: at most
     r(r-1)/2 + sum_k (2b+1)^k, k = 1..r, for each chain of (2b+1)^r.
     """
     n = f.r + 1
     if family.budget:  # the walk shifts even when the mover does not
-        check_shiftable(f, len(family))
+        check_move(f, len(family), 0)
     base = act(family.mover, f)
     top = max(e[0] for e in base.nums)
     settings = range(-family.budget, family.budget + 1)

@@ -45,7 +45,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _linalg
 from ._linalg import Vector, dot, norm_sq, sub
-from .forms import MAX_DIM, ExponentVector, HomogeneousForm, _int_entry, check_dim, check_ints
+from .forms import ExponentVector, HomogeneousForm, _int_entry, check_dim, check_ints
 
 HullWeights = Tuple[Tuple[ExponentVector, Fraction], ...]
 

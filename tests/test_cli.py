@@ -33,7 +33,7 @@ from hypermult import (
 from hypermult import classifier, cli, forms, hesselink, serialize
 from hypermult.forms import MAX_DEN_BITS, Frame
 from hypermult.hesselink import MAX_FRAMES
-from hypermult.statepoly import MAX_DIM
+from hypermult.forms import MAX_DIM
 from hypermult.cli import run
 from oracle import (
     binary_index_oracle,

@@ -15,6 +15,7 @@ from hypermult import (
     StratumLabel,
     act,
     band_contains,
+    default_frames,
     destabilize,
     destabilizing_factor,
     frame_moving_to_origin,
@@ -502,7 +503,7 @@ def test_act_refuses_a_move_of_many_euclid_steps_before_any_shift(monkeypatch):
     steps = forms_module._act_steps(frame_moving_to_origin(ProjPoint([89, 55])))
     assert sum(step[0] == "shift" for step in steps) == 8
     assert 8 * 1023 * 1024 <= MAX_SHIFT_WORK < 8 * 1024 * 1025
-    forms_module.check_shiftable(HomogeneousForm(1, 1023, {(1023, 0): 1}), 8)
+    forms_module.check_move(HomogeneousForm(1, 1023, {(1023, 0): 1}), 8, 0)
 
     def no_shift(*args):
         raise AssertionError("the form was shifted")
@@ -525,6 +526,13 @@ def test_act_counts_the_bits_a_scaling_adds():
     huge = HomogeneousForm(1, 10**9, {(10**9, 0): 1})
     assert act(Frame([[0, 1], [1, 0]]), huge).nums == {(0, 10**9): 1}
     assert act(Frame([[-1, 0], [0, 1]]), huge).nums == {(10**9, 0): 1}
+
+
+def test_a_move_over_the_step_and_the_bit_limits_names_the_steps():
+    # one shift by 10**50 at d = 3000: 3000 * 3001 steps and about 500,000 bits
+    f = HomogeneousForm(1, 3000, {(3000, 0): 1, (0, 3000): 1})
+    with pytest.raises(ValueError, match="once may take over 8,388,608 steps"):
+        act(Frame(((1, 0), (10**50, 1))), f)
 
 
 def _as_rows(f, rng):
@@ -746,6 +754,22 @@ def test_destabilizing_factor_refuses_non_integers(r, n, name):
 def test_a_form_refuses_a_non_integer_r_or_d(r, d, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         HomogeneousForm(r, d, {(1, 1): 1})
+
+
+SIZED_BY_AN_INT = {
+    "default_frames": ("r", lambda x: default_frames(x, ProjPoint.origin(1), 0)),
+    "ProjPoint.origin": ("r", ProjPoint.origin),
+    "Frame.identity": ("n", Frame.identity),
+}
+
+
+@pytest.mark.parametrize("x", [True, 1.0, Fraction(1)], ids=repr)
+@pytest.mark.parametrize("entry", SIZED_BY_AN_INT)
+def test_a_size_must_be_an_int(entry, x):
+    # True and 1.0 used to pass as 1, and Frame.identity(1.0) raised TypeError
+    name, call = SIZED_BY_AN_INT[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(x))}"):
+        call(x)
 
 
 # each takes x where an exact number is meant, and accepts x = 1

@@ -33,7 +33,7 @@ from hypermult import (
 )
 from hypermult import _linalg, forms, hesselink
 from hypermult.hesselink import unique_band
-from hypermult.statepoly import MAX_DIM
+from hypermult.forms import MAX_DIM
 from hypermult._linalg import norm_sq, sub, vec
 from oracle import (
     band_contains_fraction_oracle,

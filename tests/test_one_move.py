@@ -1,12 +1,19 @@
 """A form is moved to a point in one place, the dimension limit is checked
-in two, a rational vector is scaled to integers in one, a support is
+in two, a move's other limits in one, an integer parameter is refused in
+one, a rational vector is scaled to integers in one, a support is
 translated in one, a form row and a text number each have one reader, a
 caller's number becomes a Fraction in one place, the CLI reads its shared
-flags in one place, and equality of a value is derived, not written.
+flags in one place, equality of a value is derived, not written, and no
+module imports a name it does not use.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
 coordinates before it builds anything, and `forms.move_to_origin` is the
-one composition act(frame_moving_to_origin(p), f).  `_linalg.scaled`
+one composition act(frame_moving_to_origin(p), f).  `forms.check_move`
+alone reads MAX_MOVED_TERMS and MAX_SHIFT_WORK, and it and `parse_form`
+alone read MAX_DEN_BITS, so `act` and `worst_frame_search` refuse a move
+by one function.  "must be an integer" is raised only by
+`forms.check_ints` and by the two readers of N whose messages name
+'auto', `classifier._resolve_n` and `cli._parse_n`.  `_linalg.scaled`
 multiplies a rational vector by the lcm of its denominators; only
 `forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.
 `statepoly.torus_index` takes a form and nothing else, so a support is
@@ -53,8 +60,8 @@ def _modules():
     ]
 
 
-def _calls():
-    """(module, enclosing function, call) for every call in the library."""
+def _nodes():
+    """(module, enclosing function, node) for every node in the library."""
     found = []
 
     def visit(node, module, where):
@@ -62,14 +69,65 @@ def _calls():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                found.append((module, where, child))
+            found.append((module, where, child))
             visit(child, module, where)
 
     for module, tree in _modules():
         visit(tree, module, None)
-    assert found, "no calls seen: the source path is wrong"
+    assert found, "no nodes seen: the source path is wrong"
     return found
+
+
+def _calls():
+    """(module, enclosing function, call) for every call in the library."""
+    return [(module, where, call) for module, where, call in _nodes() if isinstance(call, ast.Call)]
+
+
+def _readers(name):
+    """(module, enclosing function) of every read of the name in the library."""
+    return {
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_only_check_move_reads_the_term_and_step_limits():
+    assert _readers("MAX_MOVED_TERMS") == {("forms", "check_move")}
+    assert _readers("MAX_SHIFT_WORK") == {("forms", "check_move")}
+
+
+def test_only_check_move_and_the_parser_read_the_bit_limit():
+    assert _readers("MAX_DEN_BITS") == {("forms", "check_move"), ("forms", "parse_form")}
+
+
+def test_only_check_ints_and_the_two_readers_of_n_refuse_a_non_integer():
+    sites = {
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Raise)
+        for part in ast.walk(node)
+        if isinstance(part, ast.Constant) and "must be an integer" in str(part.value)
+    }
+    assert sites == {("forms", "check_ints"), ("classifier", "_resolve_n"), ("cli", "_parse_n")}
+
+
+def test_every_module_uses_each_name_it_imports():
+    # a name kept only to be imported from elsewhere belongs in __init__.py
+    unused = []
+    for module, tree in _modules():
+        if module == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append((module, name))
+    assert unused == []
 
 
 def test_only_the_mover_and_the_projection_check_the_dimension():

@@ -17,7 +17,7 @@ from hypermult import (
     nearest_point,
     torus_index,
 )
-from hypermult import _linalg, statepoly
+from hypermult import _linalg, forms, statepoly
 from hypermult._linalg import dot, norm_sq, sub, vec
 from oracle import (
     det as oracle_det,
@@ -509,9 +509,9 @@ def test_one_param_subgroup_validation():
 
 
 def test_nearest_point_refuses_more_than_max_dim_coordinates():
-    n = statepoly.MAX_DIM + 1
+    n = forms.MAX_DIM + 1
     points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    with pytest.raises(ValueError, match=f"1 to {statepoly.MAX_DIM} coordinates, got {n}"):
+    with pytest.raises(ValueError, match=f"1 to {forms.MAX_DIM} coordinates, got {n}"):
         nearest_point(points, [Fraction(1, n)] * n)
     inside = nearest_point([p[1:] for p in points[1:]], [Fraction(1, n - 1)] * (n - 1))
     assert inside.dist_sq == 0
