@@ -39,6 +39,7 @@ from .forms import (
     ProjPoint,
     _quote,
     _read_rational,
+    check_dim,
     destabilize,
     multiplicity_at,
     parse_coords,
@@ -95,8 +96,20 @@ def _parse_n(text: str) -> object:
     return n
 
 
+def _read_point(text: str, r: int) -> ProjPoint:
+    """A --point of mult, classify or bound, its length checked before its primitive."""
+    coords = parse_coords(text)
+    if len(coords) != r + 1:
+        raise ValueError("point dimension must be r+1")
+    check_dim(len(coords))
+    try:
+        return ProjPoint(coords)
+    except ValueError as exc:
+        raise ValueError(f"bad point {_quote(text)}: {exc}") from exc
+
+
 def _cmd_mult(args: argparse.Namespace) -> Tuple[int, object]:
-    point = ProjPoint.parse(args.point)
+    point = _read_point(args.point, args.form.r)
     m = multiplicity_at(args.form, point)
     if args.json:
         return 0, {"r": args.form.r, "d": args.form.d, "point": point.coords, "m": m}
@@ -181,7 +194,7 @@ def _cmd_classify(args: argparse.Namespace) -> Tuple[int, object]:
     if args.point is None:
         report = classify_at_origin(args.form, args.N)
     else:
-        report = classify_at(args.form, ProjPoint.parse(args.point), args.N)
+        report = classify_at(args.form, _read_point(args.point, args.form.r), args.N)
     return (0 if report.agreed else 1), serialize.report_encode(report)
 
 
@@ -208,10 +221,7 @@ def _cmd_gen(args: argparse.Namespace) -> Tuple[int, object]:
 
 def _cmd_bound(args: argparse.Namespace) -> Tuple[int, object]:
     form = args.form
-    points = [ProjPoint.parse(text) for text in args.point]
-    # every point is checked before the search, not only the anchor
-    if any(len(p.coords) != form.r + 1 for p in points):
-        raise ValueError("point dimension must be r+1")
+    points = [_read_point(text, form.r) for text in args.point]
     frames = default_frames(form.r, points[0], args.budget)
     _, cert = worst_frame_search(form, frames)
     label = StratumLabel.from_certificate(cert)
@@ -329,9 +339,8 @@ def _attach_point_values(argv: Sequence[str]) -> List[str]:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     argv = _attach_point_values(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     return _answer(args)

@@ -66,10 +66,8 @@ class HomogeneousForm:
         """The form sum of terms[e] * x^e, each terms[e] an int or a Fraction;
         anything else, such as a float, a bool or a string, raises ValueError.
 
-        Each e must be r+1 ints >= 0, which parse_form's grammar gives by
-        construction and is checked here; the invariants of a form are
-        left to _from_ints."""
-        ints, den = _linalg.scaled(_linalg.vec(terms.values()))
+        Each e must be r+1 ints >= 0, checked here; _from_rows does the rest."""
+        values = _linalg.vec(terms.values())
         check_ints(r=r, d=d)
         keys = list(map(tuple, terms))
         if r >= 1 and d >= 1:  # else _from_ints names the fault of r or d
@@ -78,18 +76,38 @@ class HomogeneousForm:
                     raise ValueError(f"exponent vector {_quote(str(e))} needs {r + 1} entries")
                 if not all(type(x) is int and x >= 0 for x in e):
                     raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
-        nums = dict(zip(keys, ints))
-        self.__dict__.update(HomogeneousForm._from_ints(r, d, nums, den).__dict__)
+        ps, qs = [x.numerator for x in values], [x.denominator for x in values]
+        self.__dict__.update(HomogeneousForm._from_rows(r, d, keys, ps, qs).__dict__)
+
+    @classmethod
+    def _from_rows(
+        cls, r: int, d: int, keys: Sequence[ExponentVector], ps: Sequence[int], qs: Sequence[int]
+    ) -> HomogeneousForm:
+        """The form sum of ps[i] / qs[i] * x^keys[i], qs[i] > 0, for parse_form and __init__.
+
+        The lcm grows one distinct q at a time and is refused past
+        MAX_DEN_BITS, so many distinct large denominators cost no more than
+        the limit allows; rows of one key are summed, _from_ints checks the rest.
+        """
+        den = 1
+        for q in set(qs):
+            den = math.lcm(den, q)
+            if den.bit_length() > MAX_DEN_BITS:
+                raise ValueError(
+                    f"the common denominator of the coefficients has more than {MAX_DEN_BITS} bits"
+                )
+        nums: IntPoly = {}
+        for key, p, q in zip(keys, ps, qs):
+            nums[key] = nums.get(key, 0) + p * (den // q)
+        return cls._from_ints(r, d, nums, den)
 
     @classmethod
     def _from_ints(cls, r: int, d: int, nums: IntPoly, den: int) -> HomogeneousForm:
-        """The form with coefficients nums[e] / den for ints r, d, a positive
-        int den and each e a tuple of r+1 ints >= 0.
+        """The form nums[e] / den for ints r, d, den > 0 and each e r+1 ints >= 0.
 
-        This is where the invariants of a form are checked, only where
-        outside input enters: parse_form and __init__.  They are tested
-        together, and one at a time only to name a fault.  The result is
-        reduced to lowest terms by _unchecked.
+        The invariants of a form are checked here, only where outside input
+        enters, through _from_rows: together, and one at a time only to
+        name a fault.  _unchecked reduces the result to lowest terms.
         """
         if not (r >= 1 and d >= 1 and nums and 0 not in nums.values()
                 and all(map(d.__eq__, map(sum, nums)))):
@@ -184,10 +202,8 @@ def check_move(f: HomogeneousForm, shifts: int, bits: int) -> None:
     shift takes at most t(t+1)/2 <= (t+1)*d/2 Horner steps on each group
     of t+1 possible terms, so d * C(d+r, r) is at least twice its steps,
     and shifts times that may be at most MAX_SHIFT_WORK.  Last, the bits
-    the move may add to a coefficient may be at most MAX_DEN_BITS.  act
-    counts every shift of its move and the bits it may add;
-    worst_frame_search counts one shift per frame, of which its walk makes
-    fewer than two, and no bits.
+    the move may add to a coefficient may be at most MAX_DEN_BITS; act and
+    worst_frame_search say what they count.
     """
     terms = math.comb(f.d + f.r, f.r) if shifts else 0
     if terms > MAX_MOVED_TERMS:
@@ -275,13 +291,10 @@ def parse_form(text: str) -> HomogeneousForm:
     coefficient (an optional sign, then ``p`` or ``p/q``) followed by r+1
     exponents.  Header numbers and exponents are ASCII digits 0-9 only.
     ``#`` starts a comment.  _read_rows reads every row, and the first
-    faulty row raises its own FormParseError.  Duplicate exponent rows are
-    summed over the lcm of the row denominators, which may have at most
-    MAX_DEN_BITS bits.  The grammar gives r+1 exponents >= 0; the
-    invariants of a form (r, d >= 1, a term, exponents summing to d, no
-    rows that cancel) are checked by HomogeneousForm._from_ints, whose
-    ValueError is raised again as a FormParseError.  Messages quote at most
-    a short prefix of the input.
+    faulty row raises its own FormParseError.  The grammar gives r+1
+    exponents >= 0, and HomogeneousForm._from_rows does the rest, its
+    ValueError raised again as a FormParseError.  Messages quote at most a
+    short prefix of the input.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -297,25 +310,8 @@ def parse_form(text: str) -> HomogeneousForm:
     except ValueError as exc:  # more digits than int() converts
         raise FormParseError(f"bad header {_quote(payload[0])}: too many digits") from exc
     keys, ps, qs = _read_rows(payload[1:], r)
-    # one distinct denominator at a time, and no further once past the
-    # limit, so many distinct large denominators cost no more than it allows
-    den = 1
-    for q in set(qs):
-        if q != 1 and den.bit_length() <= MAX_DEN_BITS:
-            den = math.lcm(den, q)
-    if den.bit_length() > MAX_DEN_BITS:
-        raise FormParseError(
-            f"the common denominator of the coefficients has more than {MAX_DEN_BITS} bits"
-        )
-    if den != 1:
-        ps = [p * (den // q) for p, q in zip(ps, qs)]
-    nums: Dict[ExponentVector, int] = dict(zip(keys, ps))
-    if len(nums) < len(keys):  # duplicate rows are summed
-        nums = {}
-        for key, p in zip(keys, ps):
-            nums[key] = nums.get(key, 0) + p
     try:
-        return HomogeneousForm._from_ints(r, d, nums, den)
+        return HomogeneousForm._from_rows(r, d, keys, ps, qs)
     except ValueError as exc:
         raise FormParseError(str(exc)) from exc
 
@@ -355,11 +351,6 @@ class Frame:
         frame = object.__new__(cls)
         object.__setattr__(frame, "rows", tuple(map(tuple, rows)))
         return frame
-
-    @classmethod
-    def identity(cls, n: int) -> "Frame":
-        check_ints(n=n)
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def size(self) -> int:

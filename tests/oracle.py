@@ -431,6 +431,11 @@ def random_point(rng: random.Random, r: int) -> ProjPoint:
             return ProjPoint(tuple(coords))
 
 
+def identity_frame(n: int) -> Frame:
+    """The n x n identity frame, built through Frame's checking constructor."""
+    return Frame([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def random_unimodular_frame(rng: random.Random, n: int, ops: int = 5) -> Frame:
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(ops):

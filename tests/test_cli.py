@@ -30,7 +30,7 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import classifier, cli, forms, hesselink, serialize
+from hypermult import _linalg, classifier, cli, forms, hesselink, serialize
 from hypermult.forms import MAX_DEN_BITS, Frame
 from hypermult.hesselink import MAX_FRAMES
 from hypermult.forms import MAX_DIM
@@ -38,6 +38,7 @@ from hypermult.cli import run
 from oracle import (
     binary_index_oracle,
     family_members,
+    identity_frame,
     run_every_subcommand_oracle,
     worst_frame_search_oracle,
 )
@@ -506,7 +507,7 @@ def test_bound_attains_the_binary_index_on_the_benchmark_forms(capsys, tmp_path)
                 continue
             m_max, delta_sq = binary_index_oracle(form)
             point = ProjPoint.parse(req.extra[0].removeprefix("--point="))
-            for g in (Frame.identity(2), Frame([[2, 1], [1, 1]])):
+            for g in (identity_frame(2), Frame([[2, 1], [1, 1]])):
                 path.write_text(act(g, form).to_text())
                 at = "--point=" + ",".join(map(str, point_image(g, point).primitive()))
                 code, out, err = invoke(capsys, "bound", "--input", str(path), at, *req.extra[1:])
@@ -709,6 +710,25 @@ def test_a_point_on_more_coordinates_than_max_dim_exits_2_before_the_move(
     code, out, err = invoke(capsys, command[0], "--input", str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err == f"error: projection takes 1 to {MAX_DIM} coordinates, got 201\n"
+
+
+@pytest.mark.parametrize("command", [("mult",), ("classify",), ("bound", "--budget", "0")])
+def test_a_long_point_is_refused_by_its_length_before_its_primitive(
+    capsys, monkeypatch, square_file, command
+):
+    # 2,000 distinct 30-digit denominators, whose primitive takes seconds:
+    # the length alone refuses the point
+    rng = random.Random(0)
+    point = ",".join(f"1/{rng.randrange(10**29, 10**30)}" for _ in range(2000))
+
+    def no_primitive(*args):
+        raise AssertionError("a primitive was computed")
+
+    monkeypatch.setattr(_linalg, "primitive", no_primitive)
+    code, out, err = invoke(
+        capsys, command[0], "--input", square_file, f"--point={point}", *command[1:]
+    )
+    assert (code, out, err) == (2, "", "error: point dimension must be r+1\n")
 
 
 def test_the_largest_simplex_still_projects(capsys, tmp_path):
@@ -1042,7 +1062,7 @@ def test_dumps_writes_rationals_as_exact_strings():
     assert [Fraction(x) for x in json.loads(text)["x"]] == values
 
 
-@pytest.mark.parametrize("stray", [{1, 2}, Frame.identity(2)], ids=["set", "frame"])
+@pytest.mark.parametrize("stray", [{1, 2}, identity_frame(2)], ids=["set", "frame"])
 def test_dumps_refuses_values_that_are_not_json(stray):
     with pytest.raises(TypeError):
         serialize.dumps({"x": stray})

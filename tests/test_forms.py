@@ -32,6 +32,7 @@ from hypermult.forms import MAX_DEN_BITS, MAX_SHIFT_WORK, _taylor_shift, _unimod
 from hypermult.hesselink import unique_band
 from oracle import (
     act_oracle,
+    identity_frame,
     mult_oracle,
     parse_form_oracle,
     point_image_oracle,
@@ -264,6 +265,9 @@ def test_a_common_denominator_past_the_limit_is_refused():
     q1, q2 = 10**2600 + 1, 10**2600 + 3  # coprime, so the lcm has about 17,275 bits
     with pytest.raises(FormParseError, match=f"more than {MAX_DEN_BITS} bits"):
         parse_form(f"r=1 d=2\n1/{q1} 2 0\n1/{q2} 0 2\n")
+    # the constructor builds a form from its terms by the parser's own builder
+    with pytest.raises(ValueError, match=f"more than {MAX_DEN_BITS} bits"):
+        HomogeneousForm(1, 2, {(2, 0): Fraction(1, q1), (0, 2): Fraction(1, q2)})
     # the same denominator on many rows keeps the lcm at one row's size
     f = parse_form("r=1 d=9\n" + "".join(f"1/{q1} {i} {9 - i}\n" for i in range(10)))
     assert f.den == q1
@@ -315,9 +319,9 @@ def test_act_shear_example():
 
 def test_act_identity_and_dimension_mismatch():
     f = HomogeneousForm(2, 2, {(1, 1, 0): Fraction(1)})
-    assert act(Frame.identity(3), f) == f
+    assert act(identity_frame(3), f) == f
     with pytest.raises(ValueError):
-        act(Frame.identity(2), f)
+        act(identity_frame(2), f)
 
 
 def test_act_takes_exponents_past_the_recursion_limit():
@@ -357,7 +361,7 @@ def test_frame_rejects_a_matrix_that_is_not_square(rows):
 
 def test_point_image_refuses_a_point_of_another_size():
     with pytest.raises(ValueError, match="frame size does not match point dimension"):
-        point_image(Frame.identity(3), ProjPoint.parse("1,2"))
+        point_image(identity_frame(3), ProjPoint.parse("1,2"))
 
 
 def test_frame_holds_ints_and_rejects_fractional_entries():
@@ -617,7 +621,7 @@ def test_point_image_is_a_left_action():
 # ---------------------------------------------------------------- movers
 
 def test_mover_at_origin_is_identity():
-    assert frame_moving_to_origin(ProjPoint.origin(2)) == Frame.identity(3)
+    assert frame_moving_to_origin(ProjPoint.origin(2)) == identity_frame(3)
 
 
 def test_mover_is_unimodular_and_moves_the_point():
@@ -759,14 +763,13 @@ def test_a_form_refuses_a_non_integer_r_or_d(r, d, name):
 SIZED_BY_AN_INT = {
     "default_frames": ("r", lambda x: default_frames(x, ProjPoint.origin(1), 0)),
     "ProjPoint.origin": ("r", ProjPoint.origin),
-    "Frame.identity": ("n", Frame.identity),
 }
 
 
 @pytest.mark.parametrize("x", [True, 1.0, Fraction(1)], ids=repr)
 @pytest.mark.parametrize("entry", SIZED_BY_AN_INT)
 def test_a_size_must_be_an_int(entry, x):
-    # True and 1.0 used to pass as 1, and Frame.identity(1.0) raised TypeError
+    # True and 1.0 used to pass as 1
     name, call = SIZED_BY_AN_INT[entry]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(x))}"):
         call(x)

@@ -40,6 +40,7 @@ from oracle import (
     band_contains_oracle,
     binary_index_oracle,
     family_members,
+    identity_frame,
     l_squared_oracle,
     permuted_frames,
     random_exponent,
@@ -437,7 +438,7 @@ def test_default_frames_smallest_families():
     assert family == FrameFamily(frame_moving_to_origin(p), 0) and len(family) == 1
     assert family_members(family) == [frame_moving_to_origin(p)]
     family2 = default_frames(2, ProjPoint.parse("1,0,0"), 0)
-    assert family_members(family2) == [Frame.identity(3)]  # no permutations of 1, 2
+    assert family_members(family2) == [identity_frame(3)]  # no permutations of 1, 2
 
 
 def test_default_frames_fix_the_moved_point():
@@ -541,7 +542,7 @@ def test_worst_frame_search_beats_identity_on_hidden_instability():
     f = HomogeneousForm(1, 2, {(2, 0): Fraction(1), (1, 1): Fraction(2), (0, 2): Fraction(1)})
     assert torus_index(f).delta_sq == 0
     family = default_frames(1, ProjPoint.origin(1), 1)
-    assert Frame.identity(2) in family_members(family)
+    assert identity_frame(2) in family_members(family)
     best_frame, best_cert = worst_frame_search(f, family)
     assert best_cert.delta_sq == 2
     assert multiplicity_at(act(best_frame, f), ProjPoint.parse("0,1")) == 2
@@ -725,7 +726,7 @@ def test_dominated_members_are_not_projected(monkeypatch):
     f = HomogeneousForm(1, 3, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
     family = default_frames(1, ProjPoint.origin(1), 1)
     assert family_members(family) == [
-        Frame([[1, 0], [-1, 1]]), Frame.identity(2), Frame([[1, 0], [1, 1]])
+        Frame([[1, 0], [-1, 1]]), identity_frame(2), Frame([[1, 0], [1, 1]])
     ]
     _check_pruned_search(monkeypatch, f, family, 1)
 

@@ -1,21 +1,25 @@
-"""A form is moved to a point in one place, the dimension limit is checked
-in two, a move's other limits in one, an integer parameter is refused in
+"""A form is moved to a point in one place, the dimension limit is checked in
+three, a move's other limits in one, an integer parameter is refused in
 one, a rational vector is scaled to integers in one, a support is
-translated in one, a form row and a text number each have one reader, a
-caller's number becomes a Fraction in one place, the CLI reads its shared
-flags in one place, equality of a value is derived, not written, and no
-module imports a name it does not use.
+translated in one, a form row, a text number and a CLI point each have one
+reader, rows become a form in one place, a caller's number becomes a
+Fraction in one place, the CLI reads its shared flags in one place,
+equality of a value is derived, not written, and no module imports a name
+it does not use.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
-coordinates before it builds anything, and `forms.move_to_origin` is the
-one composition act(frame_moving_to_origin(p), f).  `forms.check_move`
-alone reads MAX_MOVED_TERMS and MAX_SHIFT_WORK, and it and `parse_form`
-alone read MAX_DEN_BITS, so `act` and `worst_frame_search` refuse a move
-by one function.  "must be an integer" is raised only by
-`forms.check_ints` and by the two readers of N whose messages name
-'auto', `classifier._resolve_n` and `cli._parse_n`.  `_linalg.scaled`
-multiplies a rational vector by the lcm of its denominators; only
-`forms.parse_form` keeps its own lcm loop, which stops at MAX_DEN_BITS.
+coordinates before it builds anything, and so does `cli._read_point`, the
+CLI's one reader of a projective --point, before the point's primitive;
+`forms.move_to_origin` is the one composition
+act(frame_moving_to_origin(p), f).  `forms.check_move` alone reads
+MAX_MOVED_TERMS and MAX_SHIFT_WORK, and it and
+`HomogeneousForm._from_rows` alone read MAX_DEN_BITS, so `act` and
+`worst_frame_search` refuse a move by one function.  "must be an integer"
+is raised only by `forms.check_ints` and by the two readers of N whose
+messages name 'auto', `classifier._resolve_n` and `cli._parse_n`.
+`_linalg.scaled` multiplies a rational vector by the lcm of its
+denominators; only `HomogeneousForm._from_rows`, the one builder of a form
+from outside rows, keeps its own lcm loop, which stops at MAX_DEN_BITS.
 `statepoly.torus_index` takes a form and nothing else, so a support is
 translated only by `forms.destabilize`, which the library calls from
 `classifier.classify_at_origin` and `cli._cmd_destab` alone: the band of a
@@ -27,15 +31,15 @@ that imports `re`.  Only `forms._read_rational` matches `_RATIONAL`, so
 coefficients, coordinates and the CLI's integer options read a number by
 one grammar, and only `_linalg.exact` turns a caller's number into a
 Fraction, taking ints and Fractions alone, so no string reaches
-Fraction()'s wider grammar.  The
-invariants of a form are checked where outside input enters, by
-`HomogeneousForm._from_ints` from `parse_form` and the public constructor;
-forms the library computes are valid by construction.  `cli._answer` is the
-one caller of `_parse_n` and `_read_form`, so every command reads --N and
-then --input in the same order, after argparse.  No class writes its own
-__eq__ or __hash__: `ProjPoint` compares its primitive as a dataclass
-field.  A caller that repeats any of these would be a second place to keep
-in step with the first.
+Fraction()'s wider grammar.  The invariants of a form are checked where
+outside input enters, by `HomogeneousForm._from_ints` from `_from_rows`,
+which `parse_form` and the public constructor share; forms the library
+computes are valid by construction.  `cli._answer` is the one caller of
+`_parse_n` and `_read_form`, so every command reads --N and then --input
+in the same order, after argparse.  No class writes its own __eq__ or
+__hash__: `ProjPoint` compares its primitive as a dataclass field.  A
+caller that repeats any of these would be a second place to keep in step
+with the first.
 """
 
 import ast
@@ -98,7 +102,7 @@ def test_only_check_move_reads_the_term_and_step_limits():
 
 
 def test_only_check_move_and_the_parser_read_the_bit_limit():
-    assert _readers("MAX_DEN_BITS") == {("forms", "check_move"), ("forms", "parse_form")}
+    assert _readers("MAX_DEN_BITS") == {("forms", "check_move"), ("forms", "_from_rows")}
 
 
 def test_only_check_ints_and_the_two_readers_of_n_refuse_a_non_integer():
@@ -132,7 +136,9 @@ def test_every_module_uses_each_name_it_imports():
 
 def test_only_the_mover_and_the_projection_check_the_dimension():
     sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "check_dim"}
-    assert sites == {("forms", "frame_moving_to_origin"), ("statepoly", "nearest_point")}
+    assert sites == {
+        ("forms", "frame_moving_to_origin"), ("statepoly", "nearest_point"), ("cli", "_read_point")
+    }
 
 
 def test_only_move_to_origin_applies_the_mover():
@@ -148,7 +154,7 @@ def test_only_move_to_origin_applies_the_mover():
 
 def test_only_scaled_and_the_parser_take_an_lcm():
     sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "lcm"}
-    assert sites == {("_linalg", "scaled"), ("forms", "parse_form")}
+    assert sites == {("_linalg", "scaled"), ("forms", "_from_rows")}
 
 
 def test_only_the_header_and_the_rational_are_compiled_patterns():
@@ -211,7 +217,7 @@ def test_only_classify_and_the_destab_command_translate_a_support():
 
 def test_only_outside_input_checks_a_form():
     sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "_from_ints"}
-    assert sites == {("forms", "parse_form"), ("forms", "__init__")}
+    assert sites == {("forms", "_from_rows")}
 
 
 def test_only_answer_reads_n_and_the_form_file():
