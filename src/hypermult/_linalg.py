@@ -4,9 +4,9 @@ Frames are integer matrices, and the projection core scales its problems to
 integers, so every matrix computation runs on ints through one Bareiss
 fraction-free elimination: `det` and `solve_consistent` share it.  Rational
 vectors, such as a projection target, are tuples of Fractions; `dot` and
-`norm_sq` also take integer vectors and then return integers.  `scaled` is
-the one place a rational vector becomes integers over a common denominator,
-which `primitive` divides by their gcd for points and one-parameter groups.
+`norm_sq` also take integer vectors and then return integers.  `scaled`
+makes a rational vector integers over the one lcm, `common_denominator`,
+and `primitive` divides them by their gcd for points and one-parameter groups.
 `exact` is where a number from a caller becomes a Fraction: it takes ints
 and Fractions alone, so no binary fraction and no string enters; text is
 read by the form grammar in `forms`.
@@ -21,6 +21,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
+MAX_DEN_BITS = 16384  # longest common denominator of rationals read together, in bits
 
 
 def exact(x: object) -> Fraction:
@@ -57,9 +58,20 @@ def norm_sq(u: Sequence[Fraction]) -> Fraction:
     return dot(u, u)
 
 
+def common_denominator(qs: Iterable[int]) -> int:
+    """The lcm of the ints qs > 0 of form rows or of a vector, refused past MAX_DEN_BITS;
+    grown one distinct q at a time, so many distinct large qs cost no more than it allows."""
+    den = 1
+    for q in set(qs):
+        den = math.lcm(den, q)
+        if den.bit_length() > MAX_DEN_BITS:
+            raise ValueError(f"the common denominator has more than {MAX_DEN_BITS} bits")
+    return den
+
+
 def scaled(v: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """(ints, s): s the lcm of the denominators of v and ints = s * v, as ints."""
-    s = math.lcm(*(x.denominator for x in v))
+    """(ints, s): s the common_denominator of v's entries and ints = s * v, as ints."""
+    s = common_denominator(x.denominator for x in v)
     return [x.numerator * (s // x.denominator) for x in v], s
 
 

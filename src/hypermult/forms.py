@@ -34,7 +34,7 @@ from itertools import chain
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import Matrix, Vector
+from ._linalg import MAX_DEN_BITS, Matrix, Vector
 
 ExponentVector = Tuple[int, ...]
 IntPoly = Dict[ExponentVector, int]
@@ -85,17 +85,10 @@ class HomogeneousForm:
     ) -> HomogeneousForm:
         """The form sum of ps[i] / qs[i] * x^keys[i], qs[i] > 0, for parse_form and __init__.
 
-        The lcm grows one distinct q at a time and is refused past
-        MAX_DEN_BITS, so many distinct large denominators cost no more than
-        the limit allows; rows of one key are summed, _from_ints checks the rest.
+        Rows of one key are summed in ints over _linalg.common_denominator(qs),
+        which stops at MAX_DEN_BITS; _from_ints checks the rest.
         """
-        den = 1
-        for q in set(qs):
-            den = math.lcm(den, q)
-            if den.bit_length() > MAX_DEN_BITS:
-                raise ValueError(
-                    f"the common denominator of the coefficients has more than {MAX_DEN_BITS} bits"
-                )
+        den = _linalg.common_denominator(qs)
         nums: IntPoly = {}
         for key, p, q in zip(keys, ps, qs):
             nums[key] = nums.get(key, 0) + p * (den // q)
@@ -175,7 +168,6 @@ class HomogeneousForm:
 _HEADER = re.compile(r"^r=(\d+)\s+d=(\d+)$", re.ASCII)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-MAX_DEN_BITS = 16384  # longest common denominator of a parsed form, in bits
 MAX_DIM = 33  # most coordinates a point is moved or projected on
 MAX_MOVED_TERMS = 2**18  # most possible terms, C(d+r, r), of a form that is shifted
 MAX_SHIFT_WORK = 2**23  # most shifts * d * C(d+r, r) of one move or one frame search
@@ -400,9 +392,6 @@ class ProjPoint:
     def primitive(self) -> Tuple[int, ...]:
         """Canonical integer representative: gcd 1, first nonzero entry positive."""
         return self._primitive
-
-    def __str__(self) -> str:
-        return "[" + ":".join(str(x) for x in self.coords) + "]"
 
 
 def _taylor_shift(poly: IntPoly, j: int, i: int, s: int) -> IntPoly:

@@ -11,7 +11,7 @@ N + m/r) the nearest.  The band of m and the gap of a pair m < m' are
 
 On the hyperplane |y - xi|^2 = |y|^2 - D^2/(r+1), so all of it is closed
 form, with no barycenter, and band_contains tests y in integers, on the
-n = s*y that _linalg.scaled makes of it, s the lcm of its denominators:
+n = s*y that _linalg.scaled makes of it, s its common denominator:
 
     l_squared = (d-m)^2 + (m+N)^2 + (r-1)*N^2 - D^2/(r+1)
     y in B_m iff n >= 0, sum(n) = D*s, n_0 <= (d-m)*s and
@@ -91,7 +91,7 @@ def l_squared(r: int, d: int, big_n: int, m: int) -> Fraction:
 
 
 def band_contains(y: Sequence, r: int, d: int, big_n: int, m: int) -> bool:
-    """Membership of y in the band B_m inside the degree d + r*N simplex."""
+    """Membership of y in B_m of the degree d + r*N simplex; ValueError past MAX_DEN_BITS."""
     BandParams(r, d, big_n, m)
     n, s = _linalg.scaled(_linalg.vec(y))
     if len(n) != r + 1:

@@ -4,9 +4,9 @@ Machine output never contains floating point.  Integers that are genuinely
 integers (multiplicities, weights, exponents) stay JSON numbers; every
 rational quantity is a Fraction, and dumps is the one place a Fraction
 becomes text: a "p/q" string that Fraction parses back verbatim, so no
-precision is lost on the way out.  The encoders below only rename, flatten
-or drop fields; records whose JSON keys are their own fields go through
-dataclasses.asdict.
+precision is lost on the way out, or past str(int)'s digit limit a
+ValueError.  The encoders below only rename, flatten or drop fields;
+records whose JSON keys are their own fields go through dataclasses.asdict.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from fractions import Fraction
+from sys import get_int_max_str_digits
 from typing import Any, Dict
 
 from .classifier import BoundCheckResult, ClassificationReport
@@ -23,7 +24,10 @@ from .statepoly import InstabilityCertificate
 
 def _rational(x: object) -> str:
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # a numerator or denominator past what str(int) writes
+            raise ValueError(f"a rational in the answer exceeds {get_int_max_str_digits()} digits")
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 

@@ -181,9 +181,9 @@ def nearest_point(points: Iterable[Sequence[int]], t: Sequence) -> ProjectionRes
     The returned witness satisfies q = sum(weight * point) with positive
     weights summing to one, over the points as int tuples, and the
     optimality inequality <t - q, v - q> <= 0 holds for every input point
-    v; all of this is verified before returning, and nowhere else.  A
-    coordinate that is not an integer, such as 1/2, and points of more than
-    MAX_DIM coordinates are refused with ValueError before the search.
+    v; all of this is verified before returning, and nowhere else.  Points
+    with a non-integer coordinate or over MAX_DIM coordinates, and a target
+    whose common denominator passes MAX_DEN_BITS, raise ValueError first.
     """
     pts = [tuple(p) for p in points]
     if not pts:

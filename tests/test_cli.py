@@ -234,6 +234,15 @@ def test_bands_takes_any_point_of_the_hyperplane_even_zero(capsys, cubic_file):
         assert err == "error: bad point '0,0,0': projective point cannot be the zero vector\n"
 
 
+def test_bands_refuses_an_answer_past_the_digit_limit(capsys):
+    # 2,200 digits fit the common denominator limit, but dist_sq's
+    # denominator, the square of q, has about 4,400 digits to write
+    q = 10**2199 + 1
+    code, out, err = invoke(capsys, "bands", "-r", "1", "-d", "2", "--m", "0", "--point", f"1/{q},0")
+    assert (code, out) == (2, "")
+    assert err == f"error: a rational in the answer exceeds {sys.get_int_max_str_digits()} digits\n"
+
+
 def test_bands_checks_the_point_before_the_barycenter(capsys, monkeypatch):
     calls = []
 
@@ -669,7 +678,7 @@ def test_many_large_denominators_exit_2_at_once(capsys, tmp_path, pairs):
     code, out, err = invoke(capsys, "index", "--input", str(path))
     assert time.perf_counter() - start < 0.2
     assert code == 2 and out == ""
-    message = f"the common denominator of the coefficients has more than {MAX_DEN_BITS} bits"
+    message = f"the common denominator has more than {MAX_DEN_BITS} bits"
     assert err == f"error: {message}\n"
 
 

@@ -28,6 +28,7 @@ from hypermult import (
 )
 from hypermult import _linalg
 from hypermult import forms as forms_module
+from hypermult.cli import run
 from hypermult.forms import MAX_DEN_BITS, MAX_SHIFT_WORK, _taylor_shift, _unimodular_completion
 from hypermult.hesselink import unique_band
 from oracle import (
@@ -261,13 +262,30 @@ def test_a_denominator_of_the_longest_int_still_parses():
     assert q.bit_length() < MAX_DEN_BITS
 
 
-def test_a_common_denominator_past_the_limit_is_refused():
+def test_a_common_denominator_past_the_limit_is_refused(capsys):
     q1, q2 = 10**2600 + 1, 10**2600 + 3  # coprime, so the lcm has about 17,275 bits
-    with pytest.raises(FormParseError, match=f"more than {MAX_DEN_BITS} bits"):
+    message = f"the common denominator has more than {MAX_DEN_BITS} bits"
+    with pytest.raises(FormParseError, match=message):
         parse_form(f"r=1 d=2\n1/{q1} 2 0\n1/{q2} 0 2\n")
     # the constructor builds a form from its terms by the parser's own builder
-    with pytest.raises(ValueError, match=f"more than {MAX_DEN_BITS} bits"):
+    with pytest.raises(ValueError, match=message):
         HomogeneousForm(1, 2, {(2, 0): Fraction(1, q1), (0, 2): Fraction(1, q2)})
+    # points, band points and projection targets stop at the same limit
+    rng = random.Random(11)
+    dens = [rng.randrange(10**29, 10**30) for _ in range(1000)]
+    with pytest.raises(ValueError, match=message):
+        ProjPoint.parse(",".join(f"1/{q}" for q in dens))
+    y = (Fraction(1, q1), Fraction(1, q2))
+    with pytest.raises(ValueError, match=message):
+        band_contains(y, 1, 2, 4, 0)
+    with pytest.raises(ValueError, match=message):
+        unique_band(y, 1, 2, 4)
+    with pytest.raises(ValueError, match=message):
+        nearest_point([(2, 0), (0, 2)], y)
+    point = f"1/{q1},1/{q2}"
+    assert run(["bands", "-r", "1", "-d", "2", "--m", "0", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
     # the same denominator on many rows keeps the lcm at one row's size
     f = parse_form("r=1 d=9\n" + "".join(f"1/{q1} {i} {9 - i}\n" for i in range(10)))
     assert f.den == q1

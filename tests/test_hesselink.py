@@ -9,11 +9,14 @@ from hypermult import (
     Frame,
     FrameFamily,
     HomogeneousForm,
+    OneParamSubgroup,
     ProjPoint,
     StratumLabel,
     act,
     band_contains,
     barycenter,
+    bound_check,
+    classify_at,
     classify_at_origin,
     default_frames,
     destabilize,
@@ -991,11 +994,22 @@ def test_unique_band_checks_the_dimension_before_reading_y0():
         unique_band((1, 2, 3), 1, 2, 4)
 
 
+BINARY = HomogeneousForm(1, 2, {(2, 0): 1, (1, 1): 1})
+BINARY_LABEL = StratumLabel(OneParamSubgroup((1, -1)), Fraction(2), Fraction(1))
+LONG_POINT = ProjPoint((1, 0, 0))  # three coordinates for the r=1 form
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: band_contains((1, 2, 3), 1, 2, 4, 0), "point dimension must be r\\+1"),
     (lambda: default_frames(0, ProjPoint.origin(1), 0), "need r >= 1"),
     (lambda: default_frames(2, ProjPoint.origin(1), 0), "point dimension must be r\\+1"),
-], ids=["band_contains", "default_frames_r0", "default_frames_dimension"])
+    (lambda: multiplicity_at(BINARY, LONG_POINT), "point dimension must be r\\+1"),
+    (lambda: classify_at(BINARY, LONG_POINT), "point dimension must be r\\+1"),
+    (lambda: bound_check(BINARY, BINARY_LABEL, [LONG_POINT]), "point dimension must be r\\+1"),
+], ids=[
+    "band_contains", "default_frames_r0", "default_frames_dimension",
+    "multiplicity_at", "classify_at", "bound_check",
+])
 def test_a_point_or_r_of_the_wrong_size_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

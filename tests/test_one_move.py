@@ -1,11 +1,11 @@
 """A form is moved to a point in one place, the dimension limit is checked in
 three, a move's other limits in one, an integer parameter is refused in
-one, a rational vector is scaled to integers in one, a support is
-translated in one, a form row, a text number and a CLI point each have one
-reader, rows become a form in one place, a caller's number becomes a
-Fraction in one place, the CLI reads its shared flags in one place,
-equality of a value is derived, not written, and no module imports a name
-it does not use.
+one, a common denominator is taken and bounded in one, a rational vector
+is scaled to integers in one, a support is translated in one, a form row,
+a text number and a CLI point each have one reader, rows become a form in
+one place, a caller's number becomes a Fraction in one place, the CLI
+reads its shared flags in one place, equality of a value is derived, not
+written, and no module imports a name it does not use.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
 coordinates before it builds anything, and so does `cli._read_point`, the
@@ -13,13 +13,15 @@ CLI's one reader of a projective --point, before the point's primitive;
 `forms.move_to_origin` is the one composition
 act(frame_moving_to_origin(p), f).  `forms.check_move` alone reads
 MAX_MOVED_TERMS and MAX_SHIFT_WORK, and it and
-`HomogeneousForm._from_rows` alone read MAX_DEN_BITS, so `act` and
+`_linalg.common_denominator` alone read MAX_DEN_BITS, so `act` and
 `worst_frame_search` refuse a move by one function.  "must be an integer"
 is raised only by `forms.check_ints` and by the two readers of N whose
 messages name 'auto', `classifier._resolve_n` and `cli._parse_n`.
-`_linalg.scaled` multiplies a rational vector by the lcm of its
-denominators; only `HomogeneousForm._from_rows`, the one builder of a form
-from outside rows, keeps its own lcm loop, which stops at MAX_DEN_BITS.
+`_linalg.common_denominator` is the one lcm, and it stops at
+MAX_DEN_BITS: `_linalg.scaled` multiplies a rational vector by it, and
+`HomogeneousForm._from_rows`, the one builder of a form from outside rows,
+scales the rows by it, so form rows, points, band points and projection
+targets share one limit on their common denominator.
 `statepoly.torus_index` takes a form and nothing else, so a support is
 translated only by `forms.destabilize`, which the library calls from
 `classifier.classify_at_origin` and `cli._cmd_destab` alone: the band of a
@@ -101,8 +103,10 @@ def test_only_check_move_reads_the_term_and_step_limits():
     assert _readers("MAX_SHIFT_WORK") == {("forms", "check_move")}
 
 
-def test_only_check_move_and_the_parser_read_the_bit_limit():
-    assert _readers("MAX_DEN_BITS") == {("forms", "check_move"), ("forms", "_from_rows")}
+def test_only_check_move_and_the_common_denominator_read_the_bit_limit():
+    assert _readers("MAX_DEN_BITS") == {
+        ("forms", "check_move"), ("_linalg", "common_denominator")
+    }
 
 
 def test_only_check_ints_and_the_two_readers_of_n_refuse_a_non_integer():
@@ -152,9 +156,9 @@ def test_only_move_to_origin_applies_the_mover():
     assert sites == {("forms", "move_to_origin")}
 
 
-def test_only_scaled_and_the_parser_take_an_lcm():
+def test_only_the_common_denominator_takes_an_lcm():
     sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "lcm"}
-    assert sites == {("_linalg", "scaled"), ("forms", "_from_rows")}
+    assert sites == {("_linalg", "common_denominator")}
 
 
 def test_only_the_header_and_the_rational_are_compiled_patterns():
