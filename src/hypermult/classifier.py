@@ -18,11 +18,10 @@ classification is a concrete check of the band route against ground truth.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .forms import (
     HomogeneousForm,
@@ -247,57 +246,40 @@ class VerifySummary:
         return self.failed == 0
 
 
-def _verify_case(
-    payload: Tuple[int, int, HomogeneousForm, int]
-) -> Tuple[int, int, Optional[int], int, bool]:
-    m, index, form, big_n = payload
-    report = classify_at_origin(form, big_n)
-    return (m, index, report.m_band, report.m_direct, report.agreed)
-
-
 def verify_theorem_main(
     r: int,
     d: int,
     n: Union[int, str],
     count: int,
     seed: int,
-    jobs: int = 1,
 ) -> VerifySummary:
     """Classify a corpus for every m in 0..d and tally band/direct agreement.
 
-    The output is deterministic for fixed arguments regardless of jobs.  A
-    non-int count, seed or jobs, a jobs below 1, a count below 1 (agreement
-    on no form means nothing), or more than MAX_CORPUS forms x (r+1) over
-    all m raise ValueError before any form is made."""
-    check_ints(count=count, seed=seed, jobs=jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    A report reads only the form's support, so each distinct support of an
+    m is classified once and its verdict tallied for every case that has
+    it.  The output is deterministic for fixed arguments.  A non-int count
+    or seed, a count below 1 (agreement on no form means nothing), or more
+    than MAX_CORPUS forms x (r+1) over all m raise ValueError before any
+    form is made."""
+    check_ints(count=count, seed=seed)
     if count < 1:
         raise ValueError("count must be at least 1")
     big_n, threshold = _resolve_n(r, d, n)
     _check_corpus_size((d + 1) * count, r)
-    cases: List[Tuple[int, int, HomogeneousForm, int]] = []
+    failures: List[FailureRecord] = []
     for m in range(d + 1):
+        # one dict per m: supports of two m differ in their top x0
+        # exponent, so a dict kept across m would only hold more
+        verdicts: Dict[tuple, Tuple[Optional[int], int, bool]] = {}
         for index, form in enumerate(gen_corpus(r, d, m, count, seed)):
-            cases.append((m, index, form, big_n))
-    # the pool forks all its workers up front, so never ask for more than
-    # there are cores or cases
-    workers = min(jobs, os.cpu_count() or 1, len(cases))
-    if workers > 1:
-        # imported here, and multiprocessing with the pool's first use, so
-        # that importing the CLI loads neither
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_case, cases, chunksize=8))
-    else:
-        results = [_verify_case(case) for case in cases]
-    failures = tuple(
-        FailureRecord(m=m, index=i, m_band=m_band, m_direct=m_direct)
-        for m, i, m_band, m_direct, agreed in results
-        if not (agreed and m_band == m)
-    )
-    total = len(results)
+            support = form.support()
+            if support not in verdicts:
+                report = classify_at_origin(form, big_n)
+                verdicts[support] = (report.m_band, report.m_direct, report.agreed)
+            m_band, m_direct, agreed = verdicts[support]
+            if not (agreed and m_band == m):
+                failures.append(FailureRecord(m=m, index=index, m_band=m_band, m_direct=m_direct))
+    total = (d + 1) * count
     return VerifySummary(
         r=r,
         d=d,
@@ -308,5 +290,5 @@ def verify_theorem_main(
         total=total,
         passed=total - len(failures),
         failed=len(failures),
-        failures=failures,
+        failures=tuple(failures),
     )

@@ -199,7 +199,7 @@ def _cmd_classify(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[int, object]:
-    summary = verify_theorem_main(args.r, args.d, args.N, args.count, args.seed, args.jobs)
+    summary = verify_theorem_main(args.r, args.d, args.N, args.count, args.seed)
     return (0 if summary.ok else 1), asdict(summary)
 
 
@@ -274,7 +274,6 @@ COMMANDS = {
                       ("-r", "-d", "--N", "--json"), {
         "--count": dict(type=_integer, default=25, help="forms per m"),
         "--seed": dict(type=_integer, default=0),
-        "--jobs": dict(type=_integer, default=1, help="worker processes"),
     }),
     "gen": Command(_cmd_gen, "emit corpus forms in the form file format",
                    ("-r", "-d", "--json"), {

@@ -33,7 +33,9 @@ regex per exponent field and no MAX_DEN_BITS stop, where the library reads
 all rows at once, tests the joined exponents with str methods, reads the
 rows again one at a time only to name a fault, and stops its lcm at that
 limit.  The CLI parser gives every subcommand its arguments, where the
-library gives them only to the subcommands its argv names.
+library gives them only to the subcommands its argv names.  A verify run
+classifies every corpus case on its own, where the library classifies
+each distinct support of an m once.
 """
 
 from __future__ import annotations
@@ -53,14 +55,22 @@ from hypermult import (
     ProjectionResult,
     act,
     barycenter,
+    classify_at_origin,
     destabilize,
     frame_moving_to_origin,
+    gen_corpus,
     l_squared,
     multiplicity_at_origin,
     torus_index,
 )
 from hypermult import cli
-from hypermult.classifier import BandDiagnostic, ClassificationReport, _resolve_n
+from hypermult.classifier import (
+    BandDiagnostic,
+    ClassificationReport,
+    FailureRecord,
+    VerifySummary,
+    _resolve_n,
+)
 from hypermult.forms import _quote
 from hypermult.hesselink import BandParams, _vertex_norm_sq, unique_band
 from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
@@ -759,3 +769,32 @@ def run_every_subcommand_oracle(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     return cli._answer(args)
+
+
+def verify_per_case_oracle(r: int, d: int, n, count: int, seed: int) -> VerifySummary:
+    """verify_theorem_main with one classification per corpus case.
+
+    No cache: every case of every m is classified on its own, so a
+    summary that reuses one support's verdict must match this one field
+    for field.
+    """
+    big_n, threshold = _resolve_n(r, d, n)
+    failures = []
+    for m in range(d + 1):
+        for index, form in enumerate(gen_corpus(r, d, m, count, seed)):
+            report = classify_at_origin(form, big_n)
+            if not (report.agreed and report.m_band == m):
+                failures.append(FailureRecord(m, index, report.m_band, report.m_direct))
+    total = (d + 1) * count
+    return VerifySummary(
+        r=r,
+        d=d,
+        N=big_n,
+        threshold=threshold,
+        count=count,
+        seed=seed,
+        total=total,
+        passed=total - len(failures),
+        failed=len(failures),
+        failures=tuple(failures),
+    )

@@ -1,9 +1,8 @@
-import concurrent.futures
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,13 +28,14 @@ from hypermult import (
     verify_theorem_main,
     worst_frame_search,
 )
-from hypermult import classifier, forms, serialize
+from hypermult import classifier, forms, hesselink, serialize
 from oracle import (
     classify_at_origin_oracle,
     random_exponent,
     random_form,
     random_point,
     random_unimodular_frame,
+    verify_per_case_oracle,
 )
 
 NODAL_CUBIC = HomogeneousForm(2, 3, {(1, 1, 1): Fraction(1), (0, 3, 0): Fraction(1)})
@@ -224,9 +224,8 @@ def test_gen_corpus_validation():
     [
         (lambda: gen_corpus(1, 2, 1, 1.5, 0), "count"),
         (lambda: verify_theorem_main(1, 2, "auto", 1.5, 0), "count"),
-        (lambda: verify_theorem_main(1, 2, "auto", 2, 0, jobs=1.5), "jobs"),
     ],
-    ids=["gen_corpus-count", "verify-count", "verify-jobs"],
+    ids=["gen_corpus-count", "verify-count"],
 )
 def test_corpus_counts_must_be_integers(monkeypatch, make, name):
     def no_form(*args):
@@ -293,46 +292,63 @@ def test_verify_summary_counts():
     assert summary.failures == ()
 
 
-def test_verify_auto_and_jobs_determinism():
-    serial = verify_theorem_main(1, 3, "auto", count=6, seed=3, jobs=1)
-    parallel = verify_theorem_main(1, 3, "auto", count=6, seed=3, jobs=2)
-    assert serial == parallel
-    assert serial.N == separation_threshold(1, 3)
+def test_verify_auto_determinism():
+    first = verify_theorem_main(1, 3, "auto", count=6, seed=3)
+    assert first == verify_theorem_main(1, 3, "auto", count=6, seed=3)
+    assert first.N == separation_threshold(1, 3)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+def test_verify_takes_no_jobs():
+    with pytest.raises(TypeError):
+        verify_theorem_main(1, 2, "auto", 2, 0, jobs=2)
 
 
-@pytest.mark.parametrize(
-    "cores, count, expected",
-    [(4, 1, [3]), (2, 1, [2]), (4, 5, [4]), (None, 5, []), (1, 5, [])],
+def _even_bands_missing(q, r, d, big_n):
+    # a band test that finds no band for some q, to force failures
+    return None if q[0].numerator % 2 == 0 else hesselink.unique_band(q, r, d, big_n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 30),
+    st.integers(),
+    st.one_of(st.just("auto"), st.integers(0, 3)),
+    st.booleans(),
 )
-def test_verify_pool_never_exceeds_cores_or_cases(monkeypatch, cores, count, expected):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    RecordingPool.sizes = []
-    summary = verify_theorem_main(1, 2, "auto", count=count, seed=0, jobs=100000)
-    assert RecordingPool.sizes == expected
-    assert summary == verify_theorem_main(1, 2, "auto", count=count, seed=0, jobs=1)
+def test_verify_matches_the_per_case_oracle(r, d, count, seed, above, forced):
+    n = above if above == "auto" else separation_threshold(r, d) + above
+    band = _even_bands_missing if forced else hesselink.unique_band
+    with mock.patch.object(classifier, "unique_band", band):
+        assert verify_theorem_main(r, d, n, count, seed) == verify_per_case_oracle(
+            r, d, n, count, seed
+        )
+
+
+def test_verify_lists_forced_failures_as_the_per_case_oracle_does(monkeypatch):
+    monkeypatch.setattr(classifier, "unique_band", _even_bands_missing)
+    summary = verify_theorem_main(1, 4, "auto", count=25, seed=0)
+    assert 0 < summary.failed < summary.total
+    assert summary == verify_per_case_oracle(1, 4, "auto", 25, 0)
+
+
+def test_verify_classifies_each_distinct_support_of_an_m_once(monkeypatch):
+    calls = []
+
+    def counting(form, n):
+        calls.append(form)
+        return classify_at_origin(form, n)
+
+    monkeypatch.setattr(classifier, "classify_at_origin", counting)
+    summary = verify_theorem_main(1, 4, "auto", count=2000, seed=0)
+    supports = {(m, f.support()) for m in range(5) for f in gen_corpus(1, 4, m, 2000, 0)}
+    assert summary.total == 10000 and summary.ok
+    assert len(calls) == len(supports) == 30
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # only a verify run with more than one worker needs the process pool
+    # verify runs in the one process, so the CLI needs no process pool
     probe = (
         "import sys, hypermult.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging') "

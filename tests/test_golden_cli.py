@@ -60,9 +60,9 @@ CASES = {
     "bands": (["bands", "-r", "2", "-d", "3", "--N", "4", "--point", "1,7,4"], 0),
     "bands_single_m": (["bands", "-r", "1", "-d", "2", "--point", "1/2,9/2", "--m", "1"], 0),
     "verify": (["verify", "-r", "2", "-d", "2", "--count", "3", "--seed", "5"], 0),
-    # an integer N above the threshold, classified in worker processes
+    # an integer N above the threshold
     "verify_explicit_n": (
-        ["verify", "-r", "2", "-d", "3", "--count", "2", "--seed", "7", "--N", "6", "--jobs", "2"], 0
+        ["verify", "-r", "2", "-d", "3", "--count", "2", "--seed", "7", "--N", "6"], 0
     ),
     "threshold_json": (["threshold", "-r", "2", "-d", "3", "--json"], 0),
     "threshold_text": (["threshold", "-r", "1", "-d", "3"], 0),
