@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .forms import (
     HomogeneousForm,
@@ -71,6 +71,10 @@ class ClassificationReport:
     diagnostics: Optional[Tuple[BandDiagnostic, ...]] = None
 
 
+def _digits(n: int) -> str:
+    return str(n) if abs(n) < 10**4300 else "(over 4300 digits)"  # str(int)'s default limit
+
+
 def _resolve_n(r: int, d: int, n: Union[int, str]) -> Tuple[int, int]:
     threshold = separation_threshold(r, d)
     if n == "auto":
@@ -79,8 +83,8 @@ def _resolve_n(r: int, d: int, n: Union[int, str]) -> Tuple[int, int]:
         raise ValueError(f"N must be an integer or 'auto', got {_quote(str(n))}")
     if n < threshold:
         raise ValueError(
-            f"N={n} is below the separation threshold {threshold} for "
-            f"r={r}, d={d}; bands may overlap, refusing to classify"
+            f"N={_digits(n)} is below the separation threshold {_digits(threshold)} for "
+            f"r={r}, d={_digits(d)}; bands may overlap, refusing to classify"
         )
     return n, threshold
 
@@ -184,20 +188,20 @@ def _composition(total: int, parts: int, rng: random.Random) -> Tuple[int, ...]:
 def _check_corpus_size(forms: int, r: int) -> None:
     if forms * (r + 1) > MAX_CORPUS:
         raise ValueError(
-            f"corpus size forms x (r+1) = {forms} x {r + 1} is above the limit "
+            f"corpus size forms x (r+1) = {_digits(forms)} x {r + 1} is above the limit "
             f"of {MAX_CORPUS}"
         )
 
 
 def gen_corpus(
     r: int, d: int, m: int, count: int, seed: int
-) -> List[HomogeneousForm]:
+) -> Iterator[HomogeneousForm]:
     """Deterministic forms whose multiplicity at [1:0:...:0] is exactly m.
 
-    Every form carries one anchor term with x_0 exponent exactly d - m and
-    a few extra terms with smaller or equal x_0 exponent, all with small
-    integer coefficients.  The same arguments always produce the same list.
-    More than MAX_CORPUS forms x (r+1) raise ValueError before any is made.
+    One anchor term has x_0 exponent exactly d - m, a few extra terms have
+    no larger one, and each coefficient is a small nonzero integer.  Bad
+    arguments or over MAX_CORPUS forms x (r+1) raise ValueError at the call;
+    the iterator returned makes each form on demand, valid by construction.
     """
     BandParams(r, d, 0, m)
     check_ints(count=count, seed=seed)
@@ -205,19 +209,19 @@ def gen_corpus(
         raise ValueError("count must be nonnegative")
     _check_corpus_size(count, r)
     rng = random.Random(f"corpus:{r}:{d}:{m}:{seed}")
-    forms: List[HomogeneousForm] = []
     nonzero = [c for c in range(-3, 4) if c != 0]
-    for _ in range(count):
+
+    def form() -> HomogeneousForm:
         anchor = (d - m,) + _composition(m, r, rng)
         terms = {anchor: rng.choice(nonzero)}
         for _ in range(rng.randint(0, 3)):
             e0 = rng.randint(0, d - m)
             extra = (e0,) + _composition(d - e0, r, rng)
-            if extra == anchor:
-                continue
-            terms[extra] = rng.choice(nonzero)
-        forms.append(HomogeneousForm(r, d, terms))
-    return forms
+            if extra != anchor:
+                terms[extra] = rng.choice(nonzero)
+        return HomogeneousForm._unchecked(r, d, terms, 1)
+
+    return (form() for _ in range(count))
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def _cmd_destab(args: argparse.Namespace) -> Tuple[int, object]:
         n = separation_threshold(form.r, form.d)
     result = destabilize(form, n)
     if not args.json:
-        return 0, result.to_text()
+        return 0, serialize.written(result.to_text)
     return 0, {
         "r": result.r,
         "d": result.d,

@@ -599,4 +599,4 @@ def destabilizing_factor(r: int, n: int) -> HomogeneousForm:
     check_ints(r=r, n=n)
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    return HomogeneousForm(r, r * n, {(0,) + (n,) * r: 1})
+    return HomogeneousForm._unchecked(r, r * n, {(0,) + (n,) * r: 1}, 1)

@@ -3,10 +3,10 @@
 Machine output never contains floating point.  Integers that are genuinely
 integers (multiplicities, weights, exponents) stay JSON numbers; every
 rational quantity is a Fraction, and dumps is the one place a Fraction
-becomes text: a "p/q" string that Fraction parses back verbatim, so no
-precision is lost on the way out, or past str(int)'s digit limit a
-ValueError.  The encoders below only rename, flatten or drop fields;
-records whose JSON keys are their own fields go through dataclasses.asdict.
+becomes text: a "p/q" string that Fraction parses back verbatim.  written
+refuses an answer, dumps' or a form's to_text, that holds an int past
+str(int)'s digit limit.  The encoders below only rename, flatten or drop
+fields; records whose JSON keys are their own fields go through asdict.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict
 from fractions import Fraction
 from sys import get_int_max_str_digits
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from .classifier import BoundCheckResult, ClassificationReport
 from .hesselink import StratumLabel
@@ -24,15 +24,19 @@ from .statepoly import InstabilityCertificate
 
 def _rational(x: object) -> str:
     if isinstance(x, Fraction):
-        try:
-            return str(x)
-        except ValueError:  # a numerator or denominator past what str(int) writes
-            raise ValueError(f"a rational in the answer exceeds {get_int_max_str_digits()} digits")
+        return str(x)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
+def written(render: Callable[[], str]) -> str:
+    try:
+        return render()
+    except ValueError:  # the one a render raises: an int past what str(int) writes
+        raise ValueError(f"a rational in the answer exceeds {get_int_max_str_digits()} digits")
+
+
 def dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2, default=_rational)
+    return written(lambda: json.dumps(payload, indent=2, default=_rational))
 
 
 def cert_encode(cert: InstabilityCertificate) -> Dict[str, Any]:

@@ -33,9 +33,11 @@ regex per exponent field and no MAX_DEN_BITS stop, where the library reads
 all rows at once, tests the joined exponents with str methods, reads the
 rows again one at a time only to name a fault, and stops its lcm at that
 limit.  The CLI parser gives every subcommand its arguments, where the
-library gives them only to the subcommands its argv names.  A verify run
-classifies every corpus case on its own, where the library classifies
-each distinct support of an m once.
+library gives them only to the subcommands its argv names.  A corpus is
+built into a list, each form through the checking constructor, where the
+library makes each form on demand, unchecked.  A verify run classifies
+every case of that list on its own, where the library classifies each
+distinct support of an m once.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from hypermult import (
     classify_at_origin,
     destabilize,
     frame_moving_to_origin,
-    gen_corpus,
     l_squared,
     multiplicity_at_origin,
     torus_index,
@@ -69,9 +70,11 @@ from hypermult.classifier import (
     ClassificationReport,
     FailureRecord,
     VerifySummary,
+    _check_corpus_size,
+    _composition,
     _resolve_n,
 )
-from hypermult.forms import _quote
+from hypermult.forms import _quote, check_ints
 from hypermult.hesselink import BandParams, _vertex_norm_sq, unique_band
 from hypermult._linalg import Vector, dot, mat_mul, norm_sq, sub, vec
 
@@ -771,6 +774,29 @@ def run_every_subcommand_oracle(argv: Sequence[str]) -> int:
     return cli._answer(args)
 
 
+def gen_corpus_oracle(r: int, d: int, m: int, count: int, seed: int) -> List[HomogeneousForm]:
+    """gen_corpus as a list, every form built by the checking constructor."""
+    BandParams(r, d, 0, m)
+    check_ints(count=count, seed=seed)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    _check_corpus_size(count, r)
+    rng = random.Random(f"corpus:{r}:{d}:{m}:{seed}")
+    forms: List[HomogeneousForm] = []
+    nonzero = [c for c in range(-3, 4) if c != 0]
+    for _ in range(count):
+        anchor = (d - m,) + _composition(m, r, rng)
+        terms = {anchor: rng.choice(nonzero)}
+        for _ in range(rng.randint(0, 3)):
+            e0 = rng.randint(0, d - m)
+            extra = (e0,) + _composition(d - e0, r, rng)
+            if extra == anchor:
+                continue
+            terms[extra] = rng.choice(nonzero)
+        forms.append(HomogeneousForm(r, d, terms))
+    return forms
+
+
 def verify_per_case_oracle(r: int, d: int, n, count: int, seed: int) -> VerifySummary:
     """verify_theorem_main with one classification per corpus case.
 
@@ -781,7 +807,7 @@ def verify_per_case_oracle(r: int, d: int, n, count: int, seed: int) -> VerifySu
     big_n, threshold = _resolve_n(r, d, n)
     failures = []
     for m in range(d + 1):
-        for index, form in enumerate(gen_corpus(r, d, m, count, seed)):
+        for index, form in enumerate(gen_corpus_oracle(r, d, m, count, seed)):
             report = classify_at_origin(form, big_n)
             if not (report.agreed and report.m_band == m):
                 failures.append(FailureRecord(m, index, report.m_band, report.m_direct))

@@ -1,6 +1,8 @@
 import random
 import subprocess
 import sys
+import weakref
+from collections.abc import Iterator
 from fractions import Fraction
 from unittest import mock
 
@@ -31,6 +33,7 @@ from hypermult import (
 from hypermult import classifier, forms, hesselink, serialize
 from oracle import (
     classify_at_origin_oracle,
+    gen_corpus_oracle,
     random_exponent,
     random_form,
     random_point,
@@ -190,10 +193,10 @@ def test_every_move_to_a_point_refuses_more_than_max_dim_coordinates(monkeypatch
 # ---------------------------------------------------------------- corpus
 
 def test_gen_corpus_is_deterministic():
-    a = gen_corpus(2, 3, 1, 10, seed=5)
-    b = gen_corpus(2, 3, 1, 10, seed=5)
+    a = list(gen_corpus(2, 3, 1, 10, seed=5))
+    b = list(gen_corpus(2, 3, 1, 10, seed=5))
     assert a == b
-    c = gen_corpus(2, 3, 1, 10, seed=6)
+    c = list(gen_corpus(2, 3, 1, 10, seed=6))
     assert a != c
 
 
@@ -211,12 +214,45 @@ def test_gen_corpus_no_x0_when_m_equals_d():
         assert all(e[0] == 0 for e in f.terms)
 
 
-def test_gen_corpus_validation():
+def _no_form(*args):
+    raise AssertionError("a form was made before the arguments were checked")
+
+
+def test_gen_corpus_validation(monkeypatch):
+    # a refusal raises at the call, before the iterator makes any form
+    monkeypatch.setattr(HomogeneousForm, "_unchecked", _no_form)
     with pytest.raises(ValueError):
         gen_corpus(1, 2, 3, 5, seed=0)
     with pytest.raises(ValueError):
         gen_corpus(1, 2, 1, -1, seed=0)
-    assert gen_corpus(1, 2, 1, 0, seed=0) == []
+    assert list(gen_corpus(1, 2, 1, 0, seed=0)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.data(), st.integers(0, 20), st.integers())
+def test_gen_corpus_matches_the_checked_oracle(r, d, data, count, seed):
+    # the forms made unchecked are those the checking constructor makes
+    m = data.draw(st.integers(0, d), label="m")
+    corpus = list(gen_corpus(r, d, m, count, seed))
+    assert corpus == gen_corpus_oracle(r, d, m, count, seed)
+    for f in corpus:
+        assert HomogeneousForm(r, d, f.terms) == f
+
+
+def test_gen_corpus_makes_each_form_on_demand(monkeypatch):
+    made = []
+    build = HomogeneousForm._unchecked
+
+    def counted(*args):
+        made.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(HomogeneousForm, "_unchecked", counted)
+    corpus = gen_corpus(1, 3, 1, 3, 0)
+    assert isinstance(corpus, Iterator) and made == []
+    next(corpus)
+    assert len(made) == 1
+    assert len(list(corpus)) == 2 and len(made) == 3
 
 
 @pytest.mark.parametrize(
@@ -228,10 +264,7 @@ def test_gen_corpus_validation():
     ids=["gen_corpus-count", "verify-count"],
 )
 def test_corpus_counts_must_be_integers(monkeypatch, make, name):
-    def no_form(*args):
-        raise AssertionError("a form was made before the arguments were checked")
-
-    monkeypatch.setattr(classifier, "HomogeneousForm", no_form)
+    monkeypatch.setattr(HomogeneousForm, "_unchecked", _no_form)
     with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
         make()
 
@@ -248,10 +281,7 @@ def test_corpus_counts_must_be_integers(monkeypatch, make, name):
 def test_corpus_seed_must_be_an_int(monkeypatch, make, seed):
     # True would seed the corpus as the string "True", not as 1, and 1.5
     # would come back in the summary as a JSON float
-    def no_form(*args):
-        raise AssertionError("a form was made before the seed was checked")
-
-    monkeypatch.setattr(classifier, "HomogeneousForm", no_form)
+    monkeypatch.setattr(HomogeneousForm, "_unchecked", _no_form)
     with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
         make(seed)
 
@@ -280,7 +310,7 @@ def test_verify_refuses_a_count_below_one(count):
     # a run over no form would report that every form agreed
     with pytest.raises(ValueError, match="count must be at least 1"):
         verify_theorem_main(1, 3, "auto", count=count, seed=0)
-    assert gen_corpus(1, 3, 1, 0, 0) == []
+    assert list(gen_corpus(1, 3, 1, 0, 0)) == []
 
 
 def test_verify_summary_counts():
@@ -345,6 +375,29 @@ def test_verify_classifies_each_distinct_support_of_an_m_once(monkeypatch):
     supports = {(m, f.support()) for m in range(5) for f in gen_corpus(1, 4, m, 2000, 0)}
     assert summary.total == 10000 and summary.ok
     assert len(calls) == len(supports) == 30
+
+
+def test_verify_holds_one_corpus_form_at_a_time(monkeypatch):
+    made = []
+    alive = []
+    build = HomogeneousForm._unchecked
+
+    class Corpus:  # classifier's HomogeneousForm, as gen_corpus sees it
+        @staticmethod
+        def _unchecked(*args):
+            form = build(*args)
+            made.append(weakref.ref(form))
+            return form
+
+    def counting(form, n):
+        alive.append(sum(ref() is not None for ref in made))
+        return classify_at_origin(form, n)
+
+    monkeypatch.setattr(classifier, "HomogeneousForm", Corpus)
+    monkeypatch.setattr(classifier, "classify_at_origin", counting)
+    summary = verify_theorem_main(1, 4, "auto", count=2000, seed=0)
+    assert summary.ok and len(made) == summary.total == 10000
+    assert len(alive) == 30 and max(alive) == 1
 
 
 def test_cli_import_leaves_multiprocessing_out():

@@ -243,6 +243,45 @@ def test_bands_refuses_an_answer_past_the_digit_limit(capsys):
     assert err == f"error: a rational in the answer exceeds {sys.get_int_max_str_digits()} digits\n"
 
 
+BIG_D = 10**2500  # its threshold, and a destabilized degree, have about 5,000 digits
+TOO_LONG = f"error: a rational in the answer exceeds {sys.get_int_max_str_digits()} digits\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classify"], TOO_LONG),
+        (["destab", "--N", "auto"], TOO_LONG),
+        (["destab", "--N", "auto", "--json"], TOO_LONG),
+        (
+            ["classify", "--N", "5"],
+            f"error: N=5 is below the separation threshold (over 4300 digits) for r=2, "
+            f"d={BIG_D}; bands may overlap, refusing to classify\n",
+        ),
+    ],
+    ids=["classify", "destab", "destab-json", "classify-N"],
+)
+def test_a_number_past_the_digit_limit_ends_in_one_error_line(capsys, tmp_path, argv, err):
+    path = tmp_path / "big.form"
+    path.write_text(f"r=2 d={BIG_D}\n1 {BIG_D} 0 0\n")
+    assert invoke(capsys, *argv, "--input", str(path)) == (2, "", err)
+
+
+def test_verify_names_a_corpus_past_the_digit_limit(capsys):
+    nines = "9" * 4000
+    code, out, err = invoke(capsys, "verify", "-r", "1", "-d", nines, "--count", nines)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: corpus size forms x (r+1) = (over 4300 digits) x 2 is above the limit of "
+        f"{classifier.MAX_CORPUS}\n"
+    )
+
+
+def test_a_refusal_writes_a_number_within_the_digit_limit_in_full():
+    assert classifier._digits(10**4300 - 1) == "9" * 4300
+    assert classifier._digits(-(10**4300)) == "(over 4300 digits)"
+
+
 def test_bands_checks_the_point_before_the_barycenter(capsys, monkeypatch):
     calls = []
 

@@ -36,7 +36,8 @@ Fraction, taking ints and Fractions alone, so no string reaches
 Fraction()'s wider grammar.  The invariants of a form are checked where
 outside input enters, by `HomogeneousForm._from_ints` from `_from_rows`,
 which `parse_form` and the public constructor share; forms the library
-computes are valid by construction.  `cli._answer` is the one caller of
+computes, the corpus included, are valid by construction, so no module
+calls that constructor.  `cli._answer` is the one caller of
 `_parse_n` and `_read_form`, so every command reads --N and then --input
 in the same order, after argparse.  No class writes its own __eq__ or
 __hash__: `ProjPoint` compares its primitive as a dataclass field.  A
@@ -222,6 +223,11 @@ def test_only_classify_and_the_destab_command_translate_a_support():
 def test_only_outside_input_checks_a_form():
     sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "_from_ints"}
     assert sites == {("forms", "_from_rows")}
+
+
+def test_no_module_calls_the_checking_constructor():
+    sites = {(module, where) for module, where, call in _calls() if _name(call.func) == "HomogeneousForm"}
+    assert sites == set()
 
 
 def test_only_answer_reads_n_and_the_form_file():

@@ -173,7 +173,7 @@ def corpus_inputs(draw):
     r = draw(st.integers(1, 4))
     d = draw(st.integers(1, 6))
     m = draw(st.integers(0, d))
-    form = gen_corpus(r, d, m, 1, draw(st.integers(0, 10**6)))[0]
+    form = next(gen_corpus(r, d, m, 1, draw(st.integers(0, 10**6))))
     return form.support(), barycenter(r, d)
 
 
