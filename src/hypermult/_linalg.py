@@ -7,25 +7,34 @@ vectors, such as a projection target, are tuples of Fractions; `dot` and
 `norm_sq` also take integer vectors and then return integers.  `scaled`
 makes a rational vector integers over the one lcm, `common_denominator`,
 and `primitive` divides them by their gcd for points and one-parameter groups.
-`exact` is where a number from a caller becomes a Fraction: it takes ints
-and Fractions alone, so no binary fraction and no string enters; text is
-read by the form grammar in `forms`.
+`exact` is where a caller's number becomes a Fraction: it takes ints and
+Fractions alone, so no binary fraction and no string enters (`forms` reads
+text); `shown` writes a value into a message, past str(int)'s limit too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 MAX_DEN_BITS = 16384  # longest common denominator of rationals read together, in bits
 
 
+def shown(x: object, write: Callable[[object], str] = str) -> str:
+    """write(x), or "(over L digits)" if x holds an int past str(int)'s live limit L."""
+    try:
+        return write(x)
+    except ValueError:  # the one str() and repr() raise: an int past the limit
+        return f"(over {sys.get_int_max_str_digits()} digits)"
+
+
 def exact(x: object) -> Fraction:
-    """x for a Fraction, Fraction(x) for an int; anything else raises ValueError.
+    """x for a Fraction, Fraction(x) for an int; else ValueError, 40 characters of shown(x, repr).
 
     Fraction(0.1) would be the float's binary value
     3602879701896397/36028797018963968, Fraction(True) would be 1, and
@@ -34,7 +43,7 @@ def exact(x: object) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if type(x) is not int:
-        raise ValueError(f"{type(x).__name__} {x!r:.40} is refused: exact numbers only")
+        raise ValueError(f"{type(x).__name__} {shown(x, repr):.40} is refused: exact numbers only")
     return Fraction(x)
 
 

@@ -41,6 +41,7 @@ from .hesselink import (
     unique_band,
 )
 from .statepoly import InstabilityCertificate, torus_index
+from ._linalg import shown
 
 MAX_CORPUS = 2**18  # most forms x (r+1) a corpus or a verify run generates
 
@@ -71,20 +72,16 @@ class ClassificationReport:
     diagnostics: Optional[Tuple[BandDiagnostic, ...]] = None
 
 
-def _digits(n: int) -> str:
-    return str(n) if abs(n) < 10**4300 else "(over 4300 digits)"  # str(int)'s default limit
-
-
 def _resolve_n(r: int, d: int, n: Union[int, str]) -> Tuple[int, int]:
     threshold = separation_threshold(r, d)
     if n == "auto":
         return threshold, threshold
     if type(n) is not int:  # int(5.9) would quietly classify at N = 5
-        raise ValueError(f"N must be an integer or 'auto', got {_quote(str(n))}")
+        raise ValueError(f"N must be an integer or 'auto', got {_quote(n)}")
     if n < threshold:
         raise ValueError(
-            f"N={_digits(n)} is below the separation threshold {_digits(threshold)} for "
-            f"r={r}, d={_digits(d)}; bands may overlap, refusing to classify"
+            f"N={shown(n)} is below the separation threshold {shown(threshold)} for "
+            f"r={shown(r)}, d={shown(d)}; bands may overlap, refusing to classify"
         )
     return n, threshold
 
@@ -188,7 +185,7 @@ def _composition(total: int, parts: int, rng: random.Random) -> Tuple[int, ...]:
 def _check_corpus_size(forms: int, r: int) -> None:
     if forms * (r + 1) > MAX_CORPUS:
         raise ValueError(
-            f"corpus size forms x (r+1) = {_digits(forms)} x {r + 1} is above the limit "
+            f"corpus size forms x (r+1) = {shown(forms)} x {shown(r + 1)} is above the limit "
             f"of {MAX_CORPUS}"
         )
 

@@ -97,15 +97,11 @@ def _parse_n(text: str) -> object:
 
 
 def _read_point(text: str, r: int) -> ProjPoint:
-    """A --point of mult, classify or bound, its length checked before its primitive."""
-    coords = parse_coords(text)
-    if len(coords) != r + 1:
+    """A --point of mult, classify or bound, its length counted before it is read."""
+    if text.count(",") != r:
         raise ValueError("point dimension must be r+1")
-    check_dim(len(coords))
-    try:
-        return ProjPoint(coords)
-    except ValueError as exc:
-        raise ValueError(f"bad point {_quote(text)}: {exc}") from exc
+    check_dim(r + 1)
+    return ProjPoint.parse(text)
 
 
 def _cmd_mult(args: argparse.Namespace) -> Tuple[int, object]:
@@ -166,10 +162,10 @@ def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
         )
     if n == "auto":
         n = separation_threshold(args.r, args.d)
-    point = parse_coords(args.point)  # a point of the exponent hyperplane, zero allowed
-    # checked before the barycenter, whose r+1 entries only the header bounds
-    if len(point) != args.r + 1:
+    # counted before it is read, and before the barycenter, whose r+1 entries only -r bounds
+    if args.point.count(",") != args.r:
         raise ValueError("point dimension must be r+1")
+    point = parse_coords(args.point)  # a point of the exponent hyperplane, zero allowed
     xi = barycenter(args.r, args.d + args.r * n)
     values = [args.m] if args.m is not None else range(args.d + 1)
     memberships = [

@@ -34,7 +34,7 @@ from itertools import chain
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import MAX_DEN_BITS, Matrix, Vector
+from ._linalg import MAX_DEN_BITS, Matrix, Vector, shown
 
 ExponentVector = Tuple[int, ...]
 IntPoly = Dict[ExponentVector, int]
@@ -44,8 +44,9 @@ class FormParseError(ValueError):
     """Raised when a form file does not follow the input format."""
 
 
-def _quote(text: str) -> str:
-    """repr of at most the first 40 characters of text."""
+def _quote(x: object) -> str:
+    """repr of at most the first 40 characters of x's text, as _linalg.shown writes it."""
+    text = shown(x)
     return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
@@ -73,9 +74,9 @@ class HomogeneousForm:
         if r >= 1 and d >= 1:  # else _from_ints names the fault of r or d
             for e in keys:
                 if len(e) != r + 1:
-                    raise ValueError(f"exponent vector {_quote(str(e))} needs {r + 1} entries")
+                    raise ValueError(f"exponent vector {_quote(e)} needs {shown(r + 1)} entries")
                 if not all(type(x) is int and x >= 0 for x in e):
-                    raise ValueError(f"exponent vector {_quote(str(e))} needs integers >= 0")
+                    raise ValueError(f"exponent vector {_quote(e)} needs integers >= 0")
         ps, qs = [x.numerator for x in values], [x.denominator for x in values]
         self.__dict__.update(HomogeneousForm._from_rows(r, d, keys, ps, qs).__dict__)
 
@@ -112,9 +113,9 @@ class HomogeneousForm:
                 raise ValueError("a form must have at least one term")
             for e, c in nums.items():
                 if c == 0:
-                    raise ValueError(f"zero coefficient for exponent {_quote(str(e))}")
+                    raise ValueError(f"zero coefficient for exponent {_quote(e)}")
                 if sum(e) != d:
-                    raise ValueError(f"exponent vector {_quote(str(e))} must sum to degree {d}")
+                    raise ValueError(f"exponent vector {_quote(e)} must sum to degree {shown(d)}")
         return cls._unchecked(r, d, nums, den)
 
     @classmethod
@@ -174,10 +175,10 @@ MAX_SHIFT_WORK = 2**23  # most shifts * d * C(d+r, r) of one move or one frame s
 
 
 def check_ints(**values: object) -> None:
-    """Refuse any value that is not an int: 4.5 would pass every comparison."""
+    """Refuse any non-int, as 4.5 would pass every comparison; shown(value, repr)[:40] names it."""
     for name, value in values.items():
         if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r:.40}")
+            raise ValueError(f"{name} must be an integer, got {shown(value, repr):.40}")
 
 
 def check_dim(n: int) -> None:
@@ -254,7 +255,7 @@ def _read_rows(
     line = _quote(lines[0])  # the faulty row, once one row is read alone
     try:
         if set(map(len, rows)) - {n}:
-            raise FormParseError(f"row {line} needs a coefficient and {r + 1} exponents")
+            raise FormParseError(f"row {line} needs a coefficient and {shown(r + 1)} exponents")
         tokens = list(chain.from_iterable(rows))
         try:
             ps, qs = zip(*map(_read_rational, tokens[::n]))
@@ -318,7 +319,7 @@ def _int_entry(x: object) -> int:
         return x
     q = _linalg.exact(x)
     if q.denominator != 1:
-        raise ValueError(f"{_quote(str(x))} is not an integer")
+        raise ValueError(f"{_quote(x)} is not an integer")
     return q.numerator
 
 

@@ -41,7 +41,7 @@ from itertools import product
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import norm_sq
+from ._linalg import norm_sq, shown
 from .forms import (
     ExponentVector,
     Frame,
@@ -113,7 +113,7 @@ def unique_band(y: Sequence, r: int, d: int, big_n: int) -> Optional[int]:
     band_contains holds at top and, unless top = 0, fails at top - 1.
     """
     if big_n <= d:
-        raise ValueError(f"need N > d for the band interval, got N={big_n}, d={d}")
+        raise ValueError(f"need N > d for the band interval, got N={shown(big_n)}, d={shown(d)}")
     if len(y) != r + 1:  # checked before y_0 is read
         raise ValueError("point dimension must be r+1")
     # a y_0 above d fails the cap at m = 0 too
@@ -153,7 +153,7 @@ def pair_minima(r: int, d: int) -> List[Tuple[int, int, int]]:
     """
     BandParams(r, d, 0, 0)
     if d * (d + 1) // 2 > MAX_PAIRS:
-        raise ValueError(f"d={d} gives more than {MAX_PAIRS} band pairs to list")
+        raise ValueError(f"d={shown(d)} gives more than {MAX_PAIRS} band pairs to list")
     return [
         (m, mp, pair_separation_min_N(r, d, m, mp))
         for m in range(d + 1)
@@ -243,7 +243,8 @@ def _check_budget(r: int, budget: int) -> None:
         raise ValueError("budget must be nonnegative")
     # a base >= 3 exceeds MAX_FRAMES by its bit length, so cap the power there
     if budget and (2 * budget + 1) ** min(r * (r + 1) // 2, MAX_FRAMES.bit_length()) > MAX_FRAMES:
-        raise ValueError(f"budget {budget} at r={r} gives more than {MAX_FRAMES} frames")
+        raise ValueError(f"budget {shown(budget)} at r={shown(r)} gives more than "
+                         f"{MAX_FRAMES} frames")
 
 
 def default_frames(r: int, p: ProjPoint, budget: int) -> FrameFamily:

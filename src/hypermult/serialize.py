@@ -4,9 +4,9 @@ Machine output never contains floating point.  Integers that are genuinely
 integers (multiplicities, weights, exponents) stay JSON numbers; every
 rational quantity is a Fraction, and dumps is the one place a Fraction
 becomes text: a "p/q" string that Fraction parses back verbatim.  written
-refuses an answer, dumps' or a form's to_text, that holds an int past
-str(int)'s digit limit.  The encoders below only rename, flatten or drop
-fields; records whose JSON keys are their own fields go through asdict.
+refuses a whole answer, dumps' or a form's to_text, past str(int)'s digit
+limit (_linalg.shown writes one value of a message).  The encoders only
+rename, flatten or drop fields; records keyed by their own fields use asdict.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import sys
 import weakref
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from unittest import mock
 
 import pytest
@@ -164,6 +165,22 @@ def test_classify_reads_the_certificate_of_the_destabilized_form(f, above):
             assert serialize.dumps(serialize.report_encode(ours)) == serialize.dumps(
                 serialize.report_encode(theirs)
             )
+
+
+@pytest.mark.parametrize("r, d, supports", [(1, 8, 511), (2, 3, 1023), (3, 2, 1023)])
+def test_the_band_theorem_holds_on_every_support_of_a_small_grid(r, d, supports):
+    # a report reads only the support (test above), so the form with
+    # coefficients 1 on each nonempty set of degree-d monomials checks
+    # every form of (r, d) at the threshold
+    monomials = [
+        tuple(c.count(i) for i in range(r + 1))
+        for c in combinations_with_replacement(range(r + 1), d)
+    ]
+    for mask in range(1, 1 << len(monomials)):
+        support = [e for i, e in enumerate(monomials) if mask >> i & 1]
+        report = classify_at_origin(HomogeneousForm(r, d, dict.fromkeys(support, 1)))
+        assert report.agreed and report.m_band == d - max(e[0] for e in support), support
+    assert mask == supports
 
 
 def test_every_move_to_a_point_refuses_more_than_max_dim_coordinates(monkeypatch):

@@ -16,13 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypermult import (
     HomogeneousForm,
+    OneParamSubgroup,
     ProjPoint,
     StratumLabel,
     act,
     bound_check,
     classify_at_origin,
     default_frames,
+    destabilize,
+    gen_corpus,
     l_squared,
+    pair_minima,
     parse_form,
     point_image,
     separation_threshold,
@@ -278,8 +282,97 @@ def test_verify_names_a_corpus_past_the_digit_limit(capsys):
 
 
 def test_a_refusal_writes_a_number_within_the_digit_limit_in_full():
-    assert classifier._digits(10**4300 - 1) == "9" * 4300
-    assert classifier._digits(-(10**4300)) == "(over 4300 digits)"
+    limit = sys.get_int_max_str_digits()
+    assert _linalg.shown(10**limit - 1) == "9" * limit
+    assert _linalg.shown(-(10**limit)) == f"(over {limit} digits)"
+
+
+BIG = 10**5000
+ONE_TERM = HomogeneousForm(1, 2, {(1, 1): 1})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gen_corpus(1, 2, 1, Fraction(BIG, 3), 0),
+        lambda: destabilize(ONE_TERM, Fraction(BIG, 3)),
+        lambda: HomogeneousForm(1, 2, {(BIG, 0): 1}),
+        lambda: HomogeneousForm(1, BIG, {(1, 1): 1}),
+        lambda: HomogeneousForm(1, 2, {(1, 1): [BIG]}),
+        lambda: HomogeneousForm(BIG, 2, {(1, 1): 1}),
+        lambda: ProjPoint(([BIG], 1)),
+        lambda: Frame(((Fraction(BIG, 3), 0), (0, 1))),
+        lambda: OneParamSubgroup((Fraction(BIG, 3), 1)),
+        lambda: pair_minima(1, BIG),
+        lambda: default_frames(1, ProjPoint.origin(1), BIG),
+        lambda: default_frames(BIG, ProjPoint.origin(1), 1),
+        lambda: hesselink.unique_band((1, 1), 1, BIG, 3),
+        lambda: classify_at_origin(ONE_TERM, Fraction(BIG, 3)),
+        lambda: verify_theorem_main(BIG, 2, 0, 1, 0),
+        lambda: verify_theorem_main(BIG, 2, "auto", 1, 0),
+    ],
+    ids=[
+        "check_ints", "destabilize", "exponent", "degree", "exact-form", "exponent-length",
+        "exact-point", "frame-entry", "weight", "pair_minima", "budget", "budget-r",
+        "unique_band", "classify-N", "verify-r", "corpus-r",
+    ],
+)
+def test_a_library_refusal_names_a_number_past_the_digit_limit_in_its_own_words(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert f"(over {sys.get_int_max_str_digits()} digits)" in str(err.value)
+    assert "Exceeds the limit" not in str(err.value)
+
+
+def test_a_row_under_the_longest_header_r_names_its_length_in_words(capsys, tmp_path):
+    # r has as many digits as int() reads, so r + 1 has one more
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long-r.form"
+    path.write_text("r=" + "9" * limit + " d=1\n1 0 0\n")
+    assert invoke(capsys, "index", "--input", str(path)) == (
+        2, "", f"error: row '1 0 0' needs a coefficient and (over {limit} digits) exponents\n"
+    )
+
+
+HIGH_DEGREE = HomogeneousForm(2, 10**400, {(10**400, 0, 0): 1})  # its threshold has 800 digits
+BELOW_HIGH_THRESHOLD = (
+    "N=5 is below the separation threshold (over 640 digits) for r=2, "
+    f"d={10**400}; bands may overlap, refusing to classify"
+)
+
+
+def test_a_refusal_reads_the_live_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError) as err:
+            classify_at_origin(HIGH_DEGREE, 5)
+        message = str(err.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert message == BELOW_HIGH_THRESHOLD
+
+
+def test_the_cli_reads_the_digit_limit_of_its_environment(tmp_path):
+    path = tmp_path / "high.form"
+    path.write_text(HIGH_DEGREE.to_text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermult", "classify", "--N", "5", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {BELOW_HIGH_THRESHOLD}\n"
+
+
+def test_a_refusal_quotes_a_value_within_the_digit_limit_by_its_text():
+    with pytest.raises(ValueError) as err:
+        Frame(((Fraction(3, 2), 0), (0, 1)))
+    assert str(err.value) == "'3/2' is not an integer"
+    with pytest.raises(ValueError) as err:
+        classify_at_origin(ONE_TERM, Fraction(3, 2))
+    assert str(err.value) == "N must be an integer or 'auto', got '3/2'"
 
 
 def test_bands_checks_the_point_before_the_barycenter(capsys, monkeypatch):
@@ -533,6 +626,28 @@ def test_a_point_of_the_wrong_dimension_reads_alike(capsys, monkeypatch, cubic_f
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (2, "", "error: point dimension must be r+1\n")
     assert projected == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("mult",), ("classify",), ("bound",), ("bands", "-r", "1", "-d", "2", "--m", "0")],
+    ids=["mult", "classify", "bound", "bands"],
+)
+def test_a_point_is_refused_by_its_length_before_its_coordinates_are_read(
+    capsys, monkeypatch, square_file, command
+):
+    name, *rest = command
+    argv = [name] + ([] if name == "bands" else ["--input", square_file]) + rest
+    wrong = (2, "", "error: point dimension must be r+1\n")
+    # a bad coordinate and a wrong length: the length is named
+    assert invoke(capsys, *argv, "--point", "1,x,2") == wrong
+
+    def no_read(*args):
+        raise AssertionError("the coordinates were read")
+
+    monkeypatch.setattr(forms, "parse_coords", no_read)
+    monkeypatch.setattr(cli, "parse_coords", no_read)
+    assert invoke(capsys, *argv, "--point", "1" + ",1" * 100_000) == wrong
 
 
 def test_bound_fails_without_a_maximal_candidate(capsys, square_file):

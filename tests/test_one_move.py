@@ -9,7 +9,7 @@ written, and no module imports a name it does not use.
 
 `forms.frame_moving_to_origin` refuses a point of more than MAX_DIM
 coordinates before it builds anything, and so does `cli._read_point`, the
-CLI's one reader of a projective --point, before the point's primitive;
+CLI's one reader of a projective --point, before it reads a coordinate;
 `forms.move_to_origin` is the one composition
 act(frame_moving_to_origin(p), f).  `forms.check_move` alone reads
 MAX_MOVED_TERMS and MAX_SHIFT_WORK, and it and
@@ -37,9 +37,13 @@ Fraction()'s wider grammar.  The invariants of a form are checked where
 outside input enters, by `HomogeneousForm._from_ints` from `_from_rows`,
 which `parse_form` and the public constructor share; forms the library
 computes, the corpus included, are valid by construction, so no module
-calls that constructor.  `cli._answer` is the one caller of
-`_parse_n` and `_read_form`, so every command reads --N and then --input
-in the same order, after argparse.  No class writes its own __eq__ or
+calls that constructor.  `_linalg.shown` is the one writer of a value
+into a message: no message writes a value by `!r:.40` or
+`_quote(str(...))`, no module guesses str(int)'s digit limit as 4300,
+and only `shown` and `serialize.written`, which refuses a whole answer,
+read the live limit.  `cli._answer` is the one caller of `_parse_n` and
+`_read_form`, so every command reads --N and then --input in the same
+order, after argparse.  No class writes its own __eq__ or
 __hash__: `ProjPoint` compares its primitive as a dataclass field.  A
 caller that repeats any of these would be a second place to keep in step
 with the first.
@@ -260,3 +264,30 @@ def test_no_class_writes_its_own_equality_or_hash():
         if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
     ]
     assert written == []
+
+
+def test_only_shown_writes_a_value_into_a_message():
+    truncated_reprs = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+        and node.format_spec is not None and ".40" in ast.unparse(node.format_spec)
+    ]
+    quoted_strs = [
+        (module, where)
+        for module, where, call in _calls()
+        if _name(call.func) == "_quote"
+        and any(isinstance(a, ast.Call) and _name(a.func) == "str" for a in call.args)
+    ]
+    guessed_limits = [
+        (module, where)
+        for module, where, node in _nodes()
+        if isinstance(node, ast.Constant) and (node.value == 4300 or "4300" in str(node.value))
+    ]
+    readers = {
+        (module, where)
+        for module, where, call in _calls()
+        if _name(call.func) == "get_int_max_str_digits"
+    }
+    assert (truncated_reprs, quoted_strs, guessed_limits) == ([], [], [])
+    assert readers == {("_linalg", "shown"), ("serialize", "written")}
