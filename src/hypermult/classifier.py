@@ -205,7 +205,10 @@ def gen_corpus(
     if count < 0:
         raise ValueError("count must be nonnegative")
     _check_corpus_size(count, r)
-    rng = random.Random(f"corpus:{r}:{d}:{m}:{seed}")
+    try:  # the seed text of every corpus within str(int)'s limit stays as it is
+        rng = random.Random(f"corpus:{r}:{d}:{m}:{seed}")
+    except ValueError:
+        raise ValueError(f"cannot seed a corpus of d={shown(d)}, m={shown(m)}, seed={shown(seed)}")
     nonzero = [c for c in range(-3, 4) if c != 0]
 
     def form() -> HomogeneousForm:

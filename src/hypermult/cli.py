@@ -16,6 +16,11 @@ by name and help alone, with no arguments and no -h.  So no parser state
 crosses calls, and a process that runs one command pays for one command's
 arguments.  Once run has parsed, _answer reads --N and then --input, whose
 faults are error: lines and not usage errors, as args.N and args.form.
+
+A command loads only the modules it runs: forms, statepoly, _linalg and
+serialize are imported here, and hesselink and classifier only inside the
+handlers that call them, so a process that answers index or mult never
+compiles either.
 """
 
 from __future__ import annotations
@@ -25,14 +30,7 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import hesselink, serialize
-from .classifier import (
-    bound_check,
-    classify_at,
-    classify_at_origin,
-    gen_corpus,
-    verify_theorem_main,
-)
+from . import serialize
 from .forms import (
     FormParseError,
     HomogeneousForm,
@@ -44,15 +42,6 @@ from .forms import (
     multiplicity_at,
     parse_coords,
     parse_form,
-)
-from .hesselink import (
-    StratumLabel,
-    band_contains,
-    default_frames,
-    l_squared,
-    pair_minima,
-    separation_threshold,
-    worst_frame_search,
 )
 from .statepoly import barycenter, torus_index
 from ._linalg import norm_sq, sub
@@ -119,9 +108,11 @@ def _cmd_index(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_destab(args: argparse.Namespace) -> Tuple[int, object]:
+    from . import hesselink
+
     form, n = args.form, args.N
     if n == "auto":
-        n = separation_threshold(form.r, form.d)
+        n = hesselink.separation_threshold(form.r, form.d)
     result = destabilize(form, n)
     if not args.json:
         return 0, serialize.written(result.to_text)
@@ -137,8 +128,10 @@ def _cmd_destab(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> Tuple[int, object]:
-    threshold = separation_threshold(args.r, args.d)
-    pairs = pair_minima(args.r, args.d)
+    from . import hesselink
+
+    threshold = hesselink.separation_threshold(args.r, args.d)
+    pairs = hesselink.pair_minima(args.r, args.d)
     if args.json:
         return 0, {
             "r": args.r,
@@ -154,6 +147,8 @@ def _cmd_threshold(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
+    from . import hesselink
+
     n = args.N
     if args.m is None and args.d + 1 > hesselink.MAX_PAIRS:
         raise ValueError(
@@ -161,7 +156,7 @@ def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
             "pass --m to test one"
         )
     if n == "auto":
-        n = separation_threshold(args.r, args.d)
+        n = hesselink.separation_threshold(args.r, args.d)
     # counted before it is read, and before the barycenter, whose r+1 entries only -r bounds
     if args.point.count(",") != args.r:
         raise ValueError("point dimension must be r+1")
@@ -171,8 +166,8 @@ def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
     memberships = [
         {
             "m": m,
-            "contains": band_contains(point, args.r, args.d, n, m),
-            "l_sq": l_squared(args.r, args.d, n, m),
+            "contains": hesselink.band_contains(point, args.r, args.d, n, m),
+            "l_sq": hesselink.l_squared(args.r, args.d, n, m),
         }
         for m in values
     ]
@@ -187,20 +182,26 @@ def _cmd_bands(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Tuple[int, object]:
+    from . import classifier
+
     if args.point is None:
-        report = classify_at_origin(args.form, args.N)
+        report = classifier.classify_at_origin(args.form, args.N)
     else:
-        report = classify_at(args.form, _read_point(args.point, args.form.r), args.N)
+        report = classifier.classify_at(args.form, _read_point(args.point, args.form.r), args.N)
     return (0 if report.agreed else 1), serialize.report_encode(report)
 
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[int, object]:
-    summary = verify_theorem_main(args.r, args.d, args.N, args.count, args.seed)
+    from . import classifier
+
+    summary = classifier.verify_theorem_main(args.r, args.d, args.N, args.count, args.seed)
     return (0 if summary.ok else 1), asdict(summary)
 
 
 def _cmd_gen(args: argparse.Namespace) -> Tuple[int, object]:
-    forms = gen_corpus(args.r, args.d, args.m, args.count, args.seed)
+    from . import classifier
+
+    forms = classifier.gen_corpus(args.r, args.d, args.m, args.count, args.seed)
     if not args.json:
         return 0, "\n".join(
             f"# corpus form {i} (m={args.m}, seed={args.seed})\n" + f.to_text()
@@ -216,12 +217,14 @@ def _cmd_gen(args: argparse.Namespace) -> Tuple[int, object]:
 
 
 def _cmd_bound(args: argparse.Namespace) -> Tuple[int, object]:
+    from . import classifier, hesselink
+
     form = args.form
     points = [_read_point(text, form.r) for text in args.point]
-    frames = default_frames(form.r, points[0], args.budget)
-    _, cert = worst_frame_search(form, frames)
-    label = StratumLabel.from_certificate(cert)
-    result = bound_check(form, label, points)
+    frames = hesselink.default_frames(form.r, points[0], args.budget)
+    _, cert = hesselink.worst_frame_search(form, frames)
+    label = hesselink.StratumLabel.from_certificate(cert)
+    result = classifier.bound_check(form, label, points)
     payload = {
         "r": form.r,
         "d": form.d,

@@ -7,6 +7,8 @@ becomes text: a "p/q" string that Fraction parses back verbatim.  written
 refuses a whole answer, dumps' or a form's to_text, past str(int)'s digit
 limit (_linalg.shown writes one value of a message).  The encoders only
 rename, flatten or drop fields; records keyed by their own fields use asdict.
+The record types are imported for type checkers alone, so importing
+serialize loads no other module of the package.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import json
 from dataclasses import asdict
 from fractions import Fraction
 from sys import get_int_max_str_digits
-from typing import Any, Callable, Dict
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
-from .classifier import BoundCheckResult, ClassificationReport
-from .hesselink import StratumLabel
-from .statepoly import InstabilityCertificate
+if TYPE_CHECKING:
+    from .classifier import BoundCheckResult, ClassificationReport
+    from .hesselink import StratumLabel
+    from .statepoly import InstabilityCertificate
 
 
 def _rational(x: object) -> str:

@@ -217,7 +217,7 @@ def test_bands_refuses_a_huge_listing_before_any_row(capsys, monkeypatch):
         calls.append(args)
         assert len(calls) == 0, "a band row was computed"
 
-    monkeypatch.setattr(cli, "l_squared", counted)
+    monkeypatch.setattr(hesselink, "l_squared", counted)
     code, out, err = invoke(capsys, "bands", "-r", "1", "-d", "1000000000", "--point=1,2")
     assert (code, out, calls) == (2, "", [])
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -310,11 +310,14 @@ ONE_TERM = HomogeneousForm(1, 2, {(1, 1): 1})
         lambda: classify_at_origin(ONE_TERM, Fraction(BIG, 3)),
         lambda: verify_theorem_main(BIG, 2, 0, 1, 0),
         lambda: verify_theorem_main(BIG, 2, "auto", 1, 0),
+        lambda: gen_corpus(1, BIG, 0, 1, 0),
+        lambda: gen_corpus(1, 3, 0, 1, BIG),
+        lambda: verify_theorem_main(1, 2, "auto", 1, BIG),
     ],
     ids=[
         "check_ints", "destabilize", "exponent", "degree", "exact-form", "exponent-length",
         "exact-point", "frame-entry", "weight", "pair_minima", "budget", "budget-r",
-        "unique_band", "classify-N", "verify-r", "corpus-r",
+        "unique_band", "classify-N", "verify-r", "corpus-r", "seed-d", "seed", "verify-seed",
     ],
 )
 def test_a_library_refusal_names_a_number_past_the_digit_limit_in_its_own_words(call):
@@ -601,7 +604,7 @@ def test_bound_skips_dominated_frames_with_the_same_output(capsys, monkeypatch, 
     path.write_text(QUINTIC_TEXT)
     argv = ("bound", "--input", str(path), "--point", "1,0", "--budget", "1")
     # the plain loop projects every frame
-    monkeypatch.setattr(cli, "worst_frame_search",
+    monkeypatch.setattr(hesselink, "worst_frame_search",
                         lambda f, family: worst_frame_search_oracle(f, family_members(family)))
     expected = invoke(capsys, *argv)
     monkeypatch.undo()

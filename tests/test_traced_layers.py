@@ -13,8 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from hypermult import cli
-
 SPANS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
 
@@ -55,6 +53,11 @@ def test_traced_requests_fill_the_form_counters(capsys, tmp_path):
         ["classify", "--input", str(path), "--point", "1,1"],
         ["bound", "--input", str(path), "--point", "1,0", "--budget", "1"],
     ]
+    # the Tracer wraps only modules already loaded, and the benchmark's tests
+    # import the package afresh, so both are read here and not at collection
+    for target in TARGETS:
+        importlib.import_module(f"hypermult.{target.split(':')[0]}")
+    cli = importlib.import_module("hypermult.cli")
     with load_spans().Tracer() as tracer:
         codes = [cli.run(argv) for argv in requests]
     assert codes == [0, 0, 0], capsys.readouterr().err
